@@ -1,13 +1,17 @@
 """Run the default benchmark sweep and print the headline comparisons.
 
 Equivalent to `bench run --out <dir>` plus a short console digest of how the
-hybrid scheduler compares against the two baselines at the largest task count.
+hybrid scheduler compares against the two baselines at the largest task count,
+and the sha256 of the results.csv it wrote: reruns, and runs with any --jobs,
+print the same digest.
 
 Usage: python3 scripts/run_default_sweep.py [--out sweep_out] [--jobs N]
 """
 
 import argparse
+import hashlib
 import sys
+from pathlib import Path
 
 from cloudsched.bench import default_config, run_experiment, summarize
 
@@ -22,6 +26,8 @@ def main() -> int:
     rows = run_experiment(config, jobs=args.jobs, out_dir=args.out)
     ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"{len(rows)} cells run, {ok} ok; report in {args.out}/")
+    digest = hashlib.sha256(Path(args.out, "results.csv").read_bytes()).hexdigest()
+    print(f"results.csv sha256 {digest}")
 
     summary = {(s["algorithm"], s["task_count"]): s for s in summarize(rows)}
     top = config.sweep.stop

@@ -29,6 +29,7 @@ from .policy import (
     TrainConfig,
     evaluate_policy,
     load_policy,
+    observation_size,
     policy_forward,
     save_policy,
     train,
@@ -446,6 +447,31 @@ def build_cell_workload(config: ExperimentConfig, task_count: int, seed: int) ->
     return WorkloadSet.from_tasks(config.vms.build(), tasks)
 
 
+def _check_policy_fit(config: ExperimentConfig) -> None:
+    """Reject a policy scheduler whose input size does not fit the fleet.
+
+    A policy reads observations sized by the machine count, so one trained
+    on another fleet would fail every cell of the sweep. A policy file that
+    cannot be opened is left to fail its own cells.
+    """
+    expected = observation_size(
+        config.vms.count, config.train.lookahead, config.train.ready_slots
+    )
+    for i, spec in enumerate(config.schedulers):
+        if spec.algorithm != "policy":
+            continue
+        try:
+            theta = load_policy(spec.policy_file)
+        except OSError:
+            continue
+        if theta.n_inputs != expected:
+            raise ConfigurationError(
+                f"schedulers[{i}].policy_file {spec.policy_file!r} takes "
+                f"{theta.n_inputs} inputs, but a fleet of {config.vms.count} machines "
+                f"gives observations of {expected}"
+            )
+
+
 def _policy_trace(spec: SchedulerSpec, config: ExperimentConfig, workload: WorkloadSet):
     theta = load_policy(spec.policy_file)
     env = SchedulingEnv(
@@ -534,7 +560,9 @@ def run_experiment(
 
     jobs > 1 fans (task_count, seed) groups out to worker processes. When
     out_dir (or config.output_dir) is set the report files are written there.
+    A policy that does not fit the fleet is rejected before any cell runs.
     """
+    _check_policy_fit(config)
     cells = [(config, n, s) for n in config.sweep.counts() for s in config.seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

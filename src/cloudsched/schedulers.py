@@ -11,6 +11,7 @@ far comparison is a fixed total order.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -172,24 +173,22 @@ class _Evaluator:
         self._task_deadlines = [t.deadline for t in ordered]
         self._transfer_tab: list[list[float]] = []
         self._exec_tab: list[list[float]] = []
-        self._srv_tab: list[list[float]] = []
         self._money_tab: list[list[float]] = []
         specs = {v.id: v for v in workload.vms}
         for task in ordered:
-            tr_row, ex_row, srv_row, money_row = [], [], [], []
+            tr_row, ex_row, money_row = [], [], []
             for vid in self.vm_ids:
                 spec = specs[vid]
                 transfer, exec_time = _service_times(task, spec)
                 tr_row.append(transfer)
                 ex_row.append(exec_time)
-                srv_row.append(transfer + exec_time)
                 money_row.append(
                     exec_time * spec.instr_cost_rate + transfer * spec.bw_cost_rate
                 )
             self._transfer_tab.append(tr_row)
             self._exec_tab.append(ex_row)
-            self._srv_tab.append(srv_row)
             self._money_tab.append(money_row)
+        self._srv = np.array(self._transfer_tab) + np.array(self._exec_tab)
         # Independent tasks admit a closed-form per-machine recurrence that
         # matches the event simulation; anything with edges takes the slow path.
         self._fast = not workload.dag.edges
@@ -270,21 +269,19 @@ def _construction_order(workload: WorkloadSet) -> list[int]:
     indeg = {t.id: 0 for t in dag.tasks}
     for _, b in dag.edges:
         indeg[b] += 1
-    import heapq as _heapq
-
     heap = [
         (by_id[tid].arrival_time, tid) for tid, d in indeg.items() if d == 0
     ]
-    _heapq.heapify(heap)
+    heapq.heapify(heap)
     succs = dag.successors()
     order: list[int] = []
     while heap:
-        _, tid = _heapq.heappop(heap)
+        _, tid = heapq.heappop(heap)
         order.append(tid)
         for s in succs[tid]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                _heapq.heappush(heap, (by_id[s].arrival_time, s))
+                heapq.heappush(heap, (by_id[s].arrival_time, s))
     return order
 
 
@@ -334,55 +331,61 @@ def eft_schedule(
 # Ant colony construction (shared by ACO and the hybrid)
 # ---------------------------------------------------------------------------
 
-def _construct_ant(
+def _construct_colony(
     ev: _Evaluator,
-    tau_pow: list[list[float]],
+    tau_pow: np.ndarray,
     beta: float,
     rng: np.random.Generator,
-) -> tuple[int, ...]:
-    """Build one assignment vector guided by pheromone and a completion-time
-    heuristic evaluated against the ant's own partial loads.
+    ants: int,
+) -> list[tuple[int, ...]]:
+    """Build `ants` assignment vectors guided by pheromone and a completion-
+    time heuristic evaluated against each ant's own partial loads.
 
-    tau_pow is the pheromone matrix already raised to alpha (callers hoist
-    that out of the per-ant loop). Degenerate weight rows fall back to a
-    uniform pick. One uniform draw per task drives roulette selection.
+    tau_pow is the pheromone matrix already raised to alpha. One uniform
+    draw per (ant, task) drives roulette selection; degenerate weight rows
+    fall back to a uniform pick. All ants advance together, task by task,
+    over (ants x machines) arrays, and each comes out bit-identical to an
+    ant built alone with scalar arithmetic, machine by machine:
+
+    - rng.random((ants, n)) fills row-major from the same stream, so row k
+      holds the draws of the k-th of `ants` sequential rng.random(n) calls
+      and the generator ends in the same state.
+    - np.float_power computes each power with the C library's pow(), as
+      Python's `x ** beta` does; np.power may take SIMD code that differs
+      in the last bit (about 5% of inputs on AVX-512 hosts).
+    - cumsum along a row adds left to right, so its prefix sums are those of
+      a running `acc += w`. The pick is the first machine whose prefix sum
+      exceeds u * total, i.e. the count of prefix sums <= u * total among
+      the first m - 1 (the last machine takes whatever is left).
     """
     m = len(ev.vm_ids)
     n = len(ev.task_ids)
     arrivals = ev._arrivals
-    srv = ev._srv_tab
-    free = [0.0] * m
-    draws = rng.random(n)
-    vec = []
+    srv = ev._srv
+    draws = rng.random((ants, n)).T.copy()
+    free = np.zeros((ants, m))
+    free_flat = free.reshape(-1)
+    row_offsets = np.arange(ants) * m
+    choice = np.empty((n, ants), dtype=np.intp)
     for pos in range(n):
-        a = arrivals[pos]
+        start = np.maximum(free, arrivals[pos])
         row_srv = srv[pos]
-        row_tau = tau_pow[pos]
-        weights = []
-        total = 0.0
-        for j in range(m):
-            f = free[j]
-            start = a if a > f else f
-            w = row_tau[j] * (1.0 / (1.0 + start + row_srv[j])) ** beta
-            weights.append(w)
-            total += w
+        w = 1.0 + start
+        w += row_srv
+        np.divide(1.0, w, out=w)
+        np.float_power(w, beta, out=w)
+        w *= tau_pow[pos]
+        cum = w.cumsum(axis=1)
+        total = cum[:, -1]
         u = draws[pos]
-        if not (0.0 < total < math.inf):
-            j = min(int(u * m), m - 1)
-        else:
-            target = u * total
-            acc = 0.0
-            j = m - 1
-            for k in range(m):
-                acc += weights[k]
-                if target < acc:
-                    j = k
-                    break
-        f = free[j]
-        start = a if a > f else f
-        free[j] = start + row_srv[j]
-        vec.append(j)
-    return tuple(vec)
+        j = (cum[:, :-1] <= (u * total)[:, None]).sum(axis=1)
+        if not (0.0 < total.min() and total.max() < math.inf):
+            degenerate = ~((0.0 < total) & (total < math.inf))
+            j[degenerate] = np.minimum((u[degenerate] * m).astype(np.intp), m - 1)
+        flat = row_offsets + j
+        free_flat[flat] = start.reshape(-1)[flat] + row_srv[j]
+        choice[pos] = j
+    return [tuple(vec) for vec in choice.T.tolist()]
 
 
 def aco_schedule(
@@ -405,10 +408,9 @@ def aco_schedule(
     best_score = math.inf
     history: dict = {"tau": [], "best_scores": []}
     for _ in range(params.iterations):
-        tau_pow = np.power(tau, params.alpha).tolist()
+        tau_pow = np.power(tau, params.alpha)
         iter_best_vec, iter_best_score = None, math.inf
-        for _ant in range(params.ants):
-            vec = _construct_ant(ev, tau_pow, params.beta, rng)
+        for vec in _construct_colony(ev, tau_pow, params.beta, rng, params.ants):
             s = ev.score(vec)
             if s < iter_best_score:
                 iter_best_vec, iter_best_score = vec, s
@@ -561,10 +563,7 @@ def gaaco_schedule(
         np.clip(tau, _TAU_FLOOR, _TAU_CEIL, out=tau)
 
         # Ant phase constructs candidates from the trails.
-        tau_pow = np.power(tau, alpha_g).tolist()
-        ants = [
-            _construct_ant(ev, tau_pow, beta_g, rng) for _ in range(params.m)
-        ]
+        ants = _construct_colony(ev, np.power(tau, alpha_g), beta_g, rng, params.m)
         merged = offspring + ants
         merged_scores = [ev.score(v) for v in merged]
         keep = sorted(range(len(merged)), key=lambda i: (merged_scores[i], i))[:pop_size]

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigurationError, DagValidationError
 
 RESOURCES = ("cpu", "memory", "bandwidth")
-SLOT_SECONDS = 1.0
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,13 @@ from cloudsched.bench import (
 )
 from cloudsched.cli import main
 from cloudsched.errors import ConfigurationError
-from cloudsched.policy import load_policy
+from cloudsched.policy import (
+    action_count,
+    init_policy,
+    load_policy,
+    observation_size,
+    save_policy,
+)
 
 FAST_SA_PARAMS = {
     "initial_temp": 0.02,
@@ -215,6 +221,23 @@ def test_failed_cells_are_isolated(tmp_path):
     assert all(math.isnan(r["multi_qos"]) for r in failed)
     others = [r for r in rows if r["algorithm"] != "policy"]
     assert all(r["status"] == "ok" for r in others)
+
+
+def test_policy_that_does_not_fit_the_fleet_is_rejected_before_any_cell(tmp_path):
+    policy = tmp_path / "policy.txt"
+    save_policy(init_policy(observation_size(2, 3, 3), 4, action_count(2, 3)), str(policy))
+    data = tiny_config_data(tmp_path / "fits")
+    data["schedulers"].append({"name": "policy", "policy_file": str(policy)})
+    rows = run_experiment(config_from_dict(data))
+    assert [r["status"] for r in rows if r["algorithm"] == "policy"] == ["ok"] * 4
+    data["vms"] = {"count": 3}
+    data["output_dir"] = str(tmp_path / "misfit")
+    with pytest.raises(
+        ConfigurationError,
+        match=r"schedulers\[2\]\.policy_file .* takes 19 inputs, .* 3 machines .* of 22",
+    ):
+        run_experiment(config_from_dict(data))
+    assert not (tmp_path / "misfit").exists()
 
 
 def test_summary_ignores_failed_rows(tiny_run):

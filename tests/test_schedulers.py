@@ -1,16 +1,21 @@
 """Greedy, annealing, ant colony, hybrid and exhaustive schedulers."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudsched.errors import ConfigurationError, InstanceTooLargeError
-from cloudsched.metrics import QosWeights
+from cloudsched.metrics import QosWeights, raw_qos
 from cloudsched.schedulers import (
     AcoParams,
     GaacoParams,
     SaParams,
+    _construct_colony,
+    _Evaluator,
     aco_schedule,
     as_workload,
     brute_force_schedule,
@@ -21,7 +26,14 @@ from cloudsched.schedulers import (
     sa_schedule,
 )
 from cloudsched.simulator import run_simulation
-from cloudsched.workload import DagWorkflow, Task, VmSpec, WorkloadSet
+from cloudsched.workload import (
+    DagWorkflow,
+    Task,
+    TaskGenParams,
+    VmSpec,
+    WorkloadSet,
+    generate_tasks,
+)
 
 from helpers import (
     flat_workload,
@@ -156,6 +168,169 @@ def test_aco_finds_the_optimum_often_and_never_beats_it():
         if abs(score - best) <= 1e-9:
             matches += 1
     assert matches >= 12  # 60% of 20 seeds
+
+
+# ---------------------------------------------------------------------------
+# Ant construction and the fast evaluator, against their references
+# ---------------------------------------------------------------------------
+
+def _reference_ant(ev, tau_pow, beta, rng):
+    """One ant built with scalar Python arithmetic, machine by machine: the
+    per-ant construction the colony kernel replaced, kept as its oracle."""
+    m = len(ev.vm_ids)
+    n = len(ev.task_ids)
+    arrivals = ev._arrivals
+    srv = ev._srv.tolist()
+    free = [0.0] * m
+    draws = rng.random(n)
+    vec = []
+    for pos in range(n):
+        a = arrivals[pos]
+        row_srv = srv[pos]
+        row_tau = tau_pow[pos]
+        weights = []
+        total = 0.0
+        for j in range(m):
+            f = free[j]
+            start = a if a > f else f
+            w = row_tau[j] * (1.0 / (1.0 + start + row_srv[j])) ** beta
+            weights.append(w)
+            total += w
+        u = draws[pos]
+        if not (0.0 < total < math.inf):
+            j = min(int(u * m), m - 1)
+        else:
+            target = u * total
+            acc = 0.0
+            j = m - 1
+            for k in range(m):
+                acc += weights[k]
+                if target < acc:
+                    j = k
+                    break
+        f = free[j]
+        start = a if a > f else f
+        free[j] = start + row_srv[j]
+        vec.append(j)
+    return tuple(vec)
+
+
+@st.composite
+def independent_workloads(draw):
+    """Edge-free workloads on heterogeneous machines, arrivals batched, even
+    or Poisson, with or without deadlines."""
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 6))
+    vms = [
+        VmSpec(
+            id=j,
+            mips=draw(st.sampled_from([250.0, 500.0, 1000.0, 2000.0])),
+            bandwidth=draw(st.sampled_from([100.0, 1000.0])),
+            instr_cost_rate=draw(st.sampled_from([0.0, 0.005, 0.01, 0.02])),
+            bw_cost_rate=draw(st.sampled_from([0.0, 0.005, 0.01])),
+        )
+        for j in range(m)
+    ]
+    params = TaskGenParams(
+        length_range=(100.0, 5000.0),
+        input_range=(0.0, 300.0),
+        output_range=(0.0, 300.0),
+        mean_interarrival=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        arrival_pattern=draw(st.sampled_from(["even", "poisson"])),
+        deadline_slack_range=draw(st.sampled_from([None, (0.5, 20.0)])),
+    )
+    tasks = generate_tasks(n, draw(st.integers(0, 2**32 - 1)), params)
+    return WorkloadSet.from_tasks(vms, tasks)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    wl=independent_workloads(),
+    ants=st.integers(1, 12),
+    beta=st.one_of(
+        st.sampled_from([0.0, 0.5, 2.0]),
+        st.floats(0.0, 4.0),
+        # Every task here needs at least 0.05 s, so 1/(1+t) <= 1/1.05 and
+        # these powers underflow to zero: the uniform fallback picks.
+        st.floats(1e5, 1e6),
+    ),
+    alpha=st.sampled_from([0.0, 0.7, 1.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_colony_matches_sequential_reference_ants(wl, ants, beta, alpha, seed):
+    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    rng = np.random.default_rng(seed)
+    tau = rng.uniform(1e-3, 1e3, (len(ev.task_ids), len(ev.vm_ids)))
+    tau_pow = np.power(tau, alpha)
+    ref_rng = np.random.default_rng(seed + 1)
+    got_rng = np.random.default_rng(seed + 1)
+    expected = [_reference_ant(ev, tau_pow.tolist(), beta, ref_rng) for _ in range(ants)]
+    assert _construct_colony(ev, tau_pow, beta, got_rng, ants) == expected
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _PresetDraws:
+    """Stands in for a Generator: hands out preset uniforms in stream order."""
+
+    def __init__(self, draws):
+        self._flat = np.ravel(draws)
+        self._used = 0
+
+    def random(self, size):
+        k = int(np.prod(size))
+        out = self._flat[self._used:self._used + k].reshape(size)
+        self._used += k
+        return out
+
+
+def test_colony_resolves_roulette_ties_on_the_exact_scalar_weights():
+    # Tasks arrive far apart, so every machine is idle at each arrival and
+    # the weights do not depend on earlier picks. Each draw puts u * total
+    # exactly on a prefix sum of the scalar weights; the scalar rule
+    # (target < acc) then moves on to the next machine, and a weight off in
+    # its last bit would move the pick.
+    n, m, ants, beta = 150, 4, 6, 1.37
+    vms = [vm(j, mips=mips) for j, mips in enumerate((300.0, 700.0, 1100.0, 1900.0))]
+    rng = np.random.default_rng(11)
+    tasks = [
+        task(i, length=float(rng.uniform(100.0, 5000.0)), arrival=1e4 * i)
+        for i in range(n)
+    ]
+    ev = _Evaluator(WorkloadSet.from_tasks(vms, tasks), QosWeights(), rng)
+    tau_pow = rng.uniform(0.1, 10.0, (n, m))
+    srv = ev._srv.tolist()
+    draws = np.zeros((ants, n))
+    expected = np.zeros((ants, n), dtype=int)
+    for pos in range(n):
+        a = ev._arrivals[pos]
+        cum = list(itertools.accumulate(
+            tau_pow[pos, j] * (1.0 / (1.0 + a + srv[pos][j])) ** beta for j in range(m)
+        ))
+        for ant in range(ants):
+            k = (pos + ant) % (m - 1)
+            u = cum[k] / cum[-1]
+            for _ in range(4):
+                if u * cum[-1] == cum[k]:
+                    draws[ant, pos], expected[ant, pos] = u, k + 1
+                    break
+                u = math.nextafter(u, 1.0 if u * cum[-1] < cum[k] else 0.0)
+    assert np.count_nonzero(expected) > 0.9 * ants * n
+    got = _construct_colony(ev, tau_pow, beta, _PresetDraws(draws), ants)
+    assert got == [tuple(row) for row in expected.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(wl=independent_workloads(), seed=st.integers(0, 2**32 - 1))
+def test_fast_evaluator_matches_the_event_simulator(wl, seed):
+    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        vec = tuple(int(v) for v in rng.integers(0, len(ev.vm_ids), len(ev.task_ids)))
+        fast = ev._raw_fast(vec)
+        slow = raw_qos(run_simulation(wl, ev.assignment_of(vec)), wl.vms, ev.deadlines)
+        assert fast.time_cost == pytest.approx(slow.time_cost, rel=1e-12, abs=0.0)
+        assert fast.money_cost == pytest.approx(slow.money_cost, rel=1e-12, abs=0.0)
+        assert fast.reliability == slow.reliability
 
 
 # ---------------------------------------------------------------------------
