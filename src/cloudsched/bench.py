@@ -266,7 +266,6 @@ class ExperimentConfig:
     weights: QosWeights = QosWeights()
     sweep: SweepConfig = SweepConfig()
     output_dir: str = "bench_out"
-    load_formula: str = "imbalance"
     train: TrainSetup = TrainSetup()
 
     def __post_init__(self):
@@ -277,8 +276,6 @@ class ExperimentConfig:
             raise ConfigurationError("scheduler names must be unique")
         if not self.seeds:
             raise ConfigurationError("at least one seed is required")
-        if self.load_formula not in ("imbalance", "literal"):
-            raise ConfigurationError("load_formula must be 'imbalance' or 'literal'")
 
 
 def default_config() -> ExperimentConfig:
@@ -313,7 +310,6 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
             "weights",
             "sweep",
             "output_dir",
-            "load_formula",
             "train",
         ),
         "experiment config",
@@ -377,8 +373,6 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
         kwargs["sweep"] = SweepConfig(**sw)
     if "output_dir" in data:
         kwargs["output_dir"] = str(data["output_dir"])
-    if "load_formula" in data:
-        kwargs["load_formula"] = str(data["load_formula"])
     if "train" in data:
         tr = dict(data["train"])
         _check_keys(
@@ -533,7 +527,7 @@ def run_cell_group(config: ExperimentConfig, task_count: int, seed: int) -> list
             raw = raw_qos(trace, workload.vms, deadlines)
             row["avg_time_cost"] = raw.time_cost
             row["avg_money_cost"] = raw.money_cost
-            row["load_rate"] = load_rate(machine_usage_totals(trace), config.load_formula)
+            row["load_rate"] = load_rate(machine_usage_totals(trace))
             traces[spec.name] = raw
         except Exception as exc:  # isolate the cell; the sweep must go on
             row["status"] = f"failed: {exc}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import (
@@ -62,11 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="JSON experiment config (defaults when omitted)")
     p_run.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p_run.add_argument("--out", help="output directory (overrides the config)")
-    p_run.add_argument(
-        "--load-formula",
-        choices=("imbalance", "literal"),
-        help="override the load balance formula",
-    )
     p_run.add_argument("--show-params", action="store_true", help="print defaults and exit")
 
     p_train = sub.add_parser("train", help="train the dispatch policy and save it")
@@ -88,8 +83,6 @@ def _cmd_run(args) -> int:
         show_params()
         return 0
     config = _load(args.config)
-    if args.load_formula:
-        config = replace(config, load_formula=args.load_formula)
     if args.jobs < 1:
         raise ConfigurationError("--jobs must be >= 1")
     out_dir = args.out if args.out else config.output_dir

@@ -40,17 +40,6 @@ class RawQos:
     reliability: float
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """One benchmark row's metric block."""
-
-    avg_time_cost: float
-    avg_money_cost: float
-    multi_qos: float
-    load_rate: float
-    reliability: float
-
-
 def _spec_map(specs: Sequence[VmSpec] | Mapping[int, VmSpec]) -> Mapping[int, VmSpec]:
     if isinstance(specs, Mapping):
         return specs
@@ -95,16 +84,11 @@ def machine_usage_totals(trace: SimTrace) -> list[float]:
     return [trace.machine_busy[m] for m in sorted(trace.machine_busy)]
 
 
-def load_rate(usages: Sequence[float], formula: str = "imbalance") -> float:
-    """Dispersion of per-machine usage totals.
+def load_rate(usages: Sequence[float]) -> float:
+    """Dispersion of per-machine usage totals: sum_i |use_i - avg| / (avg * n).
 
-    "imbalance" (default): sum_i |use_i - avg| / (avg * n); 0 for an even
-    spread, 1.0 for [10, 0], 0 when everything is idle.
-    "literal": mean_i use_i / (avg * n), the uncorrected per-machine form,
-    exposed for comparison; it is a constant 1/n whenever any machine is used.
+    0 for an even spread, 1.0 for [10, 0], 0 when everything is idle.
     """
-    if formula not in ("imbalance", "literal"):
-        raise ConfigurationError(f"unknown load formula {formula!r}")
     u = np.asarray(usages, dtype=float)
     if u.size == 0:
         raise ValueError("load_rate needs at least one machine")
@@ -113,8 +97,6 @@ def load_rate(usages: Sequence[float], formula: str = "imbalance") -> float:
     avg = float(u.mean())
     if avg <= _NORM_EPS:
         return 0.0
-    if formula == "literal":
-        return float(np.mean(u / (avg * u.size)))
     return float(np.abs(u - avg).sum() / (avg * u.size))
 
 

@@ -408,7 +408,7 @@ def aco_schedule(
     best_score = math.inf
     history: dict = {"tau": [], "best_scores": []}
     for _ in range(params.iterations):
-        tau_pow = np.power(tau, params.alpha)
+        tau_pow = np.float_power(tau, params.alpha)
         iter_best_vec, iter_best_score = None, math.inf
         for vec in _construct_colony(ev, tau_pow, params.beta, rng, params.ants):
             s = ev.score(vec)
@@ -563,7 +563,7 @@ def gaaco_schedule(
         np.clip(tau, _TAU_FLOOR, _TAU_CEIL, out=tau)
 
         # Ant phase constructs candidates from the trails.
-        ants = _construct_colony(ev, np.power(tau, alpha_g), beta_g, rng, params.m)
+        ants = _construct_colony(ev, np.float_power(tau, alpha_g), beta_g, rng, params.m)
         merged = offspring + ants
         merged_scores = [ev.score(v) for v in merged]
         keep = sorted(range(len(merged)), key=lambda i: (merged_scores[i], i))[:pop_size]

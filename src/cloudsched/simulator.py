@@ -1,15 +1,22 @@
 """Deterministic discrete-event simulation of task execution on machines.
 
-Two execution paths produce identical traces for equivalent decisions:
+One event core, two drivers. A SimState holds an episode's event heap, the
+machines' FIFO queues and every record. The core joins a task to a machine,
+starts it, and completes it: the completion writes the task's TaskRecord and
+residency row, releases its successors and starts the machine's next queued
+task. Both drivers run that core, so they produce identical traces for
+equivalent decisions:
 
-* run_simulation(workload, assignment): event-driven replay of a static
-  task-to-machine assignment. Each machine runs one task at a time and
-  serves its queue FIFO in ready order.
-* init_state / step: an online stepper for schedulers that decide one
-  dispatch at a time. Dispatch actions do not advance the clock (several
-  dispatches may share an instant); a no-op advances to the next event, or
-  by one slot when nothing is scheduled.
+* run_simulation(workload, assignment) replays a static task-to-machine
+  assignment, popping one event at a time. A task joins its machine the
+  instant it becomes ready.
+* init_state / step is an online stepper for schedulers that decide one
+  dispatch at a time. A ready task waits until it is dispatched. Dispatch
+  actions do not advance the clock (several dispatches may share an
+  instant); a no-op advances to the next event, or by one slot when nothing
+  is scheduled.
 
+Each machine runs one task at a time and serves its queue in join order.
 A task becomes ready at max(arrival, latest predecessor completion). Input
 and output data transfer is charged on the assigned machine before execution,
 so a task occupies its machine for transfer_time + exec_time seconds.
@@ -26,7 +33,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -119,136 +126,7 @@ def earliest_start_time(
 
 
 # ---------------------------------------------------------------------------
-# Static-assignment replay
-# ---------------------------------------------------------------------------
-
-def run_simulation(workload: WorkloadSet, assignment: Assignment) -> SimTrace:
-    """Simulate a static assignment to completion and return the trace."""
-    dag = workload.dag
-    check = validate_dag(dag)  # raises on dangling endpoints
-    if not check.ok:
-        raise DagValidationError(f"dag contains a cycle: {check.cycle}")
-    tasks = {t.id: t for t in dag.tasks}
-    vms = {v.id: v for v in workload.vms}
-    missing = sorted(t for t in tasks if t not in assignment)
-    if missing:
-        raise SimulationError(f"assignment missing tasks: {missing}")
-    bad_vms = sorted({assignment[t] for t in tasks} - set(vms))
-    if bad_vms:
-        raise SimulationError(f"assignment names unknown machines: {bad_vms}")
-
-    preds = dag.predecessors()
-    succs = dag.successors()
-    remaining = {tid: len(ps) for tid, ps in preds.items()}
-
-    queues: dict[int, deque[int]] = {v: deque() for v in vms}
-    running: dict[int, int | None] = {v: None for v in vms}
-    busy: dict[int, float] = {v: 0.0 for v in vms}
-    ready_times: dict[int, float] = {}
-    join_times: dict[int, float] = {}
-    completions: dict[int, float] = {}
-    starts: dict[int, tuple[float, float, float]] = {}  # tid -> (start, transfer, exec)
-    records: dict[int, TaskRecord] = {}
-    queue_series: list[tuple[float, int]] = []
-    residency: list[tuple[int, int, float, float]] = []
-
-    events: list[tuple[float, int, int]] = []
-    for tid, task in tasks.items():
-        if remaining[tid] == 0:
-            heapq.heappush(events, (task.arrival_time, _READY, tid))
-
-    def start_task(tid: int, now: float) -> None:
-        vm_id = assignment[tid]
-        transfer, exec_time = _service_times(tasks[tid], vms[vm_id])
-        running[vm_id] = tid
-        busy[vm_id] += transfer + exec_time
-        starts[tid] = (now, transfer, exec_time)
-        heapq.heappush(events, (now + transfer + exec_time, _COMPLETION, tid))
-
-    while events:
-        now, kind, tid = heapq.heappop(events)
-        if kind == _READY:
-            ready_times[tid] = now
-            join_times[tid] = now
-            vm_id = assignment[tid]
-            if running[vm_id] is None:
-                start_task(tid, now)
-            else:
-                queues[vm_id].append(tid)
-        else:  # completion
-            vm_id = assignment[tid]
-            start, transfer, exec_time = starts[tid]
-            task = tasks[tid]
-            records[tid] = TaskRecord(
-                task_id=tid,
-                machine_id=vm_id,
-                arrival=task.arrival_time,
-                ready_time=ready_times[tid],
-                start=start,
-                completion=now,
-                wait=start - ready_times[tid],
-                transfer_time=transfer,
-                exec_time=exec_time,
-            )
-            completions[tid] = now
-            residency.append((vm_id, task.user_id, join_times[tid], now))
-            running[vm_id] = None
-            for succ in succs[tid]:
-                remaining[succ] -= 1
-                if remaining[succ] == 0:
-                    ready_at = max(tasks[succ].arrival_time, now)
-                    heapq.heappush(events, (ready_at, _READY, succ))
-            if queues[vm_id]:
-                start_task(queues[vm_id].popleft(), now)
-        # Sample the queue length once all activity at this instant settled.
-        if not events or events[0][0] > now:
-            qlen = sum(len(q) for q in queues.values())
-            queue_series.append((now, qlen))
-
-    trace = SimTrace(
-        records=records,
-        machine_busy=busy,
-        queue_series=queue_series,
-        overuse_events=[],
-        residency=residency,
-    )
-    trace.overuse_events = scan_overuse(trace, workload)
-    return trace
-
-
-def scan_overuse(trace: SimTrace, workload: WorkloadSet) -> list[OveruseEvent]:
-    """Post-hoc slot scan for first-overshoot events, from residency rows."""
-    if not workload.profiles or not trace.residency:
-        return []
-    pmap = workload.profile_map()
-    horizon = int(math.ceil(trace.makespan))
-    by_machine: dict[int, list[tuple[int, float, float]]] = {}
-    for m, u, t0, t1 in trace.residency:
-        by_machine.setdefault(m, []).append((u, t0, t1))
-    events: list[OveruseEvent] = []
-    fired: set[tuple[int, str]] = set()
-    for s in range(horizon):
-        for m, rows in sorted(by_machine.items()):
-            users = sorted({u for u, t0, t1 in rows if t0 <= s < t1})
-            if not users:
-                continue
-            for d in RESOURCES:
-                if (m, d) in fired:
-                    continue
-                demand = 0.0
-                for u in users:
-                    prof = pmap.get((u, d))
-                    if prof is not None:
-                        demand += prof.demand_at(s)
-                if demand > 1.0:
-                    fired.add((m, d))
-                    events.append(OveruseEvent(m, d, float(s)))
-    events.sort(key=lambda e: (e.time, e.machine_id, e.resource))
-    return events
-
-
-# ---------------------------------------------------------------------------
-# Online stepping
+# State and event core
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -288,32 +166,36 @@ class RewardInputs:
 
 @dataclass
 class SimState:
-    """Mutable state of an online simulation episode."""
+    """Mutable state of one simulation episode, driven by either driver."""
 
     workload: WorkloadSet
-    clock: float
-    machines: list[Machine]
-    ready: list[int]
-    events: list[tuple[float, int, int]]
-    remaining: dict[int, int]
-    ready_times: dict[int, float]
-    starts: dict[int, tuple[float, float, float]]
-    records: dict[int, TaskRecord]
-    join_times: dict[int, float]
-    dispatched: dict[int, int]
-    residency: list[tuple[int, int, float, float]]
-    queue_series: list[tuple[float, int]]
-    fired: set[tuple[int, str]]
-    overuse_events: list[OveruseEvent]
     tasks: dict[int, Task]
+    succs: dict[int, list[int]]
+    remaining: dict[int, int]  # task id -> predecessors not yet completed
+    events: list[tuple[float, int, int]]
+    machines: list[Machine]
     vm_index: dict[int, int]
+    pmap: dict[tuple[int, str], UsageProfile]
+    clock: float = 0.0
+    queued: int = 0  # tasks waiting in machine queues, not running
+    # Ready tasks not yet dispatched, in (ready time, id) order.
+    ready: list[int] = field(default_factory=list)
+    ready_times: dict[int, float] = field(default_factory=dict)
+    join_times: dict[int, float] = field(default_factory=dict)
+    dispatched: dict[int, int] = field(default_factory=dict)  # task id -> vm id
+    starts: dict[int, tuple[float, float, float]] = field(default_factory=dict)
+    records: dict[int, TaskRecord] = field(default_factory=dict)
+    residency: list[tuple[int, int, float, float]] = field(default_factory=list)
+    queue_series: list[tuple[float, int]] = field(default_factory=list)
+    fired: set[tuple[int, str]] = field(default_factory=set)
+    overuse_events: list[OveruseEvent] = field(default_factory=list)
 
     @property
     def done(self) -> bool:
         return len(self.records) == len(self.tasks)
 
     def waiting_count(self) -> int:
-        return len(self.ready) + sum(len(m.queue) for m in self.machines)
+        return len(self.ready) + self.queued
 
     def trace(self) -> SimTrace:
         events = sorted(
@@ -328,78 +210,39 @@ class SimState:
         )
 
 
-def init_state(workload: WorkloadSet) -> SimState:
-    """Build the initial online state; tasks ready at t=0 are already visible."""
+def _new_state(workload: WorkloadSet) -> SimState:
+    """Validate the DAG; the new state's heap holds the initial READY events."""
     dag = workload.dag
-    check = validate_dag(dag)
+    check = validate_dag(dag)  # raises on dangling endpoints
     if not check.ok:
         raise DagValidationError(f"dag contains a cycle: {check.cycle}")
     tasks = {t.id: t for t in dag.tasks}
     remaining = {tid: len(ps) for tid, ps in dag.predecessors().items()}
-    events: list[tuple[float, int, int]] = []
-    for tid, task in tasks.items():
-        if remaining[tid] == 0:
-            heapq.heappush(events, (task.arrival_time, _READY, tid))
-    state = SimState(
+    events = [(t.arrival_time, _READY, tid) for tid, t in tasks.items() if not remaining[tid]]
+    heapq.heapify(events)
+    return SimState(
         workload=workload,
-        clock=0.0,
-        machines=[Machine(spec=v) for v in workload.vms],
-        ready=[],
-        events=events,
-        remaining=remaining,
-        ready_times={},
-        starts={},
-        records={},
-        join_times={},
-        dispatched={},
-        residency=[],
-        queue_series=[],
-        fired=set(),
-        overuse_events=[],
         tasks=tasks,
+        succs=dag.successors(),
+        remaining=remaining,
+        events=events,
+        machines=[Machine(spec=v) for v in workload.vms],
         vm_index={v.id: i for i, v in enumerate(workload.vms)},
+        pmap=workload.profile_map(),
     )
-    _absorb_events(state, 0.0)
-    return state
 
 
-def _absorb_events(state: SimState, now: float) -> None:
-    # Move every event stamped <= now into the live state. Completions first.
-    while state.events and state.events[0][0] <= now:
-        t, kind, tid = heapq.heappop(state.events)
-        if kind == _READY:
-            state.ready_times[tid] = t
-            state.ready.append(tid)
-        else:
-            _complete_task(state, tid, t)
-    state.ready.sort(key=lambda tid: (state.ready_times[tid], tid))
-
-
-def _complete_task(state: SimState, tid: int, now: float) -> None:
-    task = state.tasks[tid]
-    machine = state.machines[state.vm_index[state.dispatched[tid]]]
-    start, transfer, exec_time = state.starts[tid]
-    state.records[tid] = TaskRecord(
-        task_id=tid,
-        machine_id=machine.spec.id,
-        arrival=task.arrival_time,
-        ready_time=state.ready_times[tid],
-        start=start,
-        completion=now,
-        wait=start - state.ready_times[tid],
-        transfer_time=transfer,
-        exec_time=exec_time,
-    )
-    state.residency.append((machine.spec.id, task.user_id, state.join_times[tid], now))
-    machine.running = None
-    succs = state.workload.dag.successors()[tid]
-    for succ in succs:
-        state.remaining[succ] -= 1
-        if state.remaining[succ] == 0:
-            ready_at = max(state.tasks[succ].arrival_time, now)
-            heapq.heappush(state.events, (ready_at, _READY, succ))
-    if machine.queue:
-        _begin_execution(state, machine, machine.queue.popleft(), now)
+def _join(state: SimState, tid: int, vm_id: int, now: float) -> None:
+    """Task tid joins machine vm_id at now: it starts if the machine is idle,
+    else it waits at the back of the queue."""
+    state.join_times[tid] = now
+    state.dispatched[tid] = vm_id
+    machine = state.machines[state.vm_index[vm_id]]
+    if machine.running is None:
+        _begin_execution(state, machine, tid, now)
+    else:
+        machine.queue.append(tid)
+        state.queued += 1
 
 
 def _begin_execution(state: SimState, machine: Machine, tid: int, now: float) -> None:
@@ -409,6 +252,92 @@ def _begin_execution(state: SimState, machine: Machine, tid: int, now: float) ->
     machine.busy_total += transfer + exec_time
     state.starts[tid] = (now, transfer, exec_time)
     heapq.heappush(state.events, (machine.busy_until, _COMPLETION, tid))
+
+
+def _complete_task(state: SimState, tid: int, now: float) -> None:
+    task = state.tasks[tid]
+    vm_id = state.dispatched[tid]
+    machine = state.machines[state.vm_index[vm_id]]
+    start, transfer, exec_time = state.starts[tid]
+    ready_time = state.ready_times[tid]
+    state.records[tid] = TaskRecord(
+        task_id=tid,
+        machine_id=vm_id,
+        arrival=task.arrival_time,
+        ready_time=ready_time,
+        start=start,
+        completion=now,
+        wait=start - ready_time,
+        transfer_time=transfer,
+        exec_time=exec_time,
+    )
+    state.residency.append((vm_id, task.user_id, state.join_times[tid], now))
+    machine.running = None
+    for succ in state.succs[tid]:
+        state.remaining[succ] -= 1
+        if state.remaining[succ] == 0:
+            ready_at = max(state.tasks[succ].arrival_time, now)
+            heapq.heappush(state.events, (ready_at, _READY, succ))
+    if machine.queue:
+        state.queued -= 1
+        _begin_execution(state, machine, machine.queue.popleft(), now)
+
+
+# ---------------------------------------------------------------------------
+# Overuse
+# ---------------------------------------------------------------------------
+
+def _fire_overshoots(
+    residents: Iterable[tuple[int, list[int]]],
+    slot: int,
+    pmap: Mapping[tuple[int, str], UsageProfile],
+    fired: set[tuple[int, str]],
+) -> list[tuple[int, str]]:
+    """Fire each (machine, resource) pair whose summed demand first exceeds
+    capacity at this slot, given each machine's sorted resident users."""
+    fresh: list[tuple[int, str]] = []
+    for m, users in residents:
+        if not users:
+            continue
+        for d in RESOURCES:
+            if (m, d) in fired:
+                continue
+            demand = 0.0
+            for u in users:
+                prof = pmap.get((u, d))
+                if prof is not None:
+                    demand += prof.demand_at(slot)
+            if demand > 1.0:
+                fired.add((m, d))
+                fresh.append((m, d))
+    return fresh
+
+
+def scan_overuse(trace: SimTrace, workload: WorkloadSet) -> list[OveruseEvent]:
+    """Post-hoc slot scan for first-overshoot events, from residency rows.
+
+    One sweep over the rows in join and in completion order keeps each
+    machine's resident users current from one slot to the next."""
+    if not workload.profiles or not trace.residency:
+        return []
+    pmap = workload.profile_map()
+    joins = deque(sorted((t0, m, u) for m, u, t0, _ in trace.residency))
+    leaves = deque(sorted((t1, m, u) for m, u, _, t1 in trace.residency))
+    live: dict[int, Counter[int]] = {m: Counter() for m in sorted({r[0] for r in trace.residency})}
+    events: list[OveruseEvent] = []
+    fired: set[tuple[int, str]] = set()
+    for s in range(int(math.ceil(trace.makespan))):
+        while joins and joins[0][0] <= s:
+            _, m, u = joins.popleft()
+            live[m][u] += 1
+        while leaves and leaves[0][0] <= s:
+            _, m, u = leaves.popleft()
+            live[m][u] -= 1
+        residents = [(m, sorted(u for u, n in users.items() if n)) for m, users in live.items()]
+        for m, d in _fire_overshoots(residents, s, pmap, fired):
+            events.append(OveruseEvent(m, d, float(s)))
+    events.sort(key=lambda e: (e.time, e.machine_id, e.resource))
+    return events
 
 
 def _resident_users(state: SimState, machine: Machine) -> list[int]:
@@ -422,32 +351,40 @@ def _resident_users(state: SimState, machine: Machine) -> list[int]:
 
 def _sample_slot(state: SimState, slot: int) -> list[tuple[int, str]]:
     """Check every (machine, resource) for a first overshoot at this slot."""
-    if not state.workload.profiles:
+    if not state.pmap:
         return []
-    pmap = state.workload.profile_map()
-    fresh: list[tuple[int, str]] = []
-    for machine in state.machines:
-        users = _resident_users(state, machine)
-        if not users:
-            continue
-        for d in RESOURCES:
-            key = (machine.spec.id, d)
-            if key in state.fired:
-                continue
-            demand = 0.0
-            for u in users:
-                prof = pmap.get((u, d))
-                if prof is not None:
-                    demand += prof.demand_at(slot)
-            if demand > 1.0:
-                state.fired.add(key)
-                state.overuse_events.append(OveruseEvent(machine.spec.id, d, float(slot)))
-                fresh.append(key)
+    residents = [(m.spec.id, _resident_users(state, m)) for m in state.machines]
+    fresh = _fire_overshoots(residents, slot, state.pmap, state.fired)
+    state.overuse_events.extend(OveruseEvent(m, d, float(slot)) for m, d in fresh)
     return fresh
 
 
+# ---------------------------------------------------------------------------
+# Online stepping
+# ---------------------------------------------------------------------------
+
+def init_state(workload: WorkloadSet) -> SimState:
+    """Build the initial online state; tasks ready at t=0 are already visible."""
+    state = _new_state(workload)
+    _absorb_events(state, 0.0)
+    return state
+
+
+def _absorb_events(state: SimState, now: float) -> None:
+    # Move every event stamped <= now into the live state. The heap pops in
+    # key order and every new ready time is >= the clock, so `ready` stays
+    # in (ready time, id) order without sorting.
+    while state.events and state.events[0][0] <= now:
+        t, kind, tid = heapq.heappop(state.events)
+        if kind == _READY:
+            state.ready_times[tid] = t
+            state.ready.append(tid)
+        else:
+            _complete_task(state, tid, t)
+
+
 def _snapshot(state: SimState, new_overuse: Sequence[tuple[int, str]]) -> RewardInputs:
-    pmap = state.workload.profile_map()
+    pmap = state.pmap
     slot = int(math.floor(state.clock))
     snaps = []
     for machine in state.machines:
@@ -455,11 +392,9 @@ def _snapshot(state: SimState, new_overuse: Sequence[tuple[int, str]]) -> Reward
         used: dict[str, float] = {}
         resident: dict[str, tuple[np.ndarray, ...]] = {}
         for d in RESOURCES:
-            series = tuple(
-                pmap[(u, d)].series for u in users if (u, d) in pmap
-            )
-            resident[d] = series
-            used[d] = float(sum(pmap[(u, d)].demand_at(slot) for u in users if (u, d) in pmap))
+            profs = [pmap[(u, d)] for u in users if (u, d) in pmap]
+            resident[d] = tuple(p.series for p in profs)
+            used[d] = float(sum(p.demand_at(slot) for p in profs))
         snaps.append(
             MachineSnapshot(
                 machine_id=machine.spec.id,
@@ -488,18 +423,12 @@ def step(
     """
     if action is not None:
         tid, vm_id = action
-        if tid not in state.ready:
+        if tid not in state.ready_times or tid in state.dispatched:
             raise SimulationError(f"task {tid} is not ready for dispatch")
         if vm_id not in state.vm_index:
             raise SimulationError(f"unknown machine id {vm_id}")
-        machine = state.machines[state.vm_index[vm_id]]
         state.ready.remove(tid)
-        state.join_times[tid] = state.clock
-        state.dispatched[tid] = vm_id
-        if machine.running is None:
-            _begin_execution(state, machine, tid, state.clock)
-        else:
-            machine.queue.append(tid)
+        _join(state, tid, vm_id, state.clock)
         fresh: list[tuple[int, str]] = []
         if state.clock == math.floor(state.clock):
             fresh = _sample_slot(state, int(state.clock))
@@ -526,16 +455,46 @@ def step(
     return state, _snapshot(state, fresh)
 
 
+# ---------------------------------------------------------------------------
+# Static-assignment drivers
+# ---------------------------------------------------------------------------
+
+def _check_assignment(state: SimState, assignment: Assignment) -> None:
+    missing = sorted(t for t in state.tasks if t not in assignment)
+    if missing:
+        raise SimulationError(f"assignment missing tasks: {missing}")
+    bad_vms = sorted({assignment[t] for t in state.tasks} - set(state.vm_index))
+    if bad_vms:
+        raise SimulationError(f"assignment names unknown machines: {bad_vms}")
+
+
+def run_simulation(workload: WorkloadSet, assignment: Assignment) -> SimTrace:
+    """Simulate a static assignment to completion and return the trace."""
+    state = _new_state(workload)
+    _check_assignment(state, assignment)
+    events = state.events
+    while events:
+        now, kind, tid = heapq.heappop(events)
+        if kind == _READY:
+            state.ready_times[tid] = now
+            _join(state, tid, assignment[tid], now)
+        else:
+            _complete_task(state, tid, now)
+        # Sample the queue length once all activity at this instant settled.
+        if not events or events[0][0] > now:
+            state.queue_series.append((now, state.queued))
+    trace = state.trace()
+    trace.overuse_events = scan_overuse(trace, workload)
+    return trace
+
+
 def replay_assignment(workload: WorkloadSet, assignment: Assignment) -> SimTrace:
     """Drive the online stepper with a static assignment; used as the
     cross-check twin of run_simulation."""
-    tasks = {t.id for t in workload.dag.tasks}
-    missing = sorted(t for t in tasks if t not in assignment)
-    if missing:
-        raise SimulationError(f"assignment missing tasks: {missing}")
     state = init_state(workload)
+    _check_assignment(state, assignment)
     guard = 0
-    limit = 10 * len(tasks) + 100
+    limit = 10 * len(state.tasks) + 100
     while not state.done:
         if state.ready:
             tid = state.ready[0]
@@ -591,12 +550,12 @@ def machine_usage_series(
             for d in RESOURCES:
                 out[v.id][d] = np.zeros(horizon)
         for m, u, t0, t1 in trace.residency:
-            for s in range(horizon):
-                if t0 <= s < t1:
-                    for d in RESOURCES:
-                        prof = pmap.get((u, d))
-                        if prof is not None:
-                            out[m][d][s] += prof.demand_at(s)
+            # The slots s with t0 <= s < t1, in increasing order.
+            for s in range(math.ceil(t0), min(horizon, math.ceil(t1))):
+                for d in RESOURCES:
+                    prof = pmap.get((u, d))
+                    if prof is not None:
+                        out[m][d][s] += prof.demand_at(s)
     return out
 
 

@@ -1,6 +1,7 @@
 """Small builders shared across test modules."""
 
 import itertools
+from collections import defaultdict
 
 import numpy as np
 
@@ -98,3 +99,34 @@ def random_dag_workload(rng, max_nodes=10):
     wl = WorkloadSet(vms, DagWorkflow(tasks, edges))
     assignment = {i: int(rng.integers(0, m)) for i in range(n)}
     return wl, assignment
+
+
+def assert_trace_invariants(trace, workload):
+    """Check what every complete SimTrace must hold, whichever driver made it:
+    each task appears once, start >= ready_time >= arrival, no two tasks
+    overlap on a machine, and each machine serves its tasks in join order.
+
+    Join times come from the residency rows; on one machine a row is matched
+    to its task by completion time, which no two of its tasks share.
+    """
+    arrivals = {t.id: t.arrival_time for t in workload.tasks}
+    assert sorted(trace.records) == sorted(arrivals)
+    assert len(trace.residency) == len(arrivals)
+    served = defaultdict(list)
+    for tid, r in trace.records.items():
+        assert r.task_id == tid and r.arrival == arrivals[tid]
+        assert r.start >= r.ready_time >= r.arrival
+        served[r.machine_id].append(r)
+    joined = defaultdict(list)
+    for m, _, join, completion in trace.residency:
+        joined[m].append((completion, join))
+    assert set(joined) == set(served)
+    for m, recs in served.items():
+        recs.sort(key=lambda r: r.start)
+        for a, b in zip(recs, recs[1:]):
+            assert b.start >= a.completion, f"tasks {a.task_id} and {b.task_id} overlap"
+        rows = sorted(joined[m])
+        assert [c for c, _ in rows] == [r.completion for r in recs]
+        joins = [j for _, j in rows]
+        assert joins == sorted(joins), f"machine {m} does not serve in join order"
+        assert all(r.ready_time <= j <= r.start for r, j in zip(recs, joins))

@@ -121,7 +121,7 @@ def test_experiment_config_validation():
     with pytest.raises(ConfigurationError, match="seed"):
         ExperimentConfig(seeds=())
     with pytest.raises(ConfigurationError, match="load_formula"):
-        ExperimentConfig(load_formula="other")
+        config_from_dict({"load_formula": "imbalance"})
 
 
 def test_sweep_counts_are_inclusive():

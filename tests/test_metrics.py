@@ -5,7 +5,6 @@ import pytest
 
 from cloudsched.errors import ConfigurationError
 from cloudsched.metrics import (
-    MetricReport,
     QosWeights,
     RawQos,
     load_rate,
@@ -145,18 +144,11 @@ def test_load_rate_zero_iff_even():
     assert load_rate([2.5] * 7) == 0.0
 
 
-def test_literal_formula_is_constant_one_over_n():
-    assert load_rate([10.0, 0.0], formula="literal") == pytest.approx(0.5)
-    assert load_rate([3.0, 3.0, 3.0], formula="literal") == pytest.approx(1 / 3)
-
-
 def test_load_rate_input_validation():
     with pytest.raises(ValueError):
         load_rate([])
     with pytest.raises(ValueError):
         load_rate([-1.0, 2.0])
-    with pytest.raises(ConfigurationError):
-        load_rate([1.0], formula="bogus")
 
 
 def test_usage_totals_follow_machine_order():
@@ -220,17 +212,6 @@ def test_weights_must_sum_to_one():
         QosWeights(time=0.5, cost=0.5, reliability=0.5)
     with pytest.raises(ConfigurationError):
         QosWeights(time=-0.2, cost=0.6, reliability=0.6)
-
-
-def test_metric_report_fields():
-    report = MetricReport(
-        avg_time_cost=1.0,
-        avg_money_cost=0.1,
-        multi_qos=0.0,
-        load_rate=0.0,
-        reliability=1.0,
-    )
-    assert report.avg_time_cost == 1.0
 
 
 def test_raw_qos_collects_all_three_axes():

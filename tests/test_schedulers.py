@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudsched import schedulers
 from cloudsched.errors import ConfigurationError, InstanceTooLargeError
 from cloudsched.metrics import QosWeights, raw_qos
 from cloudsched.schedulers import (
@@ -317,6 +319,31 @@ def test_colony_resolves_roulette_ties_on_the_exact_scalar_weights():
     assert np.count_nonzero(expected) > 0.9 * ants * n
     got = _construct_colony(ev, tau_pow, beta, _PresetDraws(draws), ants)
     assert got == [tuple(row) for row in expected.tolist()]
+
+
+def test_pheromone_powers_match_scalar_pow(monkeypatch):
+    # The searches raise tau to alpha before each colony. Each power must be
+    # Python's scalar t ** alpha, bit for bit, or the weights, and with them
+    # the chosen assignments, depend on the host's SIMD level.
+    checked = []
+
+    def spy(ev, tau_pow, beta, rng, ants):
+        # tau and alpha are locals of the search that called the kernel.
+        caller = sys._getframe(1).f_locals
+        alpha = caller["alpha_g"] if "alpha_g" in caller else caller["params"].alpha
+        expected = [[t ** alpha for t in row] for row in caller["tau"].tolist()]
+        assert tau_pow.tolist() == expected
+        checked.append(alpha)
+        return construct(ev, tau_pow, beta, rng, ants)
+
+    construct = schedulers._construct_colony
+    monkeypatch.setattr(schedulers, "_construct_colony", spy)
+    wl = WorkloadSet.from_tasks(
+        [vm(j, mips=500.0 * (j + 1)) for j in range(4)], generate_tasks(40, 3)
+    )
+    aco_schedule(wl, params=AcoParams(ants=4, iterations=6, alpha=0.685), seed=1)
+    gaaco_schedule(wl, seed=1)
+    assert 0.685 in checked and any(a not in (0.685, 1.0) for a in checked)
 
 
 @settings(max_examples=150, deadline=None)
