@@ -1,12 +1,17 @@
 """Assignment search: greedy, annealing, ant colony and a GA-ACO hybrid.
 
 Every scheduler is a pure function of (inputs, seed): identical calls return
-identical assignments. Candidates are scored by simulating them and blending
-mean flow time, mean money cost and deadline reliability. The public
-`fitness` normalizes time and cost within the pool of candidates it is
-given; search loops internally freeze normalization bounds from a seeded
-reference pool (greedy assignment plus random samples) so that the best-so-
-far comparison is a fixed total order.
+identical assignments. A candidate's score blends its mean flow time, mean
+money cost and deadline reliability. The public `fitness` simulates each
+candidate and normalizes time and cost within the pool of candidates it is
+given. Search loops do not simulate: they score from per-instance tables,
+with an event walk that reproduces raw_qos(run_simulation(...)) bit for bit,
+or, on instances without precedence edges, a closed-form per-machine
+recurrence that agrees with it up to the last bits of its sums. They freeze
+normalization bounds from a seeded reference pool (greedy assignment plus
+random samples) so that the best-so-far comparison is a fixed total order.
+The exhaustive oracle scores its "time", "cost" and "qos" objectives with
+the same event walk.
 """
 
 from __future__ import annotations
@@ -156,17 +161,16 @@ def fitness(
     return qos_scores(raws, weights)
 
 
-class _Evaluator:
-    """Caches candidate evaluations and scores them against frozen bounds."""
+class _Tables:
+    """One instance as lookup tables, rows by task position in construction
+    order and columns by machine position, plus the exact event walk that
+    scores an assignment vector from them."""
 
-    def __init__(self, workload: WorkloadSet, weights: QosWeights, rng: np.random.Generator):
+    def __init__(self, workload: WorkloadSet):
         self.workload = workload
-        self.weights = weights
         self.task_ids = _construction_order(workload)
         self.vm_ids = [v.id for v in workload.vms]
         self.deadlines = _deadline_map(workload)
-        self._cache: dict[tuple[int, ...], RawQos] = {}
-        self.evaluations = 0
         by_id = {t.id: t for t in workload.tasks}
         ordered = [by_id[t] for t in self.task_ids]
         self._arrivals = [t.arrival_time for t in ordered]
@@ -189,8 +193,94 @@ class _Evaluator:
             self._exec_tab.append(ex_row)
             self._money_tab.append(money_row)
         self._srv = np.array(self._transfer_tab) + np.array(self._exec_tab)
+        # Precedence by position: successor lists, predecessor counts, and the
+        # tasks without predecessors as a ready heap of (arrival, id, position).
+        pos_of = {tid: pos for pos, tid in enumerate(self.task_ids)}
+        succs = workload.dag.successors()
+        self._succ_pos = [[pos_of[s] for s in succs[tid]] for tid in self.task_ids]
+        self._indeg = [0] * len(self.task_ids)
+        for row in self._succ_pos:
+            for s in row:
+                self._indeg[s] += 1
+        self._roots = sorted(
+            (self._arrivals[pos], tid, pos)
+            for pos, tid in enumerate(self.task_ids)
+            if not self._indeg[pos]
+        )
+
+    def _vec_of(self, assignment: Assignment) -> tuple[int, ...]:
+        pos = {vm: i for i, vm in enumerate(self.vm_ids)}
+        return tuple(pos[assignment[t]] for t in self.task_ids)
+
+    def assignment_of(self, vec: Sequence[int]) -> dict[int, int]:
+        return {t: self.vm_ids[vec[i]] for i, t in enumerate(self.task_ids)}
+
+    def _raw_dag(self, vec: tuple[int, ...]) -> RawQos:
+        """raw_qos(run_simulation(...)) of the assignment, bit for bit, with
+        or without edges, from an event walk instead of a simulation.
+
+        Tasks join their machines in the simulator's order, by (ready time,
+        id), where a successor is ready at max(arrival, latest predecessor
+        completion). Each machine serves in join order, so a task's start and
+        completion are known the moment it joins, and its successors can be
+        released at once: their ready times are never earlier than that
+        completion, as in the simulator, which handles completions before
+        readies at equal times. The aggregates are taken in the simulator's
+        completion order, (completion, id): the mean flow as np.mean takes
+        it, the money as a running sum over n, and reliability from exact
+        counts.
+        """
+        arrivals = self._arrivals
+        transfer, exec_tab = self._transfer_tab, self._exec_tab
+        succ_pos, task_ids = self._succ_pos, self.task_ids
+        free = [0.0] * len(self.vm_ids)
+        remaining = self._indeg.copy()
+        ready = arrivals.copy()
+        heap = self._roots.copy()
+        done = []
+        while heap:
+            r, tid, pos = heapq.heappop(heap)
+            j = vec[pos]
+            f = free[j]
+            start = r if r > f else f
+            comp = (start + transfer[pos][j]) + exec_tab[pos][j]
+            free[j] = comp
+            done.append((comp, tid, pos))
+            for s in succ_pos[pos]:
+                if comp > ready[s]:
+                    ready[s] = comp
+                remaining[s] -= 1
+                if not remaining[s]:
+                    heapq.heappush(heap, (ready[s], task_ids[s], s))
+        done.sort()
+        flows = []
+        money = 0.0
+        dl_total = dl_met = 0
+        for comp, _, pos in done:
+            flows.append(comp - arrivals[pos])
+            money += self._money_tab[pos][vec[pos]]
+            d = self._task_deadlines[pos]
+            if d is not None:
+                dl_total += 1
+                if comp <= d:
+                    dl_met += 1
+        n = len(vec)
+        rel = dl_met / dl_total if dl_total else 1.0
+        # np.mean(flows) is this same pairwise sum over n, behind more dispatch.
+        return RawQos(float(np.add.reduce(np.array(flows))) / n, money / n, rel)
+
+
+class _Evaluator(_Tables):
+    """Caches candidate evaluations and scores them against frozen bounds."""
+
+    def __init__(self, workload: WorkloadSet, weights: QosWeights, rng: np.random.Generator):
+        super().__init__(workload)
+        self.weights = weights
+        self._cache: dict[tuple[int, ...], RawQos] = {}
+        self.evaluations = 0
         # Independent tasks admit a closed-form per-machine recurrence that
-        # matches the event simulation; anything with edges takes the slow path.
+        # matches the event simulation up to the last bits of its sums; tasks
+        # with edges take the event walk, which matches it exactly.
         self._fast = not workload.dag.edges
         # Reference pool: greedy assignment plus seeded random samples.
         ref_vecs = [self._vec_of(eft_schedule(workload))]
@@ -204,13 +294,6 @@ class _Evaluator:
         self._c_lo, c_hi = min(costs), max(costs)
         self._t_span = max(t_hi - self._t_lo, 1e-12)
         self._c_span = max(c_hi - self._c_lo, 1e-12)
-
-    def _vec_of(self, assignment: Assignment) -> tuple[int, ...]:
-        pos = {vm: i for i, vm in enumerate(self.vm_ids)}
-        return tuple(pos[assignment[t]] for t in self.task_ids)
-
-    def assignment_of(self, vec: Sequence[int]) -> dict[int, int]:
-        return {t: self.vm_ids[vec[i]] for i, t in enumerate(self.task_ids)}
 
     def _raw_fast(self, vec: tuple[int, ...]) -> RawQos:
         """Per-machine FIFO recurrence; valid only without precedence edges."""
@@ -239,11 +322,7 @@ class _Evaluator:
         hit = self._cache.get(vec)
         if hit is not None:
             return hit
-        if self._fast:
-            r = self._raw_fast(vec)
-        else:
-            trace = run_simulation(self.workload, self.assignment_of(vec))
-            r = raw_qos(trace, self.workload.vms, self.deadlines)
+        r = self._raw_fast(vec) if self._fast else self._raw_dag(vec)
         self._cache[vec] = r
         self.evaluations += 1
         return r
@@ -604,45 +683,23 @@ def brute_force_schedule(
         raise InstanceTooLargeError(
             f"{m}^{n} = {combos} assignments exceeds the limit of {limit}"
         )
-    order = _construction_order(wl)
-    vm_ids = [v.id for v in wl.vms]
-    deadlines = _deadline_map(wl)
-
-    if callable(objective):
-        score_fn = objective
-    elif objective == "makespan":
-        score_fn = lambda trace, _wl: trace.makespan
-    elif objective == "time":
-        score_fn = lambda trace, _wl: raw_qos(trace, _wl.vms, deadlines).time_cost
-    elif objective == "cost":
-        score_fn = lambda trace, _wl: raw_qos(trace, _wl.vms, deadlines).money_cost
+    tables = _Tables(wl)
+    vecs = itertools.product(range(m), repeat=n)
+    if callable(objective) or objective == "makespan":
+        score_fn = objective if callable(objective) else lambda trace, _wl: trace.makespan
+        scored = ((v, score_fn(run_simulation(wl, tables.assignment_of(v)), wl)) for v in vecs)
+    elif objective in ("time", "cost"):
+        field = "time_cost" if objective == "time" else "money_cost"
+        scored = ((v, getattr(tables._raw_dag(v), field)) for v in vecs)
     elif objective == "qos":
-        score_fn = None
+        # Pool objective: normalization sees every candidate before any is ranked.
+        vecs = list(vecs)
+        scored = zip(vecs, qos_scores([tables._raw_dag(v) for v in vecs], weights))
     else:
         raise ConfigurationError(f"unknown objective {objective!r}")
 
-    if score_fn is not None:
-        best_vec, best_score = None, math.inf
-        for vec in itertools.product(range(m), repeat=n):
-            trace = run_simulation(wl, {t: vm_ids[vec[i]] for i, t in enumerate(order)})
-            s = score_fn(trace, wl)
-            if s < best_score:  # strict: first optimum wins, lexicographic order
-                best_vec, best_score = vec, s
-        return {t: vm_ids[best_vec[i]] for i, t in enumerate(order)}
-
-    # Pool objective: two passes so normalization sees every candidate.
-    vecs = list(itertools.product(range(m), repeat=n))
-    raws = [
-        raw_qos(
-            run_simulation(wl, {t: vm_ids[v[i]] for i, t in enumerate(order)}),
-            wl.vms,
-            deadlines,
-        )
-        for v in vecs
-    ]
-    scores = qos_scores(raws, weights)
-    best_i = 0
-    for i in range(1, len(vecs)):
-        if scores[i] < scores[best_i]:
-            best_i = i
-    return {t: vm_ids[vecs[best_i][i]] for i, t in enumerate(order)}
+    best_vec, best_score = None, math.inf
+    for vec, s in scored:
+        if s < best_score:  # strict: first optimum wins, lexicographic order
+            best_vec, best_score = vec, s
+    return tables.assignment_of(best_vec)

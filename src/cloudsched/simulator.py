@@ -421,6 +421,13 @@ def step(
     to the next event (or one slot if none is scheduled) and processes it.
     The state is mutated in place and returned.
     """
+    fresh = _advance(state, action)
+    return state, _snapshot(state, fresh)
+
+
+def _advance(state: SimState, action: tuple[int, int] | None) -> list[tuple[int, str]]:
+    """The state change of `step`, without the reward snapshot; returns the
+    (machine, resource) pairs that first overshot during it."""
     if action is not None:
         tid, vm_id = action
         if tid not in state.ready_times or tid in state.dispatched:
@@ -429,18 +436,17 @@ def step(
             raise SimulationError(f"unknown machine id {vm_id}")
         state.ready.remove(tid)
         _join(state, tid, vm_id, state.clock)
-        fresh: list[tuple[int, str]] = []
         if state.clock == math.floor(state.clock):
-            fresh = _sample_slot(state, int(state.clock))
-        return state, _snapshot(state, fresh)
+            return _sample_slot(state, int(state.clock))
+        return []
 
     # No-op: sample the settled queue, then advance.
     state.queue_series.append((state.clock, state.waiting_count()))
-    fresh = []
+    fresh: list[tuple[int, str]] = []
     if state.events:
         target = state.events[0][0]
     elif state.done:
-        return state, _snapshot(state, ())
+        return fresh
     else:
         target = state.clock + 1.0
     # Visit integer slots crossed strictly before the target instant.
@@ -452,7 +458,7 @@ def step(
     _absorb_events(state, target)
     if target == math.floor(target):
         fresh.extend(_sample_slot(state, int(target)))
-    return state, _snapshot(state, fresh)
+    return fresh
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +496,8 @@ def run_simulation(workload: WorkloadSet, assignment: Assignment) -> SimTrace:
 
 def replay_assignment(workload: WorkloadSet, assignment: Assignment) -> SimTrace:
     """Drive the online stepper with a static assignment; used as the
-    cross-check twin of run_simulation."""
+    cross-check twin of run_simulation. No reward reads the steps, so they
+    build no snapshots."""
     state = init_state(workload)
     _check_assignment(state, assignment)
     guard = 0
@@ -498,9 +505,9 @@ def replay_assignment(workload: WorkloadSet, assignment: Assignment) -> SimTrace
     while not state.done:
         if state.ready:
             tid = state.ready[0]
-            state, _ = step(state, (tid, assignment[tid]))
+            _advance(state, (tid, assignment[tid]))
         else:
-            state, _ = step(state, None)
+            _advance(state, None)
         guard += 1
         if guard > limit and not state.events and not state.ready:
             raise SimulationError("replay stalled")  # pragma: no cover

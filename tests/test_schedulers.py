@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cloudsched import schedulers
 from cloudsched.errors import ConfigurationError, InstanceTooLargeError
-from cloudsched.metrics import QosWeights, raw_qos
+from cloudsched.metrics import QosWeights, qos_scores, raw_qos
 from cloudsched.schedulers import (
     AcoParams,
     GaacoParams,
@@ -40,6 +40,7 @@ from cloudsched.workload import (
 from helpers import (
     flat_workload,
     full_enumeration_raws,
+    random_dag_workload,
     score_with_pool,
     task,
     vm,
@@ -360,6 +361,119 @@ def test_fast_evaluator_matches_the_event_simulator(wl, seed):
         assert fast.reliability == slow.reliability
 
 
+@st.composite
+def dag_workloads(draw):
+    """Random DAGs made to tie: integer arrivals shared by several tasks,
+    zero data sizes, ids out of arrival order, deadlines on some tasks and
+    1-3 heterogeneous machines. Some draws have no edges at all."""
+    n = draw(st.integers(1, 25))
+    ids = draw(st.permutations(range(3 * n)))[:n]
+    tasks = []
+    for tid in ids:
+        arrival = float(draw(st.integers(0, 3)))
+        size = draw(st.sampled_from([0.0, 0.0, 100.0, 250.0]))
+        slack = draw(st.one_of(st.none(), st.sampled_from([0.5, 2.0, 6.0, 15.0])))
+        tasks.append(Task(
+            id=tid,
+            length=draw(st.sampled_from([500.0, 1000.0, 2000.0, 2750.0])),
+            input_size=size,
+            output_size=size,
+            arrival_time=arrival,
+            deadline=None if slack is None else arrival + slack,
+        ))
+    # Edges run forward in a random topological order, so the graph is acyclic.
+    topo = draw(st.permutations(ids))
+    pairs = draw(st.one_of(
+        st.just([]),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    ))
+    edges = sorted({(topo[min(i, j)], topo[max(i, j)]) for i, j in pairs if i != j})
+    vms = [
+        VmSpec(
+            id=10 * j,
+            mips=draw(st.sampled_from([500.0, 1000.0, 2000.0])),
+            bandwidth=draw(st.sampled_from([100.0, 1000.0])),
+            instr_cost_rate=draw(st.sampled_from([0.0, 0.01, 0.02])),
+            bw_cost_rate=draw(st.sampled_from([0.0, 0.005])),
+        )
+        for j in range(draw(st.integers(1, 3)))
+    ]
+    return WorkloadSet(vms, DagWorkflow(tasks, edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wl=dag_workloads(), seed=st.integers(0, 2**32 - 1))
+def test_event_walk_equals_the_event_simulator_exactly(wl, seed):
+    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        vec = tuple(int(v) for v in rng.integers(0, len(ev.vm_ids), len(ev.task_ids)))
+        walk = ev._raw_dag(vec)
+        sim = raw_qos(run_simulation(wl, ev.assignment_of(vec)), wl.vms, ev.deadlines)
+        assert walk.time_cost == sim.time_cost
+        assert walk.money_cost == sim.money_cost
+        assert walk.reliability == sim.reliability
+
+
+def test_event_walk_breaks_completion_ties_on_task_id():
+    # Tasks 0 and 1 complete together at t=2. Task 1 arrives first, so it
+    # comes first in construction order; the simulator completes task 0
+    # first. The money sum tells the two orders apart in floating point.
+    vms = [vm(j, instr_cost_rate=0.01) for j in range(3)]
+    tasks = [task(0, length=1000.0, arrival=1.0), task(1, length=2000.0), task(2, length=700.0)]
+    wl = WorkloadSet(vms, DagWorkflow(tasks, [(2, 0)]))
+    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    assignment = {0: 1, 1: 0, 2: 2}
+    sim = raw_qos(run_simulation(wl, assignment), wl.vms, None)
+    by_id, by_position = (0.7 * 0.01 + 0.01) + 0.02, (0.7 * 0.01 + 0.02) + 0.01
+    assert sim.money_cost == by_id / 3 != by_position / 3
+    assert ev._raw_dag(ev._vec_of(assignment)) == sim
+
+
+def layered_dag_workload(seed, flows=3, per_flow=6):
+    """`flows` disconnected layered workflows submitted at t=0 with deadlines
+    on 6 heterogeneous machines; each task after the first layer has one or
+    two predecessors in the layer before it."""
+    params = TaskGenParams(mean_interarrival=0.0, deadline_slack_range=(4.0, 20.0))
+    tasks = generate_tasks(flows * per_flow, seed, params)
+    rng = np.random.default_rng(seed)
+    edges = []
+    for f in range(flows):
+        ids = list(range(f * per_flow, (f + 1) * per_flow))
+        layers = [ids[:2], ids[2:4], ids[4:]]
+        for prev, layer in zip(layers, layers[1:]):
+            for t in layer:
+                for p in rng.choice(prev, int(rng.integers(1, 3)), replace=False):
+                    edges.append((int(p), t))
+    vms = [
+        vm(j, mips=500.0 * (1 + j % 3), bandwidth=100.0 * (1 + j), instr_cost_rate=0.002 * (1 + j))
+        for j in range(6)
+    ]
+    return WorkloadSet(vms, DagWorkflow(tasks, edges))
+
+
+def test_searches_on_dags_choose_as_with_simulated_scoring(monkeypatch):
+    # The event walk stands in for a full simulation of every candidate; the
+    # searches must pick the same assignments as they do when each candidate
+    # is simulated.
+    wl = layered_dag_workload(5)
+    runs = [
+        lambda: aco_schedule(wl, params=FAST_ACO, seed=3),
+        lambda: sa_schedule(wl, params=FAST_SA, seed=3),
+        lambda: gaaco_schedule(wl, params=FAST_GAACO, seed=3),
+    ]
+    walked = [run() for run in runs]
+    simulated = []
+
+    def simulate(ev, vec):
+        simulated.append(vec)
+        return raw_qos(run_simulation(ev.workload, ev.assignment_of(vec)), ev.workload.vms, ev.deadlines)
+
+    monkeypatch.setattr(_Evaluator, "_raw_dag", simulate)
+    assert [run() for run in runs] == walked
+    assert len(simulated) > 1000
+
+
 # ---------------------------------------------------------------------------
 # SA
 # ---------------------------------------------------------------------------
@@ -499,6 +613,26 @@ def test_brute_force_unknown_objective_rejected():
     wl = flat_workload([1000.0])
     with pytest.raises(ConfigurationError):
         brute_force_schedule(wl, objective="latency")
+
+
+def test_brute_force_kernel_objectives_match_simulated_enumeration():
+    # On DAGs over identical machines many assignments tie; the event walk's
+    # exact scores must keep the simulated enumeration's first optimum.
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        wl, _ = random_dag_workload(rng, max_nodes=6)
+        order = schedulers._construction_order(wl)
+        vecs = list(itertools.product(range(len(wl.vms)), repeat=len(order)))
+        assignments = [{t: v[i] for i, t in enumerate(order)} for v in vecs]
+        raws = [raw_qos(run_simulation(wl, a), wl.vms, None) for a in assignments]
+        scores = qos_scores(raws, QosWeights())
+        for objective, values in (
+            ("time", [r.time_cost for r in raws]),
+            ("cost", [r.money_cost for r in raws]),
+            ("qos", scores),
+        ):
+            expected = assignments[values.index(min(values))]
+            assert brute_force_schedule(wl, objective=objective) == expected
 
 
 def test_brute_force_qos_agrees_with_pool_scoring():
