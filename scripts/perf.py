@@ -1,0 +1,150 @@
+"""Per-layer timings of the dispatch path, written to a BENCH_<n>.json file.
+
+Each figure is the median of --repeats runs (at least 5):
+
+* `kmeans_dtw_<n>users_s`: kmeans_cluster(k=3) with DTW distance over n
+  users' 48-slot cpu profiles (flat, diurnal and spike shapes), n = 30, 60.
+* `env_step_per_s`: SchedulingEnv.step calls per second with the full
+  RewardConfig(), over 5 episodes of 100 profiled tasks on 4 VMs; actions
+  are drawn uniformly from the valid ones with a fixed seed, and only the
+  step calls are timed.
+* `usage_series_100tasks_s`: machine_usage_series on one of those
+  deployments with every task sent to one VM, as the benchmark's trained
+  policies nearly do.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/perf.py --label change [--src src] [--out BENCH_5.json]
+
+--src picks the cloudsched sources to time, so one copy of this script can
+time two checkouts. The results go under --label in --out, next to any
+labels the file already holds, with the machine, Python and numpy versions.
+Only the standard library and numpy are used.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SHAPES = ("flat", "diurnal", "spike")
+FLEET = ((1050.0, 1000.0), (1000.0, 1250.0), (950.0, 800.0), (900.0, 1000.0))  # (mips, bandwidth)
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def profiles_for(wk, users: int, seed: int = 1):
+    per_shape = users // len(SHAPES)
+    out = []
+    for k, shape in enumerate(SHAPES):
+        for p in wk.generate_profiles(per_shape, 48, seed + k, shape, noise=0.05):
+            out.append(wk.UsageProfile(p.user_id + k * per_shape, p.resource, p.series))
+    return out
+
+
+def deployment(wk, profiles, seed: int):
+    users = len({p.user_id for p in profiles})
+    params = wk.TaskGenParams(
+        mean_interarrival=1.0, n_users=users, deadline_slack_range=(30.0, 600.0)
+    )
+    tasks = wk.generate_tasks(100, seed, params)
+    vms = [wk.VmSpec(id=i, mips=m, bandwidth=b) for i, (m, b) in enumerate(FLEET)]
+    present = {t.user_id for t in tasks}
+    return wk.WorkloadSet.from_tasks(vms, tasks, [p for p in profiles if p.user_id in present])
+
+
+def time_kmeans(rw, profiles) -> float:
+    cpu = [p for p in profiles if p.resource == "cpu"]
+    t0 = time.perf_counter()
+    rw.kmeans_cluster(cpu, k=3, seed=1)
+    return time.perf_counter() - t0
+
+
+def steps_per_s(pol, rw, workloads) -> float:
+    """SchedulingEnv.step calls per second over one episode per workload."""
+    steps, spent = 0, 0.0
+    for seed, wl in enumerate(workloads):
+        env = pol.SchedulingEnv(wl, rw.RewardConfig(), lookahead=3, ready_slots=3)
+        rng = np.random.default_rng(seed)
+        _, mask = env.reset()
+        done = env.state.done
+        while not done:
+            choices = np.flatnonzero(mask)
+            action = int(choices[rng.integers(len(choices))])
+            t0 = time.perf_counter()
+            _, mask, _, done = env.step(action)
+            spent += time.perf_counter() - t0
+            steps += 1
+    return steps / spent
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key for these results, e.g. parent or change")
+    ap.add_argument(
+        "--src", default=str(ROOT / "src"), help="directory holding the cloudsched package"
+    )
+    ap.add_argument("--out", default=str(ROOT / "BENCH_5.json"))
+    ap.add_argument("--repeats", type=int, default=5)
+    args = ap.parse_args()
+    if args.repeats < 5:
+        ap.error("--repeats must be at least 5")
+    sys.path.insert(0, os.path.abspath(args.src))
+    import cloudsched.policy as pol
+    import cloudsched.rewards as rw
+    import cloudsched.simulator as sim
+    import cloudsched.workload as wk
+
+    results = {}
+    for users in (30, 60):
+        profiles = profiles_for(wk, users)
+        runs = [time_kmeans(rw, profiles) for _ in range(args.repeats)]
+        results[f"kmeans_dtw_{users}users_s"] = statistics.median(runs)
+    profiles = profiles_for(wk, 30)
+    workloads = [deployment(wk, profiles, seed) for seed in range(1, 6)]
+    runs = [steps_per_s(pol, rw, workloads) for _ in range(args.repeats)]
+    results["env_step_per_s"] = statistics.median(runs)
+    wl = workloads[0]
+    trace = sim.run_simulation(wl, {t.id: wl.vms[0].id for t in wl.tasks})
+    usage = []
+    for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        sim.machine_usage_series(trace, wl)
+        usage.append(time.perf_counter() - t0)
+    results["usage_series_100tasks_s"] = statistics.median(usage)
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc[args.label] = {
+        "machine": {
+            "cpu": cpu_model(),
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "repeats": args.repeats,
+        "results": results,
+    }
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for name, value in results.items():
+        print(f"{name:28s} {value:.6g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SimulationError
 from .metrics import QosWeights, load_rate, machine_usage_totals, qos_scores, raw_qos
 from .policy import (
     SchedulingEnv,
@@ -445,8 +445,8 @@ def _check_policy_fit(config: ExperimentConfig) -> None:
     """Reject a policy scheduler whose input size does not fit the fleet.
 
     A policy reads observations sized by the machine count, so one trained
-    on another fleet would fail every cell of the sweep. A policy file that
-    cannot be opened is left to fail its own cells.
+    on another fleet would fail every cell of the sweep; so would a policy
+    file that cannot be opened.
     """
     expected = observation_size(
         config.vms.count, config.train.lookahead, config.train.ready_slots
@@ -456,8 +456,10 @@ def _check_policy_fit(config: ExperimentConfig) -> None:
             continue
         try:
             theta = load_policy(spec.policy_file)
-        except OSError:
-            continue
+        except OSError as exc:
+            raise ConfigurationError(
+                f"schedulers[{i}].policy_file {spec.policy_file!r} cannot be read: {exc}"
+            ) from exc
         if theta.n_inputs != expected:
             raise ConfigurationError(
                 f"schedulers[{i}].policy_file {spec.policy_file!r} takes "
@@ -479,6 +481,8 @@ def _policy_trace(spec: SchedulerSpec, config: ExperimentConfig, workload: Workl
     while not done:
         probs = policy_forward(theta, obs, mask)
         obs, mask, _, done = env.step(int(np.argmax(probs)))
+    if not env.state.done:  # stopped at the step cap
+        raise SimulationError(f"incomplete {len(env.state.records)}/{len(workload.tasks)}")
     return env.trace()
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .simulator import MachineSnapshot, OveruseEvent, RewardInputs
+from .simulator import MachineSnapshot, OveruseEvent, ResidentSet, RewardInputs
 from .workload import RESOURCES, UsageProfile
 
 
@@ -51,6 +51,20 @@ class RewardConfig:
             raise ConfigurationError(f"unknown resources: {bad}")
 
 
+def _pair_sum(series: Sequence[np.ndarray], resource: str) -> float:
+    """Sum over unordered pairs of series inner products, via the
+    square-of-sum identity."""
+    rows = [np.asarray(s, dtype=float) for s in series]
+    lengths = {len(s) for s in rows}
+    if len(lengths) > 1:
+        raise ValueError(
+            f"resident series for resource {resource!r} differ in length: {sorted(lengths)}"
+        )
+    stacked = np.stack(rows)
+    agg = stacked.sum(axis=0)
+    return (float(agg @ agg) - float((stacked * stacked).sum())) / 2.0
+
+
 def competition_penalty(
     machine_profiles: Sequence[Mapping[str, Sequence[np.ndarray]]],
     config: RewardConfig,
@@ -59,24 +73,19 @@ def competition_penalty(
 
     machine_profiles holds, per machine, the demand series of the workloads
     resident there keyed by resource. Series sharing a machine and resource
-    must have equal length.
+    must have equal length. A stepper's ResidentSet keeps each pair sum, so
+    a machine whose residents did not change costs a lookup.
     """
     total = 0.0
     for entry in machine_profiles:
+        memo = entry.pair_sums if isinstance(entry, ResidentSet) else {}
         for d in config.resources:
-            series = [np.asarray(s, dtype=float) for s in entry.get(d, ())]
+            series = entry.get(d, ())
             if len(series) < 2:
                 continue
-            lengths = {len(s) for s in series}
-            if len(lengths) > 1:
-                raise ValueError(
-                    f"resident series for resource {d!r} differ in length: {sorted(lengths)}"
-                )
-            stacked = np.stack(series)
-            agg = stacked.sum(axis=0)
-            # Sum over unordered pairs via the square-of-sum identity.
-            pair_sum = (float(agg @ agg) - float((stacked * stacked).sum())) / 2.0
-            total += config.k_c * pair_sum
+            if d not in memo:
+                memo[d] = _pair_sum(series, d)
+            total += config.k_c * memo[d]
     return -total
 
 
@@ -148,23 +157,56 @@ def total_reward(inputs: RewardInputs, config: RewardConfig) -> float:
 # Series distance and features
 # ---------------------------------------------------------------------------
 
+_DTW_BLOCK = 256  # pairs per dynamic-programming pass: memory is O(block x length)
+
+
+def _dtw_pairs(
+    xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], block: int = _DTW_BLOCK
+) -> np.ndarray:
+    """DTW distance of every pair (xs[p], ys[p]), a block of pairs at a time.
+
+    The table is filled row by row, each cell cost + min(up, left, diag) as
+    numpy ops over the pair axis. Series are zero-padded to the longest in
+    the block; a pair's cells up to (n_p, m_p) never read the padding, and
+    its distance is read from row n_p.
+    """
+    out = np.empty(len(xs))
+    for lo in range(0, len(xs), block):
+        bx, by = xs[lo : lo + block], ys[lo : lo + block]
+        nx = np.array([len(s) for s in bx])
+        ny = np.array([len(s) for s in by])
+        x = np.zeros((len(bx), nx.max()))
+        y = np.zeros((ny.max(), len(by)))  # column p is pair p's second series
+        for p, (a, b) in enumerate(zip(bx, by)):
+            x[p, : len(a)] = a
+            y[: len(b), p] = b
+        prev = np.full((len(y) + 1, len(bx)), np.inf)
+        prev[0] = 0.0
+        cur, cost = np.empty_like(prev), np.empty_like(y)
+        for i in range(x.shape[1]):
+            np.abs(np.subtract(x[:, i], y, out=cost), out=cost)
+            np.minimum(prev[1:], prev[:-1], out=cur[1:])  # min(up, diag)
+            cur[0] = np.inf
+            for j in range(1, len(cur)):
+                np.minimum(cur[j], cur[j - 1], out=cur[j])  # ... and left
+                cur[j] += cost[j - 1]
+            ends = np.flatnonzero(nx == i + 1)
+            out[lo + ends] = cur[ny[ends], ends]
+            prev, cur = cur, prev
+    return out
+
+
 def dtw_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Dynamic time warping distance with |x - y| local cost.
 
     Allowed steps are match, insert and delete; the warp is unconstrained.
+    Runs on the batched kernel that kmeans_cluster uses for all its pairs.
     """
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.size == 0 or y.size == 0:
         raise ValueError("dtw_distance needs two non-empty 1-d series")
-    n, m = len(x), len(y)
-    dp = np.full((n + 1, m + 1), np.inf)
-    dp[0, 0] = 0.0
-    for i in range(1, n + 1):
-        costs = np.abs(x[i - 1] - y)
-        for j in range(1, m + 1):
-            dp[i, j] = costs[j - 1] + min(dp[i - 1, j], dp[i, j - 1], dp[i - 1, j - 1])
-    return float(dp[n, m])
+    return float(_dtw_pairs([x], [y])[0])
 
 
 @dataclass(frozen=True)
@@ -260,20 +302,15 @@ def kmeans_cluster(
     if len(set(users)) != n:
         raise ConfigurationError("profiles must be unique per user for clustering")
     series = [np.asarray(p.series, dtype=float) for p in profiles]
+    iu, ju = np.triu_indices(n, 1)  # every pair i < j
     if distance == "euclidean":
         order = min(2, max(1, min(len(s) for s in series) - 2))
         feats = [extract_features(s, ar_order=order).as_array() for s in series]
-        dist = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = float(np.linalg.norm(feats[i] - feats[j]))
-                dist[i, j] = dist[j, i] = d
+        pair_dist = [np.linalg.norm(feats[i] - feats[j]) for i, j in zip(iu, ju)]
     else:
-        dist = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = dtw_distance(series[i], series[j])
-                dist[i, j] = dist[j, i] = d
+        pair_dist = _dtw_pairs([series[i] for i in iu], [series[j] for j in ju])
+    dist = np.zeros((n, n))
+    dist[iu, ju] = dist[ju, iu] = pair_dist
 
     rng = np.random.default_rng(seed)
     # Farthest-point seeding: random first representative, then each next one

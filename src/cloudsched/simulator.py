@@ -25,7 +25,9 @@ Resource usage is sampled at integer slot boundaries: a user counts as
 resident on a machine at slot s iff one of their tasks joined the machine
 queue at or before s and completes after s. The first time the summed
 resident demand for a (machine, resource) exceeds capacity fraction 1.0 an
-overuse event is recorded; the pair never fires again.
+overuse event is recorded; the pair never fires again. Summed demand and
+the stepper's reward inputs are read from cached ResidentSets, rebuilt only
+when a machine's resident users change.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import heapq
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -138,15 +141,53 @@ class Machine:
     running: int | None = None
     busy_until: float = 0.0
     busy_total: float = 0.0
+    residents: "ResidentSet | None" = None  # cleared when the queue changes
 
     @property
     def in_use(self) -> bool:
         return self.running is not None or len(self.queue) > 0
 
 
+class ResidentSet(dict):
+    """The demand series of one set of co-resident users, by resource.
+
+    A state caches one per sorted user tuple for its episode, and each
+    machine keeps its current one until _join or _complete_task changes its
+    queue. On first use each resource's series are summed over one period,
+    user by user from +0.0 as sum() adds at one slot; pair_sums is
+    rewards.competition_penalty's memo.
+    """
+
+    def __init__(self, users: tuple[int, ...], pmap: Mapping[tuple[int, str], UsageProfile]):
+        super().__init__(
+            (d, tuple(pmap[(u, d)].series for u in users if (u, d) in pmap)) for d in RESOURCES
+        )
+        self.users = users
+        self.pair_sums: dict[str, float] = {}
+
+    @cached_property
+    def _totals(self) -> dict[str, np.ndarray]:
+        # Series of mixed lengths have no total; they are summed per slot.
+        return {
+            d: sum(series, np.zeros(len(series[0]) if series else 1))
+            for d, series in self.items()
+            if len({len(s) for s in series}) <= 1
+        }
+
+    def used_at(self, slot: int) -> dict[str, float]:
+        """Each resource's summed demand at a slot, in user order."""
+        totals = self._totals
+        return {
+            d: float(totals[d][slot % len(totals[d])] if d in totals
+                     else sum(s[slot % len(s)] for s in series))
+            for d, series in self.items()
+        }
+
+
 @dataclass(frozen=True)
 class MachineSnapshot:
-    """Per-machine quantities a reward model needs at one instant."""
+    """Per-machine quantities a reward model needs at one instant.
+    resident_profiles is shared with the state's cache: read it only."""
 
     machine_id: int
     in_use: bool
@@ -189,6 +230,8 @@ class SimState:
     queue_series: list[tuple[float, int]] = field(default_factory=list)
     fired: set[tuple[int, str]] = field(default_factory=set)
     overuse_events: list[OveruseEvent] = field(default_factory=list)
+    # Sorted resident-user tuple -> its ResidentSet, for this episode.
+    resident_sets: dict[tuple[int, ...], ResidentSet] = field(default_factory=dict)
 
     @property
     def done(self) -> bool:
@@ -196,6 +239,12 @@ class SimState:
 
     def waiting_count(self) -> int:
         return len(self.ready) + self.queued
+
+    def drop_caches(self) -> None:
+        """Free the resident sets; a later snapshot rebuilds what it reads."""
+        self.resident_sets.clear()
+        for machine in self.machines:
+            machine.residents = None
 
     def trace(self) -> SimTrace:
         events = sorted(
@@ -238,6 +287,7 @@ def _join(state: SimState, tid: int, vm_id: int, now: float) -> None:
     state.join_times[tid] = now
     state.dispatched[tid] = vm_id
     machine = state.machines[state.vm_index[vm_id]]
+    machine.residents = None
     if machine.running is None:
         _begin_execution(state, machine, tid, now)
     else:
@@ -273,6 +323,7 @@ def _complete_task(state: SimState, tid: int, now: float) -> None:
     )
     state.residency.append((vm_id, task.user_id, state.join_times[tid], now))
     machine.running = None
+    machine.residents = None
     for succ in state.succs[tid]:
         state.remaining[succ] -= 1
         if state.remaining[succ] == 0:
@@ -287,27 +338,25 @@ def _complete_task(state: SimState, tid: int, now: float) -> None:
 # Overuse
 # ---------------------------------------------------------------------------
 
+def _resident_set(cache: dict, users: tuple[int, ...], pmap: Mapping) -> ResidentSet:
+    if users not in cache:
+        cache[users] = ResidentSet(users, pmap)
+    return cache[users]
+
+
 def _fire_overshoots(
-    residents: Iterable[tuple[int, list[int]]],
-    slot: int,
-    pmap: Mapping[tuple[int, str], UsageProfile],
-    fired: set[tuple[int, str]],
+    residents: Iterable[tuple[int, ResidentSet]], slot: int, fired: set[tuple[int, str]]
 ) -> list[tuple[int, str]]:
     """Fire each (machine, resource) pair whose summed demand first exceeds
-    capacity at this slot, given each machine's sorted resident users."""
+    capacity at this slot, given each machine's resident set."""
     fresh: list[tuple[int, str]] = []
-    for m, users in residents:
-        if not users:
+    for m, res in residents:
+        pending = [d for d in RESOURCES if (m, d) not in fired]
+        if not res.users or not pending:
             continue
-        for d in RESOURCES:
-            if (m, d) in fired:
-                continue
-            demand = 0.0
-            for u in users:
-                prof = pmap.get((u, d))
-                if prof is not None:
-                    demand += prof.demand_at(slot)
-            if demand > 1.0:
+        used = res.used_at(slot)
+        for d in pending:
+            if used[d] > 1.0:
                 fired.add((m, d))
                 fresh.append((m, d))
     return fresh
@@ -317,7 +366,7 @@ def scan_overuse(trace: SimTrace, workload: WorkloadSet) -> list[OveruseEvent]:
     """Post-hoc slot scan for first-overshoot events, from residency rows.
 
     One sweep over the rows in join and in completion order keeps each
-    machine's resident users current from one slot to the next."""
+    machine's resident set current from one slot to the next."""
     if not workload.profiles or not trace.residency:
         return []
     pmap = workload.profile_map()
@@ -326,35 +375,45 @@ def scan_overuse(trace: SimTrace, workload: WorkloadSet) -> list[OveruseEvent]:
     live: dict[int, Counter[int]] = {m: Counter() for m in sorted({r[0] for r in trace.residency})}
     events: list[OveruseEvent] = []
     fired: set[tuple[int, str]] = set()
+    sets: dict[tuple[int, ...], ResidentSet] = {}
+    residents = {m: _resident_set(sets, (), pmap) for m in live}
     for s in range(int(math.ceil(trace.makespan))):
+        changed = set()
         while joins and joins[0][0] <= s:
             _, m, u = joins.popleft()
             live[m][u] += 1
+            changed.add(m)
         while leaves and leaves[0][0] <= s:
             _, m, u = leaves.popleft()
             live[m][u] -= 1
-        residents = [(m, sorted(u for u, n in users.items() if n)) for m, users in live.items()]
-        for m, d in _fire_overshoots(residents, s, pmap, fired):
+            changed.add(m)
+        for m in changed:
+            if any((m, d) not in fired for d in RESOURCES):
+                users = tuple(sorted(u for u, n in live[m].items() if n))
+                residents[m] = _resident_set(sets, users, pmap)
+        for m, d in _fire_overshoots(residents.items(), s, fired):
             events.append(OveruseEvent(m, d, float(s)))
     events.sort(key=lambda e: (e.time, e.machine_id, e.resource))
     return events
 
 
-def _resident_users(state: SimState, machine: Machine) -> list[int]:
-    users = set()
-    if machine.running is not None:
-        users.add(state.tasks[machine.running].user_id)
-    for tid in machine.queue:
-        users.add(state.tasks[tid].user_id)
-    return sorted(users)
+def _residents(state: SimState, machine: Machine) -> ResidentSet:
+    """The machine's resident set, looked up again only after _join or
+    _complete_task changed its queue."""
+    if machine.residents is None:
+        users = {state.tasks[tid].user_id for tid in machine.queue}
+        if machine.running is not None:
+            users.add(state.tasks[machine.running].user_id)
+        machine.residents = _resident_set(state.resident_sets, tuple(sorted(users)), state.pmap)
+    return machine.residents
 
 
 def _sample_slot(state: SimState, slot: int) -> list[tuple[int, str]]:
     """Check every (machine, resource) for a first overshoot at this slot."""
     if not state.pmap:
         return []
-    residents = [(m.spec.id, _resident_users(state, m)) for m in state.machines]
-    fresh = _fire_overshoots(residents, slot, state.pmap, state.fired)
+    residents = [(m.spec.id, _residents(state, m)) for m in state.machines]
+    fresh = _fire_overshoots(residents, slot, state.fired)
     state.overuse_events.extend(OveruseEvent(m, d, float(slot)) for m, d in fresh)
     return fresh
 
@@ -384,25 +443,13 @@ def _absorb_events(state: SimState, now: float) -> None:
 
 
 def _snapshot(state: SimState, new_overuse: Sequence[tuple[int, str]]) -> RewardInputs:
-    pmap = state.pmap
+    """Reward inputs at the clock, read from each machine's cached resident
+    set: no sort and no demand lookup unless the residents or slot are new."""
     slot = int(math.floor(state.clock))
     snaps = []
     for machine in state.machines:
-        users = _resident_users(state, machine)
-        used: dict[str, float] = {}
-        resident: dict[str, tuple[np.ndarray, ...]] = {}
-        for d in RESOURCES:
-            profs = [pmap[(u, d)] for u in users if (u, d) in pmap]
-            resident[d] = tuple(p.series for p in profs)
-            used[d] = float(sum(p.demand_at(slot) for p in profs))
-        snaps.append(
-            MachineSnapshot(
-                machine_id=machine.spec.id,
-                in_use=machine.in_use,
-                used=used,
-                resident_profiles=resident,
-            )
-        )
+        res = _residents(state, machine)
+        snaps.append(MachineSnapshot(machine.spec.id, machine.in_use, res.used_at(slot), res))
     return RewardInputs(
         clock=state.clock,
         queue_len=state.waiting_count(),
@@ -545,24 +592,24 @@ def machine_usage_series(
     out: dict[int, dict[str, np.ndarray]] = {
         v.id: {"busy": np.zeros(horizon)} for v in workload.vms
     }
+    # Each record, then each residency row, adds its slice in row order, so
+    # every element sees the same sequence of adds as a slot-by-slot loop.
     for r in trace.records.values():
-        lo, hi = r.start, r.completion
-        for s in range(int(math.floor(lo)), min(horizon, int(math.ceil(hi)))):
-            overlap = min(hi, s + 1) - max(lo, s)
-            if overlap > 0:
-                out[r.machine_id]["busy"][s] += overlap
+        slots = np.arange(math.floor(r.start), min(horizon, math.ceil(r.completion)))
+        overlap = np.minimum(r.completion, slots + 1) - np.maximum(r.start, slots)
+        out[r.machine_id]["busy"][slots[overlap > 0]] += overlap[overlap > 0]
     if workload.profiles:
         pmap = workload.profile_map()
         for v in workload.vms:
             for d in RESOURCES:
                 out[v.id][d] = np.zeros(horizon)
         for m, u, t0, t1 in trace.residency:
-            # The slots s with t0 <= s < t1, in increasing order.
-            for s in range(math.ceil(t0), min(horizon, math.ceil(t1))):
-                for d in RESOURCES:
-                    prof = pmap.get((u, d))
-                    if prof is not None:
-                        out[m][d][s] += prof.demand_at(s)
+            # The slots s with t0 <= s < t1.
+            slots = np.arange(math.ceil(t0), min(horizon, math.ceil(t1)))
+            for d in RESOURCES:
+                prof = pmap.get((u, d))
+                if prof is not None:
+                    out[m][d][slots] += prof.series[slots % len(prof.series)]
     return out
 
 

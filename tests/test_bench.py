@@ -209,23 +209,46 @@ def test_rerun_results_csv_is_byte_identical(tiny_run, tmp_path):
 
 
 def test_failed_cells_are_isolated(tmp_path):
+    # The policy fits the fleet, but its no-op bias wins every argmax, so
+    # each episode stops at the step cap with no task done.
+    theta = init_policy(observation_size(2, 3, 3), 4, action_count(2, 3))
+    theta.b2[-1] = 100.0
+    policy = tmp_path / "noop-policy.txt"
+    save_policy(theta, str(policy))
     data = tiny_config_data("")
-    data["schedulers"].append(
-        {"name": "policy", "policy_file": str(tmp_path / "missing-policy.txt")}
-    )
+    data["schedulers"].append({"name": "policy", "policy_file": str(policy)})
     config = config_from_dict(data)
     rows = run_experiment(config, out_dir="")
     failed = [r for r in rows if r["algorithm"] == "policy"]
+    assert [r["status"] for r in failed] == [
+        f"failed: incomplete 0/{r['task_count']}" for r in failed
+    ]
     assert len(failed) == 4
-    assert all(r["status"].startswith("failed: ") for r in failed)
     assert all(math.isnan(r["multi_qos"]) for r in failed)
     others = [r for r in rows if r["algorithm"] != "policy"]
     assert all(r["status"] == "ok" for r in others)
 
 
+def test_missing_policy_file_is_rejected_before_any_cell(tmp_path):
+    data = tiny_config_data(tmp_path / "out")
+    data["schedulers"].append(
+        {"name": "policy", "policy_file": str(tmp_path / "missing-policy.txt")}
+    )
+    with pytest.raises(
+        ConfigurationError,
+        match=r"schedulers\[2\]\.policy_file .*missing-policy.txt.* cannot be read",
+    ):
+        run_experiment(config_from_dict(data))
+    assert not (tmp_path / "out").exists()
+
+
 def test_policy_that_does_not_fit_the_fleet_is_rejected_before_any_cell(tmp_path):
+    # The bias on "first ready task to machine 0" wins every argmax where
+    # it is valid, so every episode finishes within its step cap.
+    theta = init_policy(observation_size(2, 3, 3), 4, action_count(2, 3))
+    theta.b2[0] = 100.0
     policy = tmp_path / "policy.txt"
-    save_policy(init_policy(observation_size(2, 3, 3), 4, action_count(2, 3)), str(policy))
+    save_policy(theta, str(policy))
     data = tiny_config_data(tmp_path / "fits")
     data["schedulers"].append({"name": "policy", "policy_file": str(policy)})
     rows = run_experiment(config_from_dict(data))
