@@ -381,8 +381,6 @@ class SchedulingEnv:
         reward = total_reward(inputs, self.reward_config)
         self._steps += 1
         done = self._state.done or self._steps >= self._cap
-        if done:  # a finished episode's state keeps its trace, not its caches
-            self._state.drop_caches()
         obs, mask = self._observe()
         return obs, mask, reward, done
 
@@ -440,8 +438,7 @@ def train(env: SchedulingEnv, config: TrainConfig = TrainConfig()) -> tuple[Poli
         traj = _rollout(env, theta, rng, episode_seed=episode)
         curve.append(float(sum(traj.rewards)))
         batch.append(traj)
-        # Update on every full batch, and on what is left after the last episode.
-        if len(batch) >= config.batch_size or episode == config.episodes - 1:
+        if len(batch) >= config.batch_size:
             theta = reinforce_update(theta, batch, config)
             batch = []
             if theta.mean_abs() > config.divergence_bound:
@@ -449,6 +446,13 @@ def train(env: SchedulingEnv, config: TrainConfig = TrainConfig()) -> tuple[Poli
                     f"policy diverged (mean |theta| > {config.divergence_bound}); "
                     "try a smaller alpha"
                 )
+    if batch:
+        theta = reinforce_update(theta, batch, config)
+        if theta.mean_abs() > config.divergence_bound:
+            raise TrainingError(
+                f"policy diverged (mean |theta| > {config.divergence_bound}); "
+                "try a smaller alpha"
+            )
     return theta, curve
 
 

@@ -51,20 +51,6 @@ class RewardConfig:
             raise ConfigurationError(f"unknown resources: {bad}")
 
 
-def _pair_sum(series: Sequence[np.ndarray], resource: str) -> float:
-    """Sum over unordered pairs of series inner products, via the
-    square-of-sum identity."""
-    rows = [np.asarray(s, dtype=float) for s in series]
-    lengths = {len(s) for s in rows}
-    if len(lengths) > 1:
-        raise ValueError(
-            f"resident series for resource {resource!r} differ in length: {sorted(lengths)}"
-        )
-    stacked = np.stack(rows)
-    agg = stacked.sum(axis=0)
-    return (float(agg @ agg) - float((stacked * stacked).sum())) / 2.0
-
-
 def competition_penalty(
     machine_profiles: Sequence[Mapping[str, Sequence[np.ndarray]]],
     config: RewardConfig,
@@ -73,19 +59,15 @@ def competition_penalty(
 
     machine_profiles holds, per machine, the demand series of the workloads
     resident there keyed by resource. Series sharing a machine and resource
-    must have equal length. A stepper's ResidentSet keeps each pair sum, so
-    a machine whose residents did not change costs a lookup.
+    must have equal length. Each pair sum is ResidentSet.pair_sum, which a
+    stepper's snapshot keeps until the machine's residents change.
     """
     total = 0.0
     for entry in machine_profiles:
-        memo = entry.pair_sums if isinstance(entry, ResidentSet) else {}
+        residents = ResidentSet.of(entry)
         for d in config.resources:
-            series = entry.get(d, ())
-            if len(series) < 2:
-                continue
-            if d not in memo:
-                memo[d] = _pair_sum(series, d)
-            total += config.k_c * memo[d]
+            if len(residents.get(d, ())) >= 2:
+                total += config.k_c * residents.pair_sum(d)
     return -total
 
 

@@ -26,8 +26,8 @@ resident on a machine at slot s iff one of their tasks joined the machine
 queue at or before s and completes after s. The first time the summed
 resident demand for a (machine, resource) exceeds capacity fraction 1.0 an
 overuse event is recorded; the pair never fires again. Summed demand and
-the stepper's reward inputs are read from cached ResidentSets, rebuilt only
-when a machine's resident users change.
+the stepper's reward inputs are read from each machine's ResidentSet, which
+is rebuilt only when the machine's queue changes.
 """
 
 from __future__ import annotations
@@ -141,36 +141,63 @@ class Machine:
     running: int | None = None
     busy_until: float = 0.0
     busy_total: float = 0.0
-    residents: "ResidentSet | None" = None  # cleared when the queue changes
+    residents: "ResidentSet | None" = None
+    queue_changed: bool = True  # set by _join and _complete_task
 
     @property
     def in_use(self) -> bool:
         return self.running is not None or len(self.queue) > 0
 
 
-class ResidentSet(dict):
-    """The demand series of one set of co-resident users, by resource.
+class ResidentSet(Mapping):
+    """The demand series of one machine's co-resident users, by resource.
 
-    A state caches one per sorted user tuple for its episode, and each
-    machine keeps its current one until _join or _complete_task changes its
-    queue. On first use each resource's series are summed over one period,
-    user by user from +0.0 as sum() adds at one slot; pair_sums is
-    rewards.competition_penalty's memo.
+    A machine keeps its set, and every snapshot shares it, until its
+    resident users change, so the set is read-only, as profile series are.
+    On first use each resource's series are summed over one period, user by
+    user from +0.0 as sum() adds at one slot, and each resource's
+    competition pair sum is kept once computed.
     """
 
-    def __init__(self, users: tuple[int, ...], pmap: Mapping[tuple[int, str], UsageProfile]):
-        super().__init__(
-            (d, tuple(pmap[(u, d)].series for u in users if (u, d) in pmap)) for d in RESOURCES
-        )
+    def __init__(self, series: Mapping[str, Sequence[np.ndarray]], users: tuple[int, ...] = ()):
+        self._series = {d: tuple(rows) for d, rows in series.items()}
         self.users = users
-        self.pair_sums: dict[str, float] = {}
+        self._pair_sums: dict[str, float] = {}
+
+    @classmethod
+    def of_users(
+        cls, users: tuple[int, ...], pmap: Mapping[tuple[int, str], UsageProfile]
+    ) -> "ResidentSet":
+        """The set of the given users' profiles, in user order; a set with
+        no series is the shared _NO_RESIDENTS."""
+        series = {d: [pmap[(u, d)].series for u in users if (u, d) in pmap] for d in RESOURCES}
+        return cls(series, users) if any(series.values()) else _NO_RESIDENTS
+
+    @classmethod
+    def of(cls, residents: Mapping[str, Sequence[Sequence[float]]]) -> "ResidentSet":
+        """residents itself if it is a ResidentSet, else a set built from it."""
+        if isinstance(residents, cls):
+            return residents
+        return cls({d: [np.asarray(s, dtype=float) for s in rows] for d, rows in residents.items()})
+
+    def __getitem__(self, resource: str) -> tuple[np.ndarray, ...]:
+        return self._series[resource]
+
+    def __iter__(self):
+        return iter(self._series)
+
+    def __len__(self) -> int:
+        return len(self._series)
+
+    def get(self, resource: str, default=None):
+        return self._series.get(resource, default)
 
     @cached_property
     def _totals(self) -> dict[str, np.ndarray]:
         # Series of mixed lengths have no total; they are summed per slot.
         return {
             d: sum(series, np.zeros(len(series[0]) if series else 1))
-            for d, series in self.items()
+            for d, series in self._series.items()
             if len({len(s) for s in series}) <= 1
         }
 
@@ -180,19 +207,39 @@ class ResidentSet(dict):
         return {
             d: float(totals[d][slot % len(totals[d])] if d in totals
                      else sum(s[slot % len(s)] for s in series))
-            for d, series in self.items()
+            for d, series in self._series.items()
         }
+
+    def pair_sum(self, resource: str) -> float:
+        """Sum over unordered pairs of the resource's series inner products,
+        via the square-of-sum identity. The series must share a length."""
+        if resource not in self._pair_sums:
+            rows = self._series.get(resource, ())
+            lengths = {len(s) for s in rows}
+            if len(lengths) > 1:
+                raise ValueError(
+                    f"resident series for resource {resource!r} differ in length: {sorted(lengths)}"
+                )
+            pair_sum = 0.0
+            if len(rows) >= 2:
+                stacked = np.stack(rows)
+                agg = stacked.sum(axis=0)
+                pair_sum = (float(agg @ agg) - float((stacked * stacked).sum())) / 2.0
+            self._pair_sums[resource] = pair_sum
+        return self._pair_sums[resource]
+
+
+_NO_RESIDENTS = ResidentSet({d: () for d in RESOURCES})
 
 
 @dataclass(frozen=True)
 class MachineSnapshot:
-    """Per-machine quantities a reward model needs at one instant.
-    resident_profiles is shared with the state's cache: read it only."""
+    """Per-machine quantities a reward model needs at one instant."""
 
     machine_id: int
     in_use: bool
     used: dict[str, float]
-    resident_profiles: dict[str, tuple[np.ndarray, ...]]
+    resident_profiles: Mapping[str, tuple[np.ndarray, ...]]
 
 
 @dataclass(frozen=True)
@@ -230,8 +277,6 @@ class SimState:
     queue_series: list[tuple[float, int]] = field(default_factory=list)
     fired: set[tuple[int, str]] = field(default_factory=set)
     overuse_events: list[OveruseEvent] = field(default_factory=list)
-    # Sorted resident-user tuple -> its ResidentSet, for this episode.
-    resident_sets: dict[tuple[int, ...], ResidentSet] = field(default_factory=dict)
 
     @property
     def done(self) -> bool:
@@ -239,12 +284,6 @@ class SimState:
 
     def waiting_count(self) -> int:
         return len(self.ready) + self.queued
-
-    def drop_caches(self) -> None:
-        """Free the resident sets; a later snapshot rebuilds what it reads."""
-        self.resident_sets.clear()
-        for machine in self.machines:
-            machine.residents = None
 
     def trace(self) -> SimTrace:
         events = sorted(
@@ -287,7 +326,7 @@ def _join(state: SimState, tid: int, vm_id: int, now: float) -> None:
     state.join_times[tid] = now
     state.dispatched[tid] = vm_id
     machine = state.machines[state.vm_index[vm_id]]
-    machine.residents = None
+    machine.queue_changed = True
     if machine.running is None:
         _begin_execution(state, machine, tid, now)
     else:
@@ -323,7 +362,7 @@ def _complete_task(state: SimState, tid: int, now: float) -> None:
     )
     state.residency.append((vm_id, task.user_id, state.join_times[tid], now))
     machine.running = None
-    machine.residents = None
+    machine.queue_changed = True
     for succ in state.succs[tid]:
         state.remaining[succ] -= 1
         if state.remaining[succ] == 0:
@@ -338,12 +377,6 @@ def _complete_task(state: SimState, tid: int, now: float) -> None:
 # Overuse
 # ---------------------------------------------------------------------------
 
-def _resident_set(cache: dict, users: tuple[int, ...], pmap: Mapping) -> ResidentSet:
-    if users not in cache:
-        cache[users] = ResidentSet(users, pmap)
-    return cache[users]
-
-
 def _fire_overshoots(
     residents: Iterable[tuple[int, ResidentSet]], slot: int, fired: set[tuple[int, str]]
 ) -> list[tuple[int, str]]:
@@ -352,7 +385,7 @@ def _fire_overshoots(
     fresh: list[tuple[int, str]] = []
     for m, res in residents:
         pending = [d for d in RESOURCES if (m, d) not in fired]
-        if not res.users or not pending:
+        if res is _NO_RESIDENTS or not pending:
             continue
         used = res.used_at(slot)
         for d in pending:
@@ -375,8 +408,7 @@ def scan_overuse(trace: SimTrace, workload: WorkloadSet) -> list[OveruseEvent]:
     live: dict[int, Counter[int]] = {m: Counter() for m in sorted({r[0] for r in trace.residency})}
     events: list[OveruseEvent] = []
     fired: set[tuple[int, str]] = set()
-    sets: dict[tuple[int, ...], ResidentSet] = {}
-    residents = {m: _resident_set(sets, (), pmap) for m in live}
+    residents = dict.fromkeys(live, _NO_RESIDENTS)
     for s in range(int(math.ceil(trace.makespan))):
         changed = set()
         while joins and joins[0][0] <= s:
@@ -388,9 +420,9 @@ def scan_overuse(trace: SimTrace, workload: WorkloadSet) -> list[OveruseEvent]:
             live[m][u] -= 1
             changed.add(m)
         for m in changed:
-            if any((m, d) not in fired for d in RESOURCES):
-                users = tuple(sorted(u for u, n in live[m].items() if n))
-                residents[m] = _resident_set(sets, users, pmap)
+            users = tuple(sorted(u for u, n in live[m].items() if n))
+            if users != residents[m].users and any((m, d) not in fired for d in RESOURCES):
+                residents[m] = ResidentSet.of_users(users, pmap)
         for m, d in _fire_overshoots(residents.items(), s, fired):
             events.append(OveruseEvent(m, d, float(s)))
     events.sort(key=lambda e: (e.time, e.machine_id, e.resource))
@@ -398,13 +430,17 @@ def scan_overuse(trace: SimTrace, workload: WorkloadSet) -> list[OveruseEvent]:
 
 
 def _residents(state: SimState, machine: Machine) -> ResidentSet:
-    """The machine's resident set, looked up again only after _join or
-    _complete_task changed its queue."""
-    if machine.residents is None:
+    """The machine's resident set. Its users are listed again only after
+    _join or _complete_task changed its queue, and the set is rebuilt only
+    if they changed: a long queue often keeps its users as tasks come and go."""
+    if machine.queue_changed:
         users = {state.tasks[tid].user_id for tid in machine.queue}
         if machine.running is not None:
             users.add(state.tasks[machine.running].user_id)
-        machine.residents = _resident_set(state.resident_sets, tuple(sorted(users)), state.pmap)
+        users = tuple(sorted(users))
+        if machine.residents is None or users != machine.residents.users:
+            machine.residents = ResidentSet.of_users(users, state.pmap)
+        machine.queue_changed = False
     return machine.residents
 
 
@@ -443,8 +479,8 @@ def _absorb_events(state: SimState, now: float) -> None:
 
 
 def _snapshot(state: SimState, new_overuse: Sequence[tuple[int, str]]) -> RewardInputs:
-    """Reward inputs at the clock, read from each machine's cached resident
-    set: no sort and no demand lookup unless the residents or slot are new."""
+    """Reward inputs at the clock, read from each machine's resident set:
+    no sort and no per-user demand lookup unless the machine's queue changed."""
     slot = int(math.floor(state.clock))
     snaps = []
     for machine in state.machines:

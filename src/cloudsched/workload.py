@@ -92,7 +92,9 @@ class UsageProfile:
             raise ConfigurationError("profile series must be a non-empty 1-d sequence")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ConfigurationError("profile entries must lie in [0, 1]")
-        object.__setattr__(self, "series", arr)
+        series = arr.view()
+        series.flags.writeable = False  # read-only, like the profile itself
+        object.__setattr__(self, "series", series)
 
     def demand_at(self, slot: int) -> float:
         # Series are treated as periodic: lookups past the horizon wrap.

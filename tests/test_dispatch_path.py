@@ -6,11 +6,11 @@ oracle, and results must be equal with ==, not approximately."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudsched import rewards
-from cloudsched.policy import SchedulingEnv
 from cloudsched.rewards import (
     RewardBreakdown,
     RewardConfig,
@@ -29,6 +29,7 @@ from cloudsched.simulator import (
     RewardInputs,
     init_state,
     machine_usage_series,
+    replay_assignment,
     run_simulation,
     scan_overuse,
     step,
@@ -268,20 +269,29 @@ def test_one_slot_profiles_keep_the_sequential_sum():
     assert [(e.machine_id, e.resource) for e in state.overuse_events] == [(0, "memory")]
 
 
-def test_finished_env_episode_drops_its_caches():
-    # A caller may keep every finished episode's state; the resident-set
-    # caches go, the trace stays, and a stalled episode drops them too.
-    rng = np.random.default_rng(907)
-    wl = profiled_workload(rng)
-    for cap, finished in ((10, True), (1, False)):
-        env = SchedulingEnv(wl, RewardConfig(), step_cap_factor=cap)
-        _, mask = env.reset()
-        done = False
-        while not done:
-            _, mask, _, done = env.step(int(np.flatnonzero(mask)[0]))
-            assert bool(env.state.resident_sets) != done
-        assert env.state.done == finished
-        assert all(m.residents is None for m in env.state.machines)
+def test_shared_resident_sets_are_read_only():
+    # Snapshots share a machine's resident set until its users change, so a
+    # write through one snapshot must fail rather than change later steps.
+    tasks = [Task(id=0, user_id=0, length=5000.0), Task(id=1, user_id=1, length=5000.0)]
+    tasks.append(Task(id=2, user_id=0, length=5000.0, arrival_time=2.0))
+    profiles = [UsageProfile(u, "cpu", [0.2, 0.4]) for u in (0, 1)]
+    wl = WorkloadSet([vm(0)], DagWorkflow(tasks, []), profiles)
+    state, _ = step(init_state(wl), (0, 0))
+    state, first = step(state, (1, 0))
+    state, second = step(state, None)  # task 2 arrives; the queue is unchanged
+    assert state.clock == 2.0
+    residents = first.machines[0].resident_profiles
+    assert second.machines[0].resident_profiles is residents
+    # A queued task of a user already resident changes the queue, not the set.
+    state, third = step(state, (2, 0))
+    assert third.machines[0].resident_profiles is residents
+    with pytest.raises(TypeError):
+        residents["cpu"] = ()
+    with pytest.raises(AttributeError):
+        residents.pop("cpu")
+    with pytest.raises(ValueError):
+        residents["cpu"][0][0] = 1.0
+    assert residents.pair_sum("cpu") == 0.2 * 0.2 + 0.4 * 0.4
 
 
 def test_competition_on_plain_mappings_is_unchanged():
@@ -306,6 +316,9 @@ def test_overuse_scan_equals_the_slot_filter():
         assignment = {t.id: wl.vms[j].id for t, j in zip(wl.tasks, picks)}
         trace = run_simulation(wl, assignment)
         assert trace.overuse_events == old_scan_overuse(trace, wl)
+        # The stepper samples each slot online, from the residents it keeps
+        # across joins and completions that no snapshot read in between.
+        assert replay_assignment(wl, assignment).overuse_events == trace.overuse_events
         fired += len(trace.overuse_events)
     assert fired > 20
 
