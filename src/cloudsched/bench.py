@@ -22,6 +22,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .codec import decode, encode
 from .errors import ConfigurationError, SimulationError
 from .metrics import QosWeights, load_rate, machine_usage_totals, qos_scores, raw_qos
 from .policy import (
@@ -107,21 +108,17 @@ class VmFleetConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigurationError("fleet count must be >= 1")
+        VmSpec(id=0, **self._machine())  # reject bad machine values at load
+
+    def _machine(self) -> dict[str, Any]:
+        """Every field but count, as VmSpec arguments."""
+        fields = asdict(self)
+        del fields["count"]
+        return fields
 
     def build(self) -> tuple[VmSpec, ...]:
-        return tuple(
-            VmSpec(
-                id=i,
-                cpu_count=self.cpu_count,
-                mips=self.mips,
-                memory=self.memory,
-                bandwidth=self.bandwidth,
-                storage=self.storage,
-                instr_cost_rate=self.instr_cost_rate,
-                bw_cost_rate=self.bw_cost_rate,
-            )
-            for i in range(self.count)
-        )
+        machine = self._machine()
+        return tuple(VmSpec(id=i, **machine) for i in range(self.count))
 
 
 @dataclass(frozen=True)
@@ -166,18 +163,15 @@ class SchedulerSpec:
         self.build_params()  # reject bad keys before any work happens
 
     def build_params(self):
+        kind = {"gaaco": GaacoParams, "aco": AcoParams, "sa": SaParams}.get(self.algorithm)
+        if kind is None:
+            if self.params:
+                raise ConfigurationError(f"{self.algorithm!r} takes no params")
+            return None
         try:
-            if self.algorithm == "gaaco":
-                return GaacoParams(**dict(self.params))
-            if self.algorithm == "aco":
-                return AcoParams(**dict(self.params))
-            if self.algorithm == "sa":
-                return SaParams(**dict(self.params))
-        except TypeError as exc:
+            return decode(kind, dict(self.params), "params")
+        except ConfigurationError as exc:
             raise ConfigurationError(f"bad params for {self.name!r}: {exc}") from exc
-        if self.params:
-            raise ConfigurationError(f"{self.algorithm!r} takes no params")
-        return None
 
 
 @dataclass(frozen=True)
@@ -208,6 +202,7 @@ class TrainSetup:
             raise ConfigurationError("train setup needs at least one machine")
         if self.n_tasks < 1:
             raise ConfigurationError("train setup needs at least one task")
+        self.build_vms()  # reject non-positive speeds when the config loads
 
     def build_vms(self) -> tuple[VmSpec, ...]:
         return tuple(
@@ -276,130 +271,21 @@ class ExperimentConfig:
             raise ConfigurationError("scheduler names must be unique")
         if not self.seeds:
             raise ConfigurationError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigurationError("seeds must be >= 0")
 
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def _check_keys(section: Mapping[str, Any], allowed: Sequence[str], where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown key {key!r} in {where}")
-
-
-def _pair(value, where: str) -> tuple:
-    if value is None:
-        return None
-    if not isinstance(value, Sequence) or len(value) != 2:
-        raise ConfigurationError(f"{where} must be a [low, high] pair")
-    return tuple(value)
-
-
 def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
-    """Build a validated ExperimentConfig; unknown keys anywhere are errors."""
-    if not isinstance(data, Mapping):
-        raise ConfigurationError("experiment config must be a JSON object")
-    _check_keys(
-        data,
-        (
-            "workload",
-            "vms",
-            "schedulers",
-            "seeds",
-            "weights",
-            "sweep",
-            "output_dir",
-            "train",
-        ),
-        "experiment config",
-    )
-    kwargs: dict[str, Any] = {}
-    if "workload" in data:
-        wl = dict(data["workload"])
-        _check_keys(
-            wl,
-            (
-                "length_range",
-                "input_range",
-                "output_range",
-                "mean_interarrival",
-                "arrival_pattern",
-                "n_users",
-                "deadline_slack_range",
-            ),
-            "workload",
-        )
-        for key in ("length_range", "input_range", "output_range", "deadline_slack_range"):
-            if key in wl:
-                wl[key] = _pair(wl[key], f"workload.{key}")
-        kwargs["workload"] = TaskGenParams(**wl)
-    if "vms" in data:
-        vm = dict(data["vms"])
-        _check_keys(
-            vm,
-            (
-                "count",
-                "cpu_count",
-                "mips",
-                "memory",
-                "bandwidth",
-                "storage",
-                "instr_cost_rate",
-                "bw_cost_rate",
-            ),
-            "vms",
-        )
-        kwargs["vms"] = VmFleetConfig(**vm)
-    if "schedulers" in data:
-        specs = []
-        for i, entry in enumerate(data["schedulers"]):
-            if isinstance(entry, str):
-                specs.append(SchedulerSpec(entry))
-                continue
-            ent = dict(entry)
-            _check_keys(ent, ("name", "algorithm", "params", "policy_file"), f"schedulers[{i}]")
-            specs.append(SchedulerSpec(**ent))
-        kwargs["schedulers"] = tuple(specs)
-    if "seeds" in data:
-        kwargs["seeds"] = tuple(int(s) for s in data["seeds"])
-    if "weights" in data:
-        wt = dict(data["weights"])
-        _check_keys(wt, ("time", "cost", "reliability"), "weights")
-        kwargs["weights"] = QosWeights(**wt)
-    if "sweep" in data:
-        sw = dict(data["sweep"])
-        _check_keys(sw, ("start", "stop", "step"), "sweep")
-        kwargs["sweep"] = SweepConfig(**sw)
-    if "output_dir" in data:
-        kwargs["output_dir"] = str(data["output_dir"])
-    if "train" in data:
-        tr = dict(data["train"])
-        _check_keys(
-            tr,
-            (
-                "machine_mips",
-                "n_tasks",
-                "length_range",
-                "mean_interarrival",
-                "episodes",
-                "alpha",
-                "gamma",
-                "batch_size",
-                "hidden",
-                "seed",
-                "ready_slots",
-                "lookahead",
-                "eval_episodes",
-            ),
-            "train",
-        )
-        if "machine_mips" in tr:
-            tr["machine_mips"] = tuple(float(x) for x in tr["machine_mips"])
-        if "length_range" in tr:
-            tr["length_range"] = _pair(tr["length_range"], "train.length_range")
-        kwargs["train"] = TrainSetup(**tr)
-    return ExperimentConfig(**kwargs)
+    """Build a validated ExperimentConfig; a bare scheduler name stands for
+    {"name": name}. Every error names the offending field's path."""
+    if isinstance(data, Mapping) and isinstance(data.get("schedulers"), list):
+        specs = [{"name": s} if isinstance(s, str) else s for s in data["schedulers"]]
+        data = {**data, "schedulers": specs}
+    return decode(ExperimentConfig, data, "experiment config")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -412,10 +298,9 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
-    out = asdict(config)
+    out = encode(config)
     out["schedulers"] = [
-        {k: v for k, v in asdict(s).items() if v not in (None, {})}
-        for s in config.schedulers
+        {k: v for k, v in s.items() if v not in (None, {})} for s in out["schedulers"]
     ]
     return out
 

@@ -2,14 +2,13 @@
 
 Every scheduler is a pure function of (inputs, seed): identical calls return
 identical assignments. A candidate's score blends its mean flow time, mean
-money cost and deadline reliability. The public `fitness` simulates each
-candidate and normalizes time and cost within the pool of candidates it is
-given. Search loops do not simulate: they score from per-instance tables,
-with an event walk that reproduces raw_qos(run_simulation(...)) bit for bit,
-or, on instances without precedence edges, a closed-form per-machine
-recurrence that agrees with it up to the last bits of its sums. They freeze
-normalization bounds from a seeded reference pool (greedy assignment plus
-random samples) so that the best-so-far comparison is a fixed total order.
+money cost and deadline reliability. Search loops do not simulate: they
+score from per-instance tables, with an event walk that reproduces
+raw_qos(run_simulation(...)) bit for bit, or, on instances without
+precedence edges, a closed-form per-machine recurrence that agrees with it
+up to the last bits of its sums. They freeze normalization bounds from a
+seeded reference pool (greedy assignment plus random samples) so that the
+best-so-far comparison is a fixed total order.
 The exhaustive oracle scores its "time", "cost" and "qos" objectives with
 the same event walk.
 """
@@ -25,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InstanceTooLargeError
-from .metrics import QosWeights, RawQos, qos_scores, raw_qos
+from .metrics import QosWeights, RawQos, qos_scores
 from .simulator import Assignment, SimTrace, run_simulation, _service_times
 from .workload import DagWorkflow, Task, VmSpec, WorkloadSet, validate_dag
 
@@ -141,24 +140,6 @@ def as_workload(
 def _deadline_map(workload: WorkloadSet) -> dict[int, float] | None:
     dl = {t.id: t.deadline for t in workload.tasks if t.deadline is not None}
     return dl or None
-
-
-def fitness(
-    assignments: Sequence[Assignment],
-    workload: WorkloadSet,
-    weights: QosWeights = QosWeights(),
-) -> list[float]:
-    """Blended quality score per assignment, lower is better.
-
-    Time and cost are min-max normalized within this candidate pool, so
-    scores are comparable only inside one call.
-    """
-    deadlines = _deadline_map(workload)
-    raws = [
-        raw_qos(run_simulation(workload, a), workload.vms, deadlines)
-        for a in assignments
-    ]
-    return qos_scores(raws, weights)
 
 
 class _Tables:

@@ -109,25 +109,6 @@ def _service_times(task: Task, spec: VmSpec) -> tuple[float, float]:
     return transfer, exec_time
 
 
-def earliest_start_time(
-    dag, task_id: int, completions: Mapping[int, float]
-) -> float:
-    """max(arrival, latest predecessor completion) given known completions."""
-    by_id = {t.id: t for t in dag.tasks}
-    if task_id not in by_id:
-        raise SimulationError(f"unknown task id {task_id}")
-    preds = dag.predecessors()[task_id]
-    missing = sorted(p for p in preds if p not in completions)
-    if missing:
-        raise SimulationError(
-            f"task {task_id}: predecessor completions unknown for {missing}"
-        )
-    est = by_id[task_id].arrival_time
-    for p in preds:
-        est = max(est, completions[p])
-    return est
-
-
 # ---------------------------------------------------------------------------
 # State and event core
 # ---------------------------------------------------------------------------
@@ -194,21 +175,15 @@ class ResidentSet(Mapping):
 
     @cached_property
     def _totals(self) -> dict[str, np.ndarray]:
-        # Series of mixed lengths have no total; they are summed per slot.
+        # A WorkloadSet gives one resource's profiles one length.
         return {
             d: sum(series, np.zeros(len(series[0]) if series else 1))
             for d, series in self._series.items()
-            if len({len(s) for s in series}) <= 1
         }
 
     def used_at(self, slot: int) -> dict[str, float]:
         """Each resource's summed demand at a slot, in user order."""
-        totals = self._totals
-        return {
-            d: float(totals[d][slot % len(totals[d])] if d in totals
-                     else sum(s[slot % len(s)] for s in series))
-            for d, series in self._series.items()
-        }
+        return {d: float(t[slot % len(t)]) for d, t in self._totals.items()}
 
     def pair_sum(self, resource: str) -> float:
         """Sum over unordered pairs of the resource's series inner products,

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .codec import decode, encode
 from .errors import ConfigurationError, DagValidationError
 
 RESOURCES = ("cpu", "memory", "bandwidth")
@@ -26,6 +27,8 @@ class VmSpec:
     mips is the instruction throughput (million instructions per second),
     memory is in MB, bandwidth in MB/s, storage in GB. Cost rates are charged
     per second of instruction execution and per second of data transfer.
+    The simulator runs each VM on one core, so cpu_count must be 1; memory
+    and storage are stored but not read by the simulator.
     """
 
     id: int
@@ -41,8 +44,8 @@ class VmSpec:
         for name in ("mips", "memory", "bandwidth", "storage"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"vm {self.id}: {name} must be positive")
-        if self.cpu_count < 1:
-            raise ConfigurationError(f"vm {self.id}: cpu_count must be >= 1")
+        if self.cpu_count != 1:
+            raise ConfigurationError(f"vm {self.id}: cpu_count must be 1")
         if self.instr_cost_rate < 0 or self.bw_cost_rate < 0:
             raise ConfigurationError(f"vm {self.id}: cost rates must be >= 0")
 
@@ -197,6 +200,12 @@ class WorkloadSet:
             raise ConfigurationError(
                 f"profiles reference users with no tasks: {orphan}"
             )
+        # Co-resident series are summed slot by slot, so one resource's
+        # profiles must share one length.
+        for d in RESOURCES:
+            lengths = sorted({len(p.series) for p in self.profiles if p.resource == d})
+            if len(lengths) > 1:
+                raise ConfigurationError(f"{d} profiles differ in length: {lengths} slots")
 
     @classmethod
     def from_tasks(
@@ -359,96 +368,57 @@ def generate_profiles(
 
 
 # ---------------------------------------------------------------------------
-# Workload files (JSON). Unknown keys are rejected everywhere.
+# Workload files (JSON), read and written through the codec
 # ---------------------------------------------------------------------------
 
-_VM_KEYS = {
-    "id", "cpu_count", "mips", "memory", "bandwidth", "storage",
-    "instr_cost_rate", "bw_cost_rate",
-}
-_TASK_KEYS = {
-    "id", "user_id", "length", "input_size", "output_size", "arrival_time", "deadline",
-}
-_DAG_KEYS = {"tasks", "edges"}
-_PROFILE_KEYS = {"user_id", "resource", "series"}
-_TOP_KEYS = {"vms", "tasks", "dags", "profiles"}
+@dataclass(frozen=True)
+class _Dag:
+    tasks: tuple[Task, ...]
+    edges: tuple[tuple[int, int], ...] = ()
 
 
-def _check_keys(obj: Mapping, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigurationError(f"unknown key {unknown[0]!r} in {where}")
+@dataclass(frozen=True)
+class _WorkloadFile:
+    """The file's shape: vms, exactly one of tasks or dags, and profiles."""
 
+    vms: tuple[VmSpec, ...]
+    tasks: tuple[Task, ...] | None = None
+    dags: tuple[_Dag, ...] | None = None
+    profiles: tuple[UsageProfile, ...] = ()
 
-def _build(cls: Callable, obj: Mapping, allowed: set[str], where: str):
-    _check_keys(obj, allowed, where)
-    return cls(**obj)
+    def __post_init__(self):
+        if (self.tasks is None) == (self.dags is None):
+            raise ConfigurationError("needs exactly one of 'tasks' or 'dags'")
 
 
 def load_workload(path: str) -> WorkloadSet:
     """Read a workload file; see docs/formats.md for the schema."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigurationError("workload file must hold a JSON object")
-    _check_keys(doc, _TOP_KEYS, "workload file")
-    if "vms" not in doc:
-        raise ConfigurationError("workload file is missing 'vms'")
-    if ("tasks" in doc) == ("dags" in doc):
-        raise ConfigurationError("workload file needs exactly one of 'tasks' or 'dags'")
-    vms = [_build(VmSpec, v, _VM_KEYS, "vm entry") for v in doc["vms"]]
-    if "tasks" in doc:
-        tasks = [_build(Task, t, _TASK_KEYS, "task entry") for t in doc["tasks"]]
-        dag = DagWorkflow(tasks, [])
-    else:
-        all_tasks: list[Task] = []
-        all_edges: list[tuple[int, int]] = []
-        for entry in doc["dags"]:
-            _check_keys(entry, _DAG_KEYS, "dag entry")
-            all_tasks.extend(
-                _build(Task, t, _TASK_KEYS, "task entry") for t in entry["tasks"]
-            )
-            all_edges.extend((int(a), int(b)) for a, b in entry.get("edges", []))
-        dag = DagWorkflow(all_tasks, all_edges)
-    profiles = [
-        _build(UsageProfile, p, _PROFILE_KEYS, "profile entry")
-        for p in doc.get("profiles", [])
-    ]
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"workload file {path} is not valid JSON: {exc}") from exc
+    doc = decode(_WorkloadFile, data, "workload file")
+    dags = doc.dags if doc.tasks is None else (_Dag(doc.tasks),)
+    dag = DagWorkflow(
+        [t for d in dags for t in d.tasks], [e for d in dags for e in d.edges]
+    )
     result = validate_dag(dag)
     if not result.ok:
         raise DagValidationError(f"workload dag contains a cycle: {result.cycle}")
-    return WorkloadSet(vms, dag, profiles)
+    return WorkloadSet(list(doc.vms), dag, list(doc.profiles))
 
 
 def save_workload(workload: WorkloadSet, path: str) -> None:
     """Write a workload file readable by load_workload."""
-    doc: dict = {
-        "vms": [
-            {
-                "id": v.id, "cpu_count": v.cpu_count, "mips": v.mips,
-                "memory": v.memory, "bandwidth": v.bandwidth, "storage": v.storage,
-                "instr_cost_rate": v.instr_cost_rate, "bw_cost_rate": v.bw_cost_rate,
-            }
-            for v in workload.vms
-        ]
-    }
-    task_objs = [
-        {
-            "id": t.id, "user_id": t.user_id, "length": t.length,
-            "input_size": t.input_size, "output_size": t.output_size,
-            "arrival_time": t.arrival_time, "deadline": t.deadline,
-        }
-        for t in workload.dag.tasks
-    ]
+    doc = {"vms": encode(workload.vms)}
+    tasks = encode(workload.dag.tasks)
     if workload.dag.edges:
-        doc["dags"] = [{"tasks": task_objs, "edges": [list(e) for e in workload.dag.edges]}]
+        doc["dags"] = [{"tasks": tasks, "edges": encode(workload.dag.edges)}]
     else:
-        doc["tasks"] = task_objs
+        doc["tasks"] = tasks
     if workload.profiles:
-        doc["profiles"] = [
-            {"user_id": p.user_id, "resource": p.resource, "series": [float(x) for x in p.series]}
-            for p in workload.profiles
-        ]
+        doc["profiles"] = encode(workload.profiles)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

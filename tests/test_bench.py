@@ -3,8 +3,11 @@
 import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudsched.bench import (
     DELTA_COLUMNS,
@@ -38,6 +41,7 @@ from cloudsched.policy import (
     observation_size,
     save_policy,
 )
+from cloudsched.workload import load_workload
 
 FAST_SA_PARAMS = {
     "initial_temp": 0.02,
@@ -93,6 +97,92 @@ def test_unknown_keys_are_rejected_everywhere():
     ):
         with pytest.raises(ConfigurationError, match="bogus"):
             config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        ([1], "experiment config must be a JSON object"),
+        ({"workload": [1]}, "experiment config.workload must be a JSON object"),
+        ({"seeds": 3}, "experiment config.seeds must be a list"),
+        ({"schedulers": "eft"}, "experiment config.schedulers must be a list"),
+        ({"schedulers": [3]}, "experiment config.schedulers[0] must be a JSON object"),
+        ({"schedulers": [{"algorithm": "eft"}]}, "experiment config.schedulers[0].name is required"),
+        ({"schedulers": [{"name": "sa", "params": []}]}, "experiment config.schedulers[0].params must"),
+        (
+            {"schedulers": [{"name": "sa", "params": {"steps_per_temp": 1.5}}]},
+            "experiment config.schedulers[0]: bad params for 'sa': params.steps_per_temp",
+        ),
+        ({"workload": {"mean_interarrival": "0.3"}}, "experiment config.workload.mean_interarrival"),
+        ({"workload": {"length_range": [1]}}, "experiment config.workload.length_range must"),
+        ({"workload": {"length_range": [1, "x"]}}, "experiment config.workload.length_range[1]"),
+        ({"seeds": [1.5]}, "experiment config.seeds[0] must be an integer"),
+        ({"seeds": [-1]}, "experiment config: seeds must be >= 0"),
+        ({"sweep": {"start": True}}, "experiment config.sweep.start must be an integer"),
+        ({"weights": {"time": True}}, "experiment config.weights.time must be a number"),
+        ({"weights": {"time": 0.9}}, "experiment config.weights: weights must sum to 1"),
+        ({"vms": {"mips": "fast"}}, "experiment config.vms.mips must be a number"),
+        ({"vms": {"mips": -1}}, "experiment config.vms: vm 0: mips must be positive"),
+        ({"vms": {"mips": 10**400}}, "experiment config.vms.mips must be a finite number"),
+        ({"weights": {"time": math.nan}}, "experiment config.weights.time must be a finite"),
+        ({"workload": {"length_range": [1, math.inf]}}, "experiment config.workload.length_range[1]"),
+        ({"vms": {"cpu_count": 2}}, "experiment config.vms: vm 0: cpu_count must be 1"),
+        ({"train": {"machine_mips": [1000.0, 0]}}, "experiment config.train: vm 1: mips"),
+        ({"output_dir": 5}, "experiment config.output_dir must be a string"),
+    ],
+)
+def test_malformed_config_fails_naming_its_field(data, path):
+    with pytest.raises(ConfigurationError) as exc:
+        config_from_dict(data)
+    assert path in str(exc.value)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["name", "params", "mips", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_json_fails_only_with_configuration_errors(data):
+    # Swap one value of the default config, at any depth, for random JSON.
+    doc = config_to_dict(default_config())
+    node, key = doc, data.draw(st.sampled_from(sorted(doc)))
+    while isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+        node = node[key]
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    node[key] = data.draw(_JSON)
+    try:
+        config_from_dict(doc)
+    except ConfigurationError:
+        pass
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+
+
+def test_format_examples_load(tmp_path):
+    # Every JSON example in docs/formats.md loads through the reader its
+    # section documents, so the docs cannot drift from the codec.
+    loaded = []
+    for section in DOCS.read_text().split("\n## ")[1:]:
+        title = section.splitlines()[0]
+        for i, block in enumerate(section.split("```json\n")[1:]):
+            text = block.split("```")[0]
+            if title == "Workload JSON":
+                path = tmp_path / f"workload-{i}.json"
+                path.write_text(text)
+                loaded.append(load_workload(str(path)))
+            else:
+                assert title == "Experiment config JSON"
+                loaded.append(config_from_dict(json.loads(text)))
+    assert [type(x).__name__ for x in loaded] == ["WorkloadSet", "WorkloadSet", "ExperimentConfig"]
+    assert loaded[2] == default_config()
+    # The example writes [2850, 3150]; JSON integers in float fields are floats.
+    assert all(type(x) is float for x in loaded[2].workload.length_range)
 
 
 def test_scheduler_string_shorthand():

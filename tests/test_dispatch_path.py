@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudsched import rewards
+from cloudsched.errors import ConfigurationError
 from cloudsched.rewards import (
     RewardBreakdown,
     RewardConfig,
@@ -152,10 +153,10 @@ def old_scan_overuse(trace, workload):
 # Random profiled workloads and episodes
 # ---------------------------------------------------------------------------
 
-def profiled_workload(rng, equal_lengths=True, max_nodes=14):
+def profiled_workload(rng, max_nodes=14):
     """Random DAG on 1-4 heterogeneous machines whose users carry usage
-    profiles; with equal_lengths every profile of one resource shares a
-    length, as competition_penalty requires of co-resident series."""
+    profiles; every profile of one resource shares a length, as WorkloadSet
+    requires, and lengths differ across resources."""
     n = int(rng.integers(2, max_nodes + 1))
     n_users = int(rng.integers(1, 7))
     tasks = [
@@ -177,8 +178,7 @@ def profiled_workload(rng, equal_lengths=True, max_nodes=14):
     for u in sorted({t.user_id for t in tasks}):
         for d in RESOURCES:
             if rng.random() < 0.8:
-                size = lengths[d] if equal_lengths else int(rng.integers(1, 9))
-                profiles.append(UsageProfile(u, d, rng.uniform(0.0, 0.8, size)))
+                profiles.append(UsageProfile(u, d, rng.uniform(0.0, 0.8, lengths[d])))
     return WorkloadSet(vms, DagWorkflow(tasks, edges), profiles)
 
 
@@ -229,20 +229,21 @@ def test_cached_snapshots_equal_the_per_step_snapshot():
     assert steps > 1000
 
 
-def test_cached_snapshots_with_mixed_profile_lengths():
-    # Co-resident series of unequal length cannot be scored for competition,
-    # but their summed demand (the per-slot path) and the overuse scan must
-    # match the old snapshot.
-    rng = np.random.default_rng(901)
-    cfg = RewardConfig(resources=())
-    fired = 0
-    for _ in range(80):
-        wl = profiled_workload(rng, equal_lengths=False)
-        for state, inputs in random_episode(rng, wl):
-            assert_same_inputs(inputs, old_snapshot(state, inputs.new_overuse))
-            assert total_reward(inputs, cfg) == old_breakdown(inputs, cfg).total
-        fired += len(state.overuse_events)
-    assert fired > 0
+def test_mixed_profile_lengths_are_rejected():
+    # One VM and two users whose cpu profiles have 24 and 48 slots: their
+    # demand has no slot-by-slot sum, so the workload is rejected when it is
+    # built rather than crashing the competition reward mid-episode.
+    tasks = [Task(id=u, user_id=u) for u in (0, 1)]
+    cpu = [UsageProfile(0, "cpu", np.full(24, 0.3)), UsageProfile(1, "cpu", np.full(48, 0.3))]
+    with pytest.raises(ConfigurationError, match=r"cpu profiles differ in length: \[24, 48\]"):
+        WorkloadSet([vm(0)], DagWorkflow(tasks, []), cpu)
+    # Lengths may differ across resources.
+    memory = UsageProfile(1, "memory", np.full(48, 0.3))
+    state = init_state(WorkloadSet([vm(0)], DagWorkflow(tasks, []), [cpu[0], memory]))
+    for tid in (0, 1):
+        state, inputs = step(state, (tid, 0))
+    assert inputs.machines[0].used == {"cpu": 0.3, "memory": 0.3, "bandwidth": 0.0}
+    assert total_reward(inputs, RewardConfig()) == old_breakdown(inputs, RewardConfig()).total
 
 
 def test_one_slot_profiles_keep_the_sequential_sum():
@@ -310,7 +311,7 @@ def test_overuse_scan_equals_the_slot_filter():
     rng = np.random.default_rng(906)
     fired = 0
     for k in range(150):
-        wl = profiled_workload(rng, equal_lengths=bool(k % 2))
+        wl = profiled_workload(rng)
         one_vm = k % 3 == 0  # every task piles onto one machine
         picks = [0 if one_vm else int(rng.integers(len(wl.vms))) for _ in wl.tasks]
         assignment = {t.id: wl.vms[j].id for t, j in zip(wl.tasks, picks)}
@@ -330,7 +331,7 @@ def test_overuse_scan_equals_the_slot_filter():
 def test_usage_series_equal_the_slot_loop():
     rng = np.random.default_rng(903)
     for k in range(120):
-        wl = profiled_workload(rng, equal_lengths=bool(k % 2))
+        wl = profiled_workload(rng)
         if k % 3:
             assignment = {t.id: wl.vms[int(rng.integers(len(wl.vms)))].id for t in wl.tasks}
             trace = run_simulation(wl, assignment)

@@ -205,6 +205,9 @@ def test_qos_ranking_invariant_to_affine_rescaling():
 def test_degenerate_pool_scores_zero_axes():
     raws = [RawQos(5.0, 1.0, 1.0), RawQos(5.0, 1.0, 1.0)]
     assert qos_scores(raws, QosWeights()) == [0.0, 0.0]
+    # A tied cost axis scores 0 while the time axis still spreads.
+    raws = [RawQos(10.0, 0.1, 1.0), RawQos(20.0, 0.1, 1.0)]
+    assert qos_scores(raws, QosWeights(time=0.5, cost=0.3, reliability=0.2)) == [0.0, 0.5]
 
 
 def test_weights_must_sum_to_one():

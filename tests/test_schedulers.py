@@ -22,7 +22,6 @@ from cloudsched.schedulers import (
     as_workload,
     brute_force_schedule,
     eft_schedule,
-    fitness,
     gaaco_schedule,
     sa_accept,
     sa_schedule,
@@ -67,42 +66,8 @@ FAST_SA = SaParams(initial_temp=0.02, cooling_rate=0.9, steps_per_temp=30, min_t
 
 
 # ---------------------------------------------------------------------------
-# fitness
+# Inputs
 # ---------------------------------------------------------------------------
-
-def test_singleton_fitness_reduces_to_reliability_share():
-    wl = flat_workload([1000.0])
-    scores = fitness([{0: 0}], wl)
-    assert scores == [pytest.approx(0.0)]  # no deadlines, so 0.2 * (1 - 1)
-
-
-def test_fitness_isolates_the_time_axis_when_costs_tie():
-    # One 10000 MI task; the slow machine halves the cost rate so both
-    # placements cost the same but take 10 s vs 20 s.
-    wl = WorkloadSet.from_tasks(
-        [
-            VmSpec(id=0, mips=1000.0, instr_cost_rate=0.01),
-            VmSpec(id=1, mips=500.0, instr_cost_rate=0.005),
-        ],
-        [task(0, length=10000.0)],
-    )
-    scores = fitness([{0: 0}, {0: 1}], wl, QosWeights(time=0.5, cost=0.3, reliability=0.2))
-    assert scores[0] == pytest.approx(0.0)
-    assert scores[1] == pytest.approx(0.5)
-
-
-def test_pure_time_weights_agree_with_makespan_ranking():
-    wl = WorkloadSet.from_tasks(
-        [VmSpec(id=0, mips=1000.0), VmSpec(id=1, mips=250.0)],
-        [task(0, length=4000.0)],
-    )
-    weights = QosWeights(time=1.0, cost=0.0, reliability=0.0)
-    candidates = [{0: 0}, {0: 1}]
-    scores = fitness(candidates, wl, weights)
-    best = candidates[int(np.argmin(scores))]
-    oracle = brute_force_schedule(wl, objective="makespan")
-    assert best == oracle
-
 
 def test_as_workload_requires_vms_for_raw_tasks():
     with pytest.raises(ConfigurationError):

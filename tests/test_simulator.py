@@ -9,7 +9,6 @@ from cloudsched.errors import DagValidationError, SimulationError
 from cloudsched.simulator import (
     TASK_CSV_COLUMNS,
     USAGE_CSV_COLUMNS,
-    earliest_start_time,
     init_state,
     machine_usage_series,
     replay_assignment,
@@ -80,36 +79,24 @@ def test_fifo_queueing_and_wait_accounting():
 
 
 # ---------------------------------------------------------------------------
-# earliest_start_time
+# Ready times: max(arrival, latest predecessor completion)
 # ---------------------------------------------------------------------------
 
 def test_earliest_start_without_predecessors_is_arrival():
-    dag = DagWorkflow([task(0, arrival=3.0)], [])
-    assert earliest_start_time(dag, 0, {}) == 3.0
+    wl = WorkloadSet.from_tasks([vm(0)], [task(0, arrival=3.0)])
+    assert run_simulation(wl, {0: 0}).records[0].ready_time == 3.0
 
 
 def test_earliest_start_takes_the_latest_predecessor():
-    tasks = [task(1), task(2), task(3)]
-    dag = DagWorkflow(tasks, [(1, 3), (2, 3)])
-    assert earliest_start_time(dag, 3, {1: 2.0, 2: 5.0}) == 5.0
+    tasks = [task(1, length=2000.0), task(2, length=5000.0), task(3)]
+    wl = WorkloadSet([vm(0), vm(1), vm(2)], DagWorkflow(tasks, [(1, 3), (2, 3)]))
+    assert run_simulation(wl, {1: 0, 2: 1, 3: 2}).records[3].ready_time == 5.0
 
 
 def test_earliest_start_arrival_can_dominate():
     tasks = [task(1), task(2, arrival=4.0)]
-    dag = DagWorkflow(tasks, [(1, 2)])
-    assert earliest_start_time(dag, 2, {1: 1.0}) == 4.0
-
-
-def test_earliest_start_unknown_task_raises():
-    dag = DagWorkflow([task(0)], [])
-    with pytest.raises(SimulationError):
-        earliest_start_time(dag, 99, {})
-
-
-def test_earliest_start_missing_predecessor_completion_raises():
-    dag = DagWorkflow([task(1), task(2)], [(1, 2)])
-    with pytest.raises(SimulationError):
-        earliest_start_time(dag, 2, {})
+    wl = WorkloadSet([vm(0), vm(1)], DagWorkflow(tasks, [(1, 2)]))
+    assert run_simulation(wl, {1: 0, 2: 1}).records[2].ready_time == 4.0
 
 
 # ---------------------------------------------------------------------------

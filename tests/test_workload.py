@@ -268,22 +268,82 @@ def test_profiles_for_unknown_users_rejected():
 
 
 def test_save_load_roundtrip(tmp_path):
-    tasks = [task(i, length=1000.0 + i, user_id=i % 2) for i in range(4)]
+    tasks = [task(i, length=1000.0 + i / 3, user_id=i % 2, deadline=50.0 + i) for i in range(4)]
+    tasks[1] = task(1, length=0.1 + 0.2, user_id=1)
     wl = WorkloadSet(
-        [vm(0), vm(1, mips=500.0)],
+        [vm(0), vm(1, mips=500.0, bw_cost_rate=0.3)],
         DagWorkflow(tasks, [(0, 2), (1, 3)]),
-        generate_profiles(2, horizon=6, seed=1),
+        generate_profiles(2, horizon=6, seed=1, noise=0.1),
     )
     path = tmp_path / "wl.json"
     save_workload(wl, str(path))
     back = load_workload(str(path))
     assert back.vms == wl.vms
     assert back.dag.tasks == wl.dag.tasks
-    assert [tuple(e) for e in back.dag.edges] == wl.dag.edges
+    assert back.dag.edges == wl.dag.edges
     assert len(back.profiles) == len(wl.profiles)
     for pa, pb in zip(back.profiles, wl.profiles):
         assert pa.user_id == pb.user_id and pa.resource == pb.resource
-        assert np.allclose(pa.series, pb.series)
+        assert np.array_equal(pa.series, pb.series)
+    save_workload(back, str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+_VM = {"id": 0}
+_TASK = {"id": 0}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ("{not json", "is not valid JSON"),
+        ([], "workload file must be a JSON object"),
+        ({"vms": [_VM], "tasks": [_TASK], "extra": {}}, "unknown key 'extra' in workload file"),
+        ({"vms": _VM, "tasks": [_TASK]}, "workload file.vms must be a list"),
+        ({"vms": [{"mips": 1}], "tasks": [_TASK]}, "workload file.vms[0].id is required"),
+        ({"vms": [{"id": 0, "ram": 1}], "tasks": [_TASK]}, "unknown key 'ram' in workload file.vms[0]"),
+        ({"vms": [{"id": 0, "mips": True}], "tasks": [_TASK]}, "workload file.vms[0].mips must be a number"),
+        ({"vms": [{"id": 0, "cpu_count": 4}], "tasks": [_TASK]}, "workload file.vms[0]: vm 0: cpu_count"),
+        ({"vms": [_VM], "tasks": [{"id": 1.5}]}, "workload file.tasks[0].id must be an integer"),
+        ({"vms": [_VM], "tasks": [{"id": 0, "length": "9"}]}, "workload file.tasks[0].length must be"),
+        ({"vms": [_VM], "tasks": [{"id": 0, "deadline": "x"}]}, "workload file.tasks[0].deadline must"),
+        ('{"vms": [{"id": 0}], "tasks": [{"id": 0, "length": Infinity}]}', "tasks[0].length must be a finite"),
+        ({"vms": [_VM]}, "workload file: needs exactly one of 'tasks' or 'dags'"),
+        ({"vms": [_VM], "tasks": [_TASK], "dags": []}, "workload file: needs exactly one"),
+        ({"vms": [_VM], "dags": [{"edges": []}]}, "workload file.dags[0].tasks is required"),
+        ({"vms": [_VM], "dags": {"tasks": [_TASK]}}, "workload file.dags must be a list"),
+        (
+            {"vms": [_VM], "dags": [{"tasks": [_TASK, {"id": 1}], "edges": [[0]]}]},
+            "workload file.dags[0].edges[0] must be a list of 2 items",
+        ),
+        (
+            {"vms": [_VM], "tasks": [_TASK], "profiles": [{"user_id": 0, "resource": "cpu"}]},
+            "workload file.profiles[0].series is required",
+        ),
+        (
+            {"vms": [_VM], "tasks": [_TASK],
+             "profiles": [{"user_id": 0, "resource": "cpu", "series": [0.5, "x"]}]},
+            "workload file.profiles[0].series[1] must be a number",
+        ),
+        (
+            {"vms": [_VM], "tasks": [_TASK],
+             "profiles": [{"user_id": 0, "resource": "cpu", "series": [1.5]}]},
+            "workload file.profiles[0]: profile entries must lie in [0, 1]",
+        ),
+        (
+            {"vms": [_VM], "tasks": [_TASK, {"id": 1, "user_id": 1}],
+             "profiles": [{"user_id": 0, "resource": "cpu", "series": [0.5] * 24},
+                          {"user_id": 1, "resource": "cpu", "series": [0.5] * 48}]},
+            "cpu profiles differ in length: [24, 48] slots",
+        ),
+    ],
+)
+def test_malformed_workload_fails_naming_its_field(tmp_path, doc, path):
+    file = tmp_path / "wl.json"
+    file.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(ConfigurationError) as exc:
+        load_workload(str(file))
+    assert path in str(exc.value)
 
 
 def test_load_rejects_unknown_top_level_keys(tmp_path):
