@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InstanceTooLargeError
-from .metrics import QosWeights, RawQos, qos_scores
+from .metrics import QosWeights, RawQos, qos_scores, raw_qos  # noqa: F401 (perfbench traces raw_qos here)
 from .simulator import Assignment, SimTrace, run_simulation, _service_times
 from .workload import DagWorkflow, Task, VmSpec, WorkloadSet, validate_dag
 
