@@ -14,12 +14,15 @@ Each figure is the median of --repeats runs (at least 5):
 
 Usage, from the root of a checkout:
 
-    python3 scripts/perf.py --label change [--src src] [--out BENCH_5.json]
+    python3 scripts/perf.py --src parent=../parent/src --src change=src --out BENCH_7.json
 
---src picks the cloudsched sources to time, so one copy of this script can
-time two checkouts. The results go under --label in --out, next to any
-labels the file already holds, with the machine, Python and numpy versions.
-Only the standard library and numpy are used.
+Each --src names one label and the directory holding the cloudsched package
+to time under it. A repeat runs every label once, each in a fresh Python
+process that measures every figure once; the label that goes first
+alternates from one repeat to the next, so a drift in the host's speed lands
+on all labels alike rather than between them. The medians go under each
+label in --out, next to any labels the file already holds, with the machine,
+Python and numpy versions. Only the standard library and numpy are used.
 """
 
 import argparse
@@ -27,13 +30,13 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ("flat", "diurnal", "spike")
 FLEET = ((1050.0, 1000.0), (1000.0, 1250.0), (950.0, 800.0), (900.0, 1000.0))  # (mips, bandwidth)
 
@@ -93,18 +96,9 @@ def steps_per_s(pol, rw, workloads) -> float:
     return steps / spent
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key for these results, e.g. parent or change")
-    ap.add_argument(
-        "--src", default=str(ROOT / "src"), help="directory holding the cloudsched package"
-    )
-    ap.add_argument("--out", default=str(ROOT / "BENCH_5.json"))
-    ap.add_argument("--repeats", type=int, default=5)
-    args = ap.parse_args()
-    if args.repeats < 5:
-        ap.error("--repeats must be at least 5")
-    sys.path.insert(0, os.path.abspath(args.src))
+def measure(src: str) -> dict[str, float]:
+    """One run of every figure against the cloudsched package in src."""
+    sys.path.insert(0, os.path.abspath(src))
     import cloudsched.policy as pol
     import cloudsched.rewards as rw
     import cloudsched.simulator as sim
@@ -112,37 +106,73 @@ def main() -> int:
 
     results = {}
     for users in (30, 60):
-        profiles = profiles_for(wk, users)
-        runs = [time_kmeans(rw, profiles) for _ in range(args.repeats)]
-        results[f"kmeans_dtw_{users}users_s"] = statistics.median(runs)
+        results[f"kmeans_dtw_{users}users_s"] = time_kmeans(rw, profiles_for(wk, users))
     profiles = profiles_for(wk, 30)
     workloads = [deployment(wk, profiles, seed) for seed in range(1, 6)]
-    runs = [steps_per_s(pol, rw, workloads) for _ in range(args.repeats)]
-    results["env_step_per_s"] = statistics.median(runs)
+    results["env_step_per_s"] = steps_per_s(pol, rw, workloads)
     wl = workloads[0]
     trace = sim.run_simulation(wl, {t.id: wl.vms[0].id for t in wl.tasks})
-    usage = []
+    t0 = time.perf_counter()
+    sim.machine_usage_series(trace, wl)
+    results["usage_series_100tasks_s"] = time.perf_counter() - t0
+    return results
+
+
+def label_path(text: str) -> tuple[str, str]:
+    label, sep, path = text.partition("=")
+    if not sep or not label or not path:
+        raise argparse.ArgumentTypeError(f"expected LABEL=PATH, got {text!r}")
+    if not (Path(path) / "cloudsched").is_dir():
+        raise argparse.ArgumentTypeError(f"no cloudsched package under {path!r}")
+    return label, path
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument(
+        "--src", type=label_path, action="append", metavar="LABEL=PATH",
+        help="time the cloudsched package under PATH as LABEL; give once per label",
+    )
+    ap.add_argument("--out", help="JSON file to add the labels to")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--measure", help=argparse.SUPPRESS)  # child process: one run of src
+    args = ap.parse_args()
+    if args.measure:
+        print(json.dumps(measure(args.measure)))
+        return 0
+    if not args.src or not args.out:
+        ap.error("--src and --out are required")
+    labels = dict(args.src)
+    if len(labels) != len(args.src):
+        ap.error("each --src label must be unique")
+    if args.repeats < 5:
+        ap.error("--repeats must be at least 5")
+
+    runs: dict[str, list[dict[str, float]]] = {label: [] for label in labels}
+    order = list(labels)
     for _ in range(args.repeats):
-        t0 = time.perf_counter()
-        sim.machine_usage_series(trace, wl)
-        usage.append(time.perf_counter() - t0)
-    results["usage_series_100tasks_s"] = statistics.median(usage)
+        for label in order:
+            child = subprocess.run(
+                [sys.executable, __file__, "--measure", labels[label]],
+                capture_output=True, text=True, check=True,
+            )
+            runs[label].append(json.loads(child.stdout))
+        order.reverse()
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc[args.label] = {
-        "machine": {
-            "cpu": cpu_model(),
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "repeats": args.repeats,
-        "results": results,
+    machine = {
+        "cpu": cpu_model(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
+    for label, label_runs in runs.items():
+        results = {name: statistics.median(r[name] for r in label_runs) for name in label_runs[0]}
+        doc[label] = {"machine": machine, "repeats": args.repeats, "results": results}
+        for name, value in results.items():
+            print(f"{label:10s} {name:28s} {value:.6g}")
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for name, value in results.items():
-        print(f"{name:28s} {value:.6g}")
     return 0
 
 

@@ -373,20 +373,14 @@ def _policy_trace(spec: SchedulerSpec, config: ExperimentConfig, workload: Workl
 
 def _cell_trace(spec: SchedulerSpec, config: ExperimentConfig, workload: WorkloadSet, seed: int):
     """Run one scheduler on one workload and simulate its assignment."""
-    params = spec.build_params()
     if spec.algorithm == "eft":
         return run_simulation(workload, eft_schedule(workload))
-    if spec.algorithm == "gaaco":
+    # Looked up per call, so a search rebound on this module is the one that runs.
+    search = {"gaaco": gaaco_schedule, "aco": aco_schedule, "sa": sa_schedule}.get(spec.algorithm)
+    if search is not None:
+        params = spec.build_params()
         return run_simulation(
-            workload, gaaco_schedule(workload, params=params, seed=seed, weights=config.weights)
-        )
-    if spec.algorithm == "aco":
-        return run_simulation(
-            workload, aco_schedule(workload, params=params, seed=seed, weights=config.weights)
-        )
-    if spec.algorithm == "sa":
-        return run_simulation(
-            workload, sa_schedule(workload, params=params, seed=seed, weights=config.weights)
+            workload, search(workload, params=params, seed=seed, weights=config.weights)
         )
     if spec.algorithm == "policy":
         return _policy_trace(spec, config, workload)

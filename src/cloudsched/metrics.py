@@ -24,7 +24,7 @@ class QosWeights:
 
     def __post_init__(self):
         for name in ("time", "cost", "reliability"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # also false for NaN
                 raise ConfigurationError(f"weight {name} must be >= 0")
         total = self.time + self.cost + self.reliability
         if abs(total - 1.0) > 1e-9:

@@ -25,6 +25,13 @@ from .simulator import SimState, init_state, step
 from .workload import WorkloadSet
 
 _INIT_SCALE = 0.05
+_DIVERGENCE_BOUND = 1e3  # mean |theta| above which training is reported as diverged
+_STEP_CAP_FACTOR = 10  # an episode ends after this many steps per task
+# Normalization references for the ready-slot and queue features.
+_LENGTH_SCALE = 5000.0
+_SIZE_SCALE = 200.0
+_WAIT_SCALE = 10.0
+_QUEUE_SCALE = 50.0
 
 
 @dataclass
@@ -153,10 +160,9 @@ class TrainConfig:
     seed: int = 0
     baseline: str = "mean-return"
     hidden: int = 16
-    divergence_bound: float = 1e3
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:  # also false for NaN
             raise ConfigurationError("alpha must be positive")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigurationError("gamma must lie in (0, 1]")
@@ -168,8 +174,6 @@ class TrainConfig:
             raise ConfigurationError("baseline must be 'none' or 'mean-return'")
         if self.hidden < 1:
             raise ConfigurationError("hidden width must be >= 1")
-        if self.divergence_bound <= 0:
-            raise ConfigurationError("divergence_bound must be positive")
 
 
 def _log_policy_grad(
@@ -235,23 +239,7 @@ def reinforce_update(
 # State encoding and the scheduling environment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EncoderScales:
-    """Normalization references for state features."""
-
-    length: float = 5000.0
-    size: float = 200.0
-    wait: float = 10.0
-    queue: float = 50.0
-
-
-def encode_state(
-    state: SimState,
-    lookahead: int = 3,
-    *,
-    ready_slots: int = 5,
-    scales: EncoderScales = EncoderScales(),
-) -> np.ndarray:
+def encode_state(state: SimState, lookahead: int = 3, *, ready_slots: int = 5) -> np.ndarray:
     """Fixed-size encoding of machine backlogs and the head of the queue.
 
     Per machine: `lookahead` slot-occupancy values (1 while the backlog of
@@ -265,23 +253,21 @@ def encode_state(
     feats: list[float] = []
     for machine in state.machines:
         backlog = max(0.0, machine.busy_until - state.clock) if machine.running is not None else 0.0
-        for tid in machine.queue:
-            task = state.tasks[tid]
-            transfer = (task.input_size + task.output_size) / machine.spec.bandwidth
-            backlog += transfer + task.length / machine.spec.mips
+        for _, service in machine.queue:
+            backlog += service
         for slot in range(lookahead):
             feats.append(min(1.0, max(0.0, backlog - slot)))
     for slot in range(ready_slots):
         if slot < len(state.ready):
             task = state.tasks[state.ready[slot]]
-            feats.append(min(1.0, task.length / scales.length))
-            feats.append(min(1.0, task.input_size / scales.size))
-            feats.append(min(1.0, task.output_size / scales.size))
+            feats.append(min(1.0, task.length / _LENGTH_SCALE))
+            feats.append(min(1.0, task.input_size / _SIZE_SCALE))
+            feats.append(min(1.0, task.output_size / _SIZE_SCALE))
             waited = state.clock - state.ready_times[task.id]
-            feats.append(min(1.0, max(0.0, waited) / scales.wait))
+            feats.append(min(1.0, max(0.0, waited) / _WAIT_SCALE))
         else:
             feats.extend([0.0, 0.0, 0.0, 0.0])
-    feats.append(min(1.0, state.waiting_count() / scales.queue))
+    feats.append(min(1.0, state.waiting_count() / _QUEUE_SCALE))
     return np.asarray(feats)
 
 
@@ -293,17 +279,12 @@ def action_count(n_machines: int, ready_slots: int = 5) -> int:
     return ready_slots * n_machines + 1
 
 
-def valid_actions(
-    state: SimState, ready_slots: int = 5, max_queue: int | None = None
-) -> np.ndarray:
-    """Mask over (ready slot, machine) pairs plus the always-valid no-op."""
+def valid_actions(state: SimState, ready_slots: int = 5) -> np.ndarray:
+    """Mask over (ready slot, machine) pairs plus the always-valid no-op:
+    every machine is open to every occupied ready slot."""
     n_machines = len(state.machines)
     mask = np.zeros(action_count(n_machines, ready_slots), dtype=bool)
-    for slot in range(min(ready_slots, len(state.ready))):
-        for j, machine in enumerate(state.machines):
-            if max_queue is not None and len(machine.queue) >= max_queue:
-                continue
-            mask[slot * n_machines + j] = True
+    mask[: min(ready_slots, len(state.ready)) * n_machines] = True
     mask[-1] = True  # no-op
     return mask
 
@@ -313,7 +294,7 @@ class SchedulingEnv:
 
     workload_source is either a fixed WorkloadSet or a callable seed ->
     WorkloadSet producing a fresh instance per episode. Episodes end when
-    every task completed or after step_cap_factor * n_tasks steps.
+    every task completed or after _STEP_CAP_FACTOR steps per task.
     """
 
     def __init__(
@@ -323,17 +304,11 @@ class SchedulingEnv:
         *,
         lookahead: int = 3,
         ready_slots: int = 5,
-        step_cap_factor: int = 10,
-        max_queue: int | None = None,
-        scales: EncoderScales = EncoderScales(),
     ):
         self._source = workload_source
         self.reward_config = reward_config
         self.lookahead = lookahead
         self.ready_slots = ready_slots
-        self.step_cap_factor = step_cap_factor
-        self.max_queue = max_queue
-        self.scales = scales
         probe = self._workload_for(0)
         self.n_machines = len(probe.vms)
         self.observation_dim = observation_size(self.n_machines, lookahead, ready_slots)
@@ -354,14 +329,12 @@ class SchedulingEnv:
             raise ConfigurationError("machine count must stay fixed across episodes")
         self._state = init_state(wl)
         self._steps = 0
-        self._cap = max(1, self.step_cap_factor * max(1, len(wl.tasks)))
+        self._cap = _STEP_CAP_FACTOR * max(1, len(wl.tasks))
         return self._observe()
 
     def _observe(self) -> tuple[np.ndarray, np.ndarray]:
-        obs = encode_state(
-            self._state, self.lookahead, ready_slots=self.ready_slots, scales=self.scales
-        )
-        mask = valid_actions(self._state, self.ready_slots, self.max_queue)
+        obs = encode_state(self._state, self.lookahead, ready_slots=self.ready_slots)
+        mask = valid_actions(self._state, self.ready_slots)
         return obs, mask
 
     def decode_action(self, index: int) -> tuple[int, int] | None:
@@ -438,21 +411,13 @@ def train(env: SchedulingEnv, config: TrainConfig = TrainConfig()) -> tuple[Poli
         traj = _rollout(env, theta, rng, episode_seed=episode)
         curve.append(float(sum(traj.rewards)))
         batch.append(traj)
-        if len(batch) >= config.batch_size:
+        if len(batch) >= config.batch_size or episode == config.episodes - 1:
             theta = reinforce_update(theta, batch, config)
             batch = []
-            if theta.mean_abs() > config.divergence_bound:
+            if theta.mean_abs() > _DIVERGENCE_BOUND:
                 raise TrainingError(
-                    f"policy diverged (mean |theta| > {config.divergence_bound}); "
-                    "try a smaller alpha"
+                    f"policy diverged (mean |theta| > {_DIVERGENCE_BOUND}); try a smaller alpha"
                 )
-    if batch:
-        theta = reinforce_update(theta, batch, config)
-        if theta.mean_abs() > config.divergence_bound:
-            raise TrainingError(
-                f"policy diverged (mean |theta| > {config.divergence_bound}); "
-                "try a smaller alpha"
-            )
     return theta, curve
 
 

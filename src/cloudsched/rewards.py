@@ -44,7 +44,7 @@ class RewardConfig:
 
     def __post_init__(self):
         for name in ("k_c", "k_u", "k_o", "k_w"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # also false for NaN
                 raise ConfigurationError(f"{name} must be >= 0")
         bad = [d for d in self.resources if d not in RESOURCES]
         if bad:

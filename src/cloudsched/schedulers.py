@@ -1,10 +1,13 @@
 """Assignment search: greedy, annealing, ant colony and a GA-ACO hybrid.
 
 Every scheduler is a pure function of (inputs, seed): identical calls return
-identical assignments. A candidate's score blends its mean flow time, mean
-money cost and deadline reliability. Search loops do not simulate: they
-score from per-instance tables, with an event walk that reproduces
-raw_qos(run_simulation(...)) bit for bit, or, on instances without
+identical assignments. Each call builds its instance once, as one table
+object: the construction order, the per-(task, machine) service times and
+money, and the earliest-finish-time (EFT) plan, which is the greedy baseline
+and also seeds the reference pool, annealing and the GA. A candidate's score
+blends its mean flow time, mean money cost and deadline reliability. Search
+loops do not simulate: they score from those tables, with an event walk that
+reproduces raw_qos(run_simulation(...)) bit for bit, or, on instances without
 precedence edges, a closed-form per-machine recurrence that agrees with it
 up to the last bits of its sums. They freeze normalization bounds from a
 seeded reference pool (greedy assignment plus random samples) so that the
@@ -19,13 +22,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InstanceTooLargeError
 from .metrics import QosWeights, RawQos, qos_scores, raw_qos  # noqa: F401 (perfbench traces raw_qos here)
-from .simulator import Assignment, SimTrace, run_simulation, _service_times
+from .simulator import SimTrace, run_simulation, _service_times
 from .workload import DagWorkflow, Task, VmSpec, WorkloadSet, validate_dag
 
 _TAU_FLOOR = 1e-3
@@ -36,6 +39,8 @@ _REFERENCE_SAMPLES = 16
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
+# Each range check tests that the valid range fails to hold, so NaN, for
+# which every comparison is false, is rejected too.
 
 @dataclass(frozen=True)
 class GaacoParams:
@@ -62,7 +67,7 @@ class GaacoParams:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
         if not 0.0 < self.rho_max <= 1.0:
             raise ConfigurationError("rho_max must lie in (0, 1]")
-        if self.alpha_max < 0 or self.beta_max < 0 or self.q <= 0:
+        if not (self.alpha_max >= 0 and self.beta_max >= 0 and self.q > 0):
             raise ConfigurationError("alpha_max, beta_max must be >= 0 and q > 0")
 
 
@@ -87,9 +92,9 @@ class AcoParams:
             raise ConfigurationError("ants and iterations must be >= 1")
         if not 0.0 < self.rho <= 1.0:
             raise ConfigurationError("rho must lie in (0, 1]")
-        if self.tau_min <= 0 or self.tau_min > self.tau_max:
+        if not 0 < self.tau_min <= self.tau_max:
             raise ConfigurationError("tau bounds must satisfy 0 < tau_min <= tau_max")
-        if self.alpha < 0 or self.beta < 0 or self.q <= 0:
+        if not (self.alpha >= 0 and self.beta >= 0 and self.q > 0):
             raise ConfigurationError("alpha, beta must be >= 0 and q > 0")
 
 
@@ -107,7 +112,7 @@ class SaParams:
     min_temp: float = 0.0005
 
     def __post_init__(self):
-        if self.initial_temp <= 0 or self.min_temp <= 0:
+        if not (self.initial_temp > 0 and self.min_temp > 0):
             raise ConfigurationError("temperatures must be positive")
         if self.min_temp > self.initial_temp:
             raise ConfigurationError("min_temp cannot exceed initial_temp")
@@ -137,33 +142,53 @@ def as_workload(
     return WorkloadSet.from_tasks(vms, tasks)
 
 
-def _deadline_map(workload: WorkloadSet) -> dict[int, float] | None:
-    dl = {t.id: t.deadline for t in workload.tasks if t.deadline is not None}
-    return dl or None
-
-
 class _Tables:
-    """One instance as lookup tables, rows by task position in construction
-    order and columns by machine position, plus the exact event walk that
-    scores an assignment vector from them."""
+    """One search instance, built once per scheduler call: the construction
+    order, lookup tables with rows by task position in that order and columns
+    by machine position, the earliest-finish-time plan (eft_vec), and the
+    exact event walk that scores an assignment vector from the tables."""
 
     def __init__(self, workload: WorkloadSet):
-        self.workload = workload
-        self.task_ids = _construction_order(workload)
+        if not workload.tasks:
+            raise ConfigurationError("scheduling needs at least one task")
+        if not workload.vms:
+            raise ConfigurationError("scheduling needs at least one machine")
+        dag = workload.dag
+        check = validate_dag(dag)
+        if not check.ok:
+            raise ConfigurationError(f"dag contains a cycle: {check.cycle}")
+        # One Kahn pass over input indices gives the construction order, a
+        # topological order with ties broken by (arrival, id).
+        tasks = dag.tasks
+        index = {t.id: i for i, t in enumerate(tasks)}
+        succ: list[list[int]] = [[] for _ in tasks]
+        indeg = [0] * len(tasks)
+        for a, b in dag.edges:
+            succ[index[a]].append(index[b])
+            indeg[index[b]] += 1
+        left = indeg.copy()
+        heap = [(t.arrival_time, t.id, i) for i, t in enumerate(tasks) if not indeg[i]]
+        heapq.heapify(heap)
+        order: list[int] = []
+        while heap:
+            i = heapq.heappop(heap)[2]
+            order.append(i)
+            for s in succ[i]:
+                left[s] -= 1
+                if not left[s]:
+                    heapq.heappush(heap, (tasks[s].arrival_time, tasks[s].id, s))
+        pos_of = {i: pos for pos, i in enumerate(order)}
+        ordered = [tasks[i] for i in order]
+        self.task_ids = [t.id for t in ordered]
         self.vm_ids = [v.id for v in workload.vms]
-        self.deadlines = _deadline_map(workload)
-        by_id = {t.id: t for t in workload.tasks}
-        ordered = [by_id[t] for t in self.task_ids]
         self._arrivals = [t.arrival_time for t in ordered]
         self._task_deadlines = [t.deadline for t in ordered]
         self._transfer_tab: list[list[float]] = []
         self._exec_tab: list[list[float]] = []
         self._money_tab: list[list[float]] = []
-        specs = {v.id: v for v in workload.vms}
         for task in ordered:
             tr_row, ex_row, money_row = [], [], []
-            for vid in self.vm_ids:
-                spec = specs[vid]
+            for spec in workload.vms:
                 transfer, exec_time = _service_times(task, spec)
                 tr_row.append(transfer)
                 ex_row.append(exec_time)
@@ -176,22 +201,37 @@ class _Tables:
         self._srv = np.array(self._transfer_tab) + np.array(self._exec_tab)
         # Precedence by position: successor lists, predecessor counts, and the
         # tasks without predecessors as a ready heap of (arrival, id, position).
-        pos_of = {tid: pos for pos, tid in enumerate(self.task_ids)}
-        succs = workload.dag.successors()
-        self._succ_pos = [[pos_of[s] for s in succs[tid]] for tid in self.task_ids]
-        self._indeg = [0] * len(self.task_ids)
-        for row in self._succ_pos:
-            for s in row:
-                self._indeg[s] += 1
+        self._succ_pos = [[pos_of[s] for s in succ[i]] for i in order]
+        self._indeg = [indeg[i] for i in order]
         self._roots = sorted(
             (self._arrivals[pos], tid, pos)
             for pos, tid in enumerate(self.task_ids)
             if not self._indeg[pos]
         )
+        self.eft_vec = self._plan_eft()
 
-    def _vec_of(self, assignment: Assignment) -> tuple[int, ...]:
-        pos = {vm: i for i, vm in enumerate(self.vm_ids)}
-        return tuple(pos[assignment[t]] for t in self.task_ids)
+    def _plan_eft(self) -> tuple[int, ...]:
+        """List scheduling in the manner of HEFT (Topcuoglu et al., IEEE TPDS
+        2002), in construction order instead of by upward rank: each task goes
+        to the machine that finishes it earliest given the loads so far, ties
+        to the lowest machine id. A task is ready at the latest of its arrival
+        and its predecessors' finishes, which the construction order places
+        first."""
+        m = len(self.vm_ids)
+        by_id = sorted(range(m), key=self.vm_ids.__getitem__)
+        free = [0.0] * m
+        ready = self._arrivals.copy()
+        vec = []
+        for pos, succs in enumerate(self._succ_pos):
+            est, transfer, exec_row = ready[pos], self._transfer_tab[pos], self._exec_tab[pos]
+            finish = [(max(est, free[j]) + transfer[j]) + exec_row[j] for j in range(m)]
+            j = min(by_id, key=finish.__getitem__)
+            free[j] = comp = finish[j]
+            vec.append(j)
+            for s in succs:
+                if comp > ready[s]:
+                    ready[s] = comp
+        return tuple(vec)
 
     def assignment_of(self, vec: Sequence[int]) -> dict[int, int]:
         return {t: self.vm_ids[vec[i]] for i, t in enumerate(self.task_ids)}
@@ -264,7 +304,7 @@ class _Evaluator(_Tables):
         # with edges take the event walk, which matches it exactly.
         self._fast = not workload.dag.edges
         # Reference pool: greedy assignment plus seeded random samples.
-        ref_vecs = [self._vec_of(eft_schedule(workload))]
+        ref_vecs = [self.eft_vec]
         n, m = len(self.task_ids), len(self.vm_ids)
         for _ in range(_REFERENCE_SAMPLES):
             ref_vecs.append(tuple(int(v) for v in rng.integers(0, m, n)))
@@ -319,39 +359,6 @@ class _Evaluator(_Tables):
         )
 
 
-def _construction_order(workload: WorkloadSet) -> list[int]:
-    """Topological order, ties broken by (arrival, id)."""
-    dag = workload.dag
-    check = validate_dag(dag)
-    if not check.ok:
-        raise ConfigurationError(f"dag contains a cycle: {check.cycle}")
-    by_id = {t.id: t for t in dag.tasks}
-    indeg = {t.id: 0 for t in dag.tasks}
-    for _, b in dag.edges:
-        indeg[b] += 1
-    heap = [
-        (by_id[tid].arrival_time, tid) for tid, d in indeg.items() if d == 0
-    ]
-    heapq.heapify(heap)
-    succs = dag.successors()
-    order: list[int] = []
-    while heap:
-        _, tid = heapq.heappop(heap)
-        order.append(tid)
-        for s in succs[tid]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(heap, (by_id[s].arrival_time, s))
-    return order
-
-
-def _require_instance(workload: WorkloadSet) -> None:
-    if not workload.tasks:
-        raise ConfigurationError("scheduling needs at least one task")
-    if not workload.vms:
-        raise ConfigurationError("scheduling needs at least one machine")
-
-
 # ---------------------------------------------------------------------------
 # Greedy earliest-finish-time baseline
 # ---------------------------------------------------------------------------
@@ -362,29 +369,8 @@ def eft_schedule(
 ) -> dict[int, int]:
     """List scheduling: place each task (topological order) on the machine
     finishing it earliest given current loads. Machine ties break on id."""
-    wl = as_workload(tasks, vms)
-    _require_instance(wl)
-    order = _construction_order(wl)
-    by_id = {t.id: t for t in wl.tasks}
-    preds = wl.dag.predecessors()
-    machine_ready = {v.id: 0.0 for v in wl.vms}
-    completions: dict[int, float] = {}
-    out: dict[int, int] = {}
-    for tid in order:
-        task = by_id[tid]
-        est = task.arrival_time
-        for p in preds[tid]:
-            est = max(est, completions[p])
-        best_vm, best_finish = None, math.inf
-        for v in wl.vms:
-            transfer, exec_time = _service_times(task, v)
-            finish = max(est, machine_ready[v.id]) + transfer + exec_time
-            if finish < best_finish or (finish == best_finish and (best_vm is None or v.id < best_vm)):
-                best_vm, best_finish = v.id, finish
-        out[tid] = best_vm
-        machine_ready[best_vm] = best_finish
-        completions[tid] = best_finish
-    return out
+    tables = _Tables(as_workload(tasks, vms))
+    return tables.assignment_of(tables.eft_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +444,8 @@ def aco_schedule(
 ):
     """Max-min ant system: iteration-best deposits, pheromone clamped to
     [tau_min, tau_max] after every evaporation and deposit."""
-    wl = as_workload(tasks, vms)
-    _require_instance(wl)
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(wl, weights, rng)
+    ev = _Evaluator(as_workload(tasks, vms), weights, rng)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     tau = np.full((n, m), params.tau_max)
     best_vec: tuple[int, ...] | None = None
@@ -513,15 +497,13 @@ def sa_schedule(
 ):
     """Single-task reassignment neighborhood under a geometric cooling
     schedule; returns the best assignment visited."""
-    wl = as_workload(tasks, vms)
-    _require_instance(wl)
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(wl, weights, rng)
+    ev = _Evaluator(as_workload(tasks, vms), weights, rng)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     # Anneal from the greedy earliest-finish placement rather than a random
     # one; the walk then explores its neighborhood instead of spending the
     # whole schedule recovering from noise.
-    current = ev._vec_of(eft_schedule(wl))
+    current = ev.eft_vec
     current_score = ev.score(current)
     best, best_score = current, current_score
     temp = params.initial_temp
@@ -567,15 +549,13 @@ def gaaco_schedule(
     Adaptive parameters ramp toward their configured maxima while mutation
     decays from pm to pm/4. The best assignment of the whole run is returned;
     elitism makes the per-generation best score nonincreasing."""
-    wl = as_workload(tasks, vms)
-    _require_instance(wl)
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(wl, weights, rng)
+    ev = _Evaluator(as_workload(tasks, vms), weights, rng)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     pop_size = params.population
     # Seed the population with the greedy earliest-finish solution so the
     # genetic phase starts from a competent placement instead of pure noise.
-    pop = [ev._vec_of(eft_schedule(wl))]
+    pop = [ev.eft_vec]
     pop += [tuple(int(v) for v in rng.integers(0, m, n)) for _ in range(pop_size - 1)]
     pop = pop[:pop_size]
     tau = np.ones((n, m))
@@ -657,7 +637,6 @@ def brute_force_schedule(
     assignment vector. Refuses instances with more than `limit` combinations.
     """
     wl = as_workload(tasks, vms)
-    _require_instance(wl)
     n, m = len(wl.tasks), len(wl.vms)
     combos = m ** n
     if combos > limit:

@@ -118,6 +118,7 @@ class Machine:
     """Runtime state of one machine: FIFO queue plus the in-flight task."""
 
     spec: VmSpec
+    # (task id, transfer + execution time) of each waiting task, in FIFO order
     queue: deque = field(default_factory=deque)
     running: int | None = None
     busy_until: float = 0.0
@@ -305,7 +306,8 @@ def _join(state: SimState, tid: int, vm_id: int, now: float) -> None:
     if machine.running is None:
         _begin_execution(state, machine, tid, now)
     else:
-        machine.queue.append(tid)
+        transfer, exec_time = _service_times(state.tasks[tid], machine.spec)
+        machine.queue.append((tid, transfer + exec_time))
         state.queued += 1
 
 
@@ -345,7 +347,7 @@ def _complete_task(state: SimState, tid: int, now: float) -> None:
             heapq.heappush(state.events, (ready_at, _READY, succ))
     if machine.queue:
         state.queued -= 1
-        _begin_execution(state, machine, machine.queue.popleft(), now)
+        _begin_execution(state, machine, machine.queue.popleft()[0], now)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +411,7 @@ def _residents(state: SimState, machine: Machine) -> ResidentSet:
     _join or _complete_task changed its queue, and the set is rebuilt only
     if they changed: a long queue often keeps its users as tasks come and go."""
     if machine.queue_changed:
-        users = {state.tasks[tid].user_id for tid in machine.queue}
+        users = {state.tasks[tid].user_id for tid, _ in machine.queue}
         if machine.running is not None:
             users.add(state.tasks[machine.running].user_id)
         users = tuple(sorted(users))

@@ -7,7 +7,6 @@ Each test prints one PASS/FAIL line; pytest -v adds its own verdict per test.
 """
 
 import csv
-import math
 import time
 from dataclasses import replace
 
@@ -16,9 +15,8 @@ import pytest
 
 from cloudsched.cli import main as cli_main
 from cloudsched.bench import TrainSetup
-from cloudsched.metrics import QosWeights, qos_scores
+from cloudsched.metrics import QosWeights
 from cloudsched.policy import (
-    TrainConfig,
     _log_policy_grad,
     evaluate_policy,
     init_policy,
@@ -46,7 +44,7 @@ from cloudsched.schedulers import (
     gaaco_schedule,
     sa_schedule,
 )
-from cloudsched.workload import UsageProfile, generate_profiles
+from cloudsched.workload import UsageProfile
 
 from helpers import full_enumeration_raws, random_dag_workload, random_instance, score_with_pool
 

@@ -1,6 +1,7 @@
 """Experiment configs, the sweep runner, report files and the bench CLI."""
 
 import ast
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -17,7 +18,6 @@ from cloudsched.bench import (
     ExperimentConfig,
     SchedulerSpec,
     SweepConfig,
-    TrainSetup,
     VmFleetConfig,
     build_cell_workload,
     compute_deltas,
@@ -34,13 +34,17 @@ from cloudsched.bench import (
 )
 from cloudsched.cli import main
 from cloudsched.errors import ConfigurationError
+from cloudsched.metrics import QosWeights
 from cloudsched.policy import (
+    TrainConfig,
     action_count,
     init_policy,
     load_policy,
     observation_size,
     save_policy,
 )
+from cloudsched.rewards import RewardConfig
+from cloudsched.schedulers import AcoParams, GaacoParams, SaParams
 from cloudsched.workload import load_workload
 
 FAST_SA_PARAMS = {
@@ -212,6 +216,20 @@ def test_experiment_config_validation():
         ExperimentConfig(seeds=())
     with pytest.raises(ConfigurationError, match="load_formula"):
         config_from_dict({"load_formula": "imbalance"})
+
+
+NAN_CHECKED = (QosWeights, RewardConfig, AcoParams, GaacoParams, SaParams, TrainConfig)
+FLOAT_FIELDS = [
+    (cls, f.name) for cls in NAN_CHECKED for f in dataclasses.fields(cls) if f.type == "float"
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS]
+)
+def test_nan_fails_every_range_check(cls, name):
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(cls(), **{name: math.nan})
 
 
 def test_sweep_counts_are_inclusive():

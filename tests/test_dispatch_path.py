@@ -1,7 +1,9 @@
 """The dispatch path's cached and batched kernels against the code they
 replaced: the per-step reward snapshot and competition sum, the scalar DTW
 table and the slot-by-slot usage series. Each old body is kept here as the
-oracle, and results must be equal with ==, not approximately."""
+oracle, and results must be equal with ==, not approximately. So is the
+policy encoder's backlog walk, which now reads the service time each
+machine keeps beside every queued task."""
 
 import math
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from cloudsched import rewards
 from cloudsched.errors import ConfigurationError
+from cloudsched.policy import encode_state
 from cloudsched.rewards import (
     RewardBreakdown,
     RewardConfig,
@@ -32,7 +35,6 @@ from cloudsched.simulator import (
     machine_usage_series,
     replay_assignment,
     run_simulation,
-    scan_overuse,
     step,
 )
 from cloudsched.workload import RESOURCES, DagWorkflow, Task, UsageProfile, WorkloadSet
@@ -61,7 +63,7 @@ def old_resident_users(state, machine):
     users = set()
     if machine.running is not None:
         users.add(state.tasks[machine.running].user_id)
-    for tid in machine.queue:
+    for tid, _ in machine.queue:
         users.add(state.tasks[tid].user_id)
     return sorted(users)
 
@@ -102,6 +104,20 @@ def old_breakdown(inputs, config):
         overuse=overuse_penalty(inputs.new_overuse, config),
         wait=wait_penalty(inputs.queue_len, config),
     )
+
+
+def old_machine_features(state, lookahead):
+    """encode_state's per-machine block, each queued task's service time
+    computed from the task and the machine."""
+    feats = []
+    for machine in state.machines:
+        backlog = max(0.0, machine.busy_until - state.clock) if machine.running is not None else 0.0
+        for tid, _ in machine.queue:
+            task = state.tasks[tid]
+            transfer = (task.input_size + task.output_size) / machine.spec.bandwidth
+            backlog += transfer + task.length / machine.spec.mips
+        feats.extend(min(1.0, max(0.0, backlog - slot)) for slot in range(lookahead))
+    return feats
 
 
 def old_usage_series(trace, workload):
@@ -227,6 +243,19 @@ def test_cached_snapshots_equal_the_per_step_snapshot():
                     assert total_reward(inputs, cfg) == old_breakdown(old, cfg).total
             steps += 1
     assert steps > 1000
+
+
+def test_encoded_backlogs_equal_the_queue_walk():
+    rng = np.random.default_rng(901)
+    lookahead = 12
+    queued = 0
+    for _ in range(80):
+        wl = profiled_workload(rng)
+        for state, _ in random_episode(rng, wl):
+            obs = encode_state(state, lookahead, ready_slots=1)
+            assert obs[: lookahead * len(wl.vms)].tolist() == old_machine_features(state, lookahead)
+            queued += sum(len(m.queue) for m in state.machines)
+    assert queued > 300
 
 
 def test_mixed_profile_lengths_are_rejected():

@@ -17,7 +17,7 @@ from cloudsched.metrics import (
     time_cost,
 )
 from cloudsched.simulator import run_simulation
-from cloudsched.workload import Task, WorkloadSet
+from cloudsched.workload import WorkloadSet
 
 from helpers import flat_workload, task, vm
 

@@ -5,7 +5,7 @@ import pytest
 
 from cloudsched.errors import ConfigurationError
 from cloudsched.policy import (
-    EncoderScales,
+    _STEP_CAP_FACTOR,
     PolicyParams,
     SchedulingEnv,
     TrainConfig,
@@ -272,16 +272,9 @@ def test_valid_actions_reflect_ready_slots_and_noop():
     mask = valid_actions(state, ready_slots=3)
     # One ready task: its two machine pairings are valid, later slots are not.
     assert mask.tolist() == [True, True, False, False, False, False, True]
-
-
-def test_queue_cap_masks_busy_machines():
-    wl = WorkloadSet.from_tasks([vm(0), vm(1)], [task(0), task(1), task(2)])
-    state = init_state(wl)
-    state, _ = step(state, (0, 0))  # runs on machine 0
-    state, _ = step(state, (1, 0))  # queues behind it
-    mask = valid_actions(state, ready_slots=1, max_queue=1)
-    # Machine 0 already holds a queued task; machine 1 stays open.
-    assert mask.tolist() == [False, True, True]
+    # More ready tasks than slots: every slot pairs with every machine.
+    crowded = init_state(WorkloadSet.from_tasks([vm(0), vm(1)], [task(i) for i in range(3)]))
+    assert valid_actions(crowded, ready_slots=2).tolist() == [True] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +291,7 @@ def test_episode_runs_to_completion_under_noops_and_dispatches():
         obs, mask, reward, done = env.step(int(choices[0]))
         assert reward <= 0.0  # penalties only
         steps += 1
-    assert env.state.done or steps >= env.step_cap_factor * 4
+    assert env.state.done or steps >= _STEP_CAP_FACTOR * 4
 
 
 def test_noop_decode_is_none():

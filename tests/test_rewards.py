@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cloudsched.errors import ConfigurationError
 from cloudsched.rewards import (
-    ClusterModel,
     RewardBreakdown,
     RewardConfig,
     competition_penalty,

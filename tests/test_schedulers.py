@@ -1,5 +1,6 @@
 """Greedy, annealing, ant colony, hybrid and exhaustive schedulers."""
 
+import heapq
 import itertools
 import math
 import sys
@@ -312,6 +313,12 @@ def test_pheromone_powers_match_scalar_pow(monkeypatch):
     assert 0.685 in checked and any(a not in (0.685, 1.0) for a in checked)
 
 
+def simulated_raw(wl, assignment):
+    """raw_qos of the simulated assignment, scored against wl's deadlines."""
+    deadlines = {t.id: t.deadline for t in wl.tasks}
+    return raw_qos(run_simulation(wl, assignment), wl.vms, deadlines)
+
+
 @settings(max_examples=150, deadline=None)
 @given(wl=independent_workloads(), seed=st.integers(0, 2**32 - 1))
 def test_fast_evaluator_matches_the_event_simulator(wl, seed):
@@ -320,7 +327,7 @@ def test_fast_evaluator_matches_the_event_simulator(wl, seed):
     for _ in range(5):
         vec = tuple(int(v) for v in rng.integers(0, len(ev.vm_ids), len(ev.task_ids)))
         fast = ev._raw_fast(vec)
-        slow = raw_qos(run_simulation(wl, ev.assignment_of(vec)), wl.vms, ev.deadlines)
+        slow = simulated_raw(wl, ev.assignment_of(vec))
         assert fast.time_cost == pytest.approx(slow.time_cost, rel=1e-12, abs=0.0)
         assert fast.money_cost == pytest.approx(slow.money_cost, rel=1e-12, abs=0.0)
         assert fast.reliability == slow.reliability
@@ -330,7 +337,8 @@ def test_fast_evaluator_matches_the_event_simulator(wl, seed):
 def dag_workloads(draw):
     """Random DAGs made to tie: integer arrivals shared by several tasks,
     zero data sizes, ids out of arrival order, deadlines on some tasks and
-    1-3 heterogeneous machines. Some draws have no edges at all."""
+    1-4 heterogeneous machines listed out of id order. Some draws have no
+    edges at all."""
     n = draw(st.integers(1, 25))
     ids = draw(st.permutations(range(3 * n)))[:n]
     tasks = []
@@ -353,17 +361,94 @@ def dag_workloads(draw):
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
     ))
     edges = sorted({(topo[min(i, j)], topo[max(i, j)]) for i, j in pairs if i != j})
+    vm_ids = draw(st.permutations([0, 10, 20, 30]))[: draw(st.integers(1, 4))]
     vms = [
         VmSpec(
-            id=10 * j,
+            id=vid,
             mips=draw(st.sampled_from([500.0, 1000.0, 2000.0])),
             bandwidth=draw(st.sampled_from([100.0, 1000.0])),
             instr_cost_rate=draw(st.sampled_from([0.0, 0.01, 0.02])),
             bw_cost_rate=draw(st.sampled_from([0.0, 0.005])),
         )
-        for j in range(draw(st.integers(1, 3)))
+        for vid in vm_ids
     ]
     return WorkloadSet(vms, DagWorkflow(tasks, edges))
+
+
+def reference_construction_order(wl):
+    """Topological order, ties broken by (arrival, id), as a standalone
+    Kahn pass over task ids."""
+    dag = wl.dag
+    by_id = {t.id: t for t in dag.tasks}
+    indeg = {t.id: 0 for t in dag.tasks}
+    for _, b in dag.edges:
+        indeg[b] += 1
+    heap = [(by_id[tid].arrival_time, tid) for tid, d in indeg.items() if d == 0]
+    heapq.heapify(heap)
+    succs = dag.successors()
+    order = []
+    while heap:
+        _, tid = heapq.heappop(heap)
+        order.append(tid)
+        for s in succs[tid]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                heapq.heappush(heap, (by_id[s].arrival_time, s))
+    return order
+
+
+def reference_eft(wl):
+    """Greedy earliest finish time over machine ids, predecessor by
+    predecessor, in reference_construction_order."""
+    by_id = {t.id: t for t in wl.tasks}
+    preds = wl.dag.predecessors()
+    machine_ready = {v.id: 0.0 for v in wl.vms}
+    completions = {}
+    out = {}
+    for tid in reference_construction_order(wl):
+        task = by_id[tid]
+        est = task.arrival_time
+        for p in preds[tid]:
+            est = max(est, completions[p])
+        best_vm, best_finish = None, math.inf
+        for v in wl.vms:
+            transfer = (task.input_size + task.output_size) / v.bandwidth
+            finish = max(est, machine_ready[v.id]) + transfer + task.length / v.mips
+            if finish < best_finish or (finish == best_finish and v.id < best_vm):
+                best_vm, best_finish = v.id, finish
+        out[tid] = best_vm
+        machine_ready[best_vm] = best_finish
+        completions[tid] = best_finish
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(wl=dag_workloads())
+def test_tables_order_and_eft_plan_match_the_reference(wl):
+    assert schedulers._Tables(wl).task_ids == reference_construction_order(wl)
+    assert list(eft_schedule(wl).items()) == list(reference_eft(wl).items())
+
+
+def test_each_scheduler_call_validates_its_dag_once(monkeypatch):
+    validate = schedulers.validate_dag
+    calls = []
+
+    def counting(dag):
+        calls.append(dag)
+        return validate(dag)
+
+    monkeypatch.setattr(schedulers, "validate_dag", counting)
+    wl = layered_dag_workload(5)
+    tiny_sa = SaParams(initial_temp=0.02, cooling_rate=0.5, steps_per_temp=2, min_temp=0.01)
+    for run in (
+        lambda: eft_schedule(wl),
+        lambda: aco_schedule(wl, params=AcoParams(ants=2, iterations=2), seed=1),
+        lambda: sa_schedule(wl, params=tiny_sa, seed=1),
+        lambda: gaaco_schedule(wl, params=GaacoParams(evolution_num=2, population=2, m=2), seed=1),
+    ):
+        calls.clear()
+        run()
+        assert calls == [wl.dag]
 
 
 @settings(max_examples=150, deadline=None)
@@ -374,7 +459,7 @@ def test_event_walk_equals_the_event_simulator_exactly(wl, seed):
     for _ in range(5):
         vec = tuple(int(v) for v in rng.integers(0, len(ev.vm_ids), len(ev.task_ids)))
         walk = ev._raw_dag(vec)
-        sim = raw_qos(run_simulation(wl, ev.assignment_of(vec)), wl.vms, ev.deadlines)
+        sim = simulated_raw(wl, ev.assignment_of(vec))
         assert walk.time_cost == sim.time_cost
         assert walk.money_cost == sim.money_cost
         assert walk.reliability == sim.reliability
@@ -392,7 +477,7 @@ def test_event_walk_breaks_completion_ties_on_task_id():
     sim = raw_qos(run_simulation(wl, assignment), wl.vms, None)
     by_id, by_position = (0.7 * 0.01 + 0.01) + 0.02, (0.7 * 0.01 + 0.02) + 0.01
     assert sim.money_cost == by_id / 3 != by_position / 3
-    assert ev._raw_dag(ev._vec_of(assignment)) == sim
+    assert ev._raw_dag(tuple(ev.vm_ids.index(assignment[t]) for t in ev.task_ids)) == sim
 
 
 def layered_dag_workload(seed, flows=3, per_flow=6):
@@ -432,7 +517,7 @@ def test_searches_on_dags_choose_as_with_simulated_scoring(monkeypatch):
 
     def simulate(ev, vec):
         simulated.append(vec)
-        return raw_qos(run_simulation(ev.workload, ev.assignment_of(vec)), ev.workload.vms, ev.deadlines)
+        return simulated_raw(wl, ev.assignment_of(vec))
 
     monkeypatch.setattr(_Evaluator, "_raw_dag", simulate)
     assert [run() for run in runs] == walked
@@ -586,7 +671,7 @@ def test_brute_force_kernel_objectives_match_simulated_enumeration():
     rng = np.random.default_rng(17)
     for _ in range(12):
         wl, _ = random_dag_workload(rng, max_nodes=6)
-        order = schedulers._construction_order(wl)
+        order = schedulers._Tables(wl).task_ids
         vecs = list(itertools.product(range(len(wl.vms)), repeat=len(order)))
         assignments = [{t: v[i] for i, t in enumerate(order)} for v in vecs]
         raws = [raw_qos(run_simulation(wl, a), wl.vms, None) for a in assignments]

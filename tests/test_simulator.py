@@ -18,7 +18,7 @@ from cloudsched.simulator import (
     write_task_csv,
     write_usage_csv,
 )
-from cloudsched.workload import DagWorkflow, Task, UsageProfile, WorkloadSet
+from cloudsched.workload import DagWorkflow, UsageProfile, WorkloadSet
 
 from helpers import flat_workload, random_dag_workload, task, vm
 
