@@ -54,6 +54,11 @@ def time_cost(trace: SimTrace) -> float:
     return float(np.mean(vals))
 
 
+def _task_charge(spec: VmSpec, transfer: float, exec_time: float) -> float:
+    """One task's charge: execution and transfer seconds at the vm's rates."""
+    return exec_time * spec.instr_cost_rate + transfer * spec.bw_cost_rate
+
+
 def money_cost(trace: SimTrace, specs: Sequence[VmSpec] | Mapping[int, VmSpec]) -> float:
     """Per-task average charge: execution and transfer seconds at vm rates."""
     if not trace.records:
@@ -61,8 +66,7 @@ def money_cost(trace: SimTrace, specs: Sequence[VmSpec] | Mapping[int, VmSpec]) 
     by_id = _spec_map(specs)
     total = 0.0
     for r in trace.records.values():
-        spec = by_id[r.machine_id]
-        total += r.exec_time * spec.instr_cost_rate + r.transfer_time * spec.bw_cost_rate
+        total += _task_charge(by_id[r.machine_id], r.transfer_time, r.exec_time)
     return total / len(trace.records)
 
 

@@ -26,10 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InstanceTooLargeError
-from .metrics import QosWeights, RawQos, qos_scores, raw_qos  # noqa: F401 (perfbench traces raw_qos here)
+from .errors import ConfigurationError, DagValidationError, InstanceTooLargeError
+from .metrics import QosWeights, RawQos, _task_charge, qos_scores, raw_qos  # noqa: F401 (perfbench traces raw_qos here)
 from .simulator import SimTrace, run_simulation, _service_times
-from .workload import DagWorkflow, Task, VmSpec, WorkloadSet, validate_dag
+from .workload import WorkloadSet, validate_dag
 
 _TAU_FLOOR = 1e-3
 _TAU_CEIL = 1e3
@@ -129,19 +129,6 @@ DEFAULT_SA_PARAMS = SaParams()
 # Fitness
 # ---------------------------------------------------------------------------
 
-def as_workload(
-    tasks: Sequence[Task] | DagWorkflow | WorkloadSet, vms: Sequence[VmSpec] | None = None
-) -> WorkloadSet:
-    """Normalize the (tasks, vms) calling convention into a WorkloadSet."""
-    if isinstance(tasks, WorkloadSet):
-        return tasks
-    if vms is None:
-        raise ConfigurationError("vms are required when tasks are passed directly")
-    if isinstance(tasks, DagWorkflow):
-        return WorkloadSet(list(vms), tasks, [])
-    return WorkloadSet.from_tasks(vms, tasks)
-
-
 class _Tables:
     """One search instance, built once per scheduler call: the construction
     order, lookup tables with rows by task position in that order and columns
@@ -156,7 +143,7 @@ class _Tables:
         dag = workload.dag
         check = validate_dag(dag)
         if not check.ok:
-            raise ConfigurationError(f"dag contains a cycle: {check.cycle}")
+            raise DagValidationError(f"dag contains a cycle: {check.cycle}")
         # One Kahn pass over input indices gives the construction order, a
         # topological order with ties broken by (arrival, id).
         tasks = dag.tasks
@@ -192,13 +179,10 @@ class _Tables:
                 transfer, exec_time = _service_times(task, spec)
                 tr_row.append(transfer)
                 ex_row.append(exec_time)
-                money_row.append(
-                    exec_time * spec.instr_cost_rate + transfer * spec.bw_cost_rate
-                )
+                money_row.append(_task_charge(spec, transfer, exec_time))
             self._transfer_tab.append(tr_row)
             self._exec_tab.append(ex_row)
             self._money_tab.append(money_row)
-        self._srv = np.array(self._transfer_tab) + np.array(self._exec_tab)
         # Precedence by position: successor lists, predecessor counts, and the
         # tasks without predecessors as a ready heap of (arrival, id, position).
         self._succ_pos = [[pos_of[s] for s in succ[i]] for i in order]
@@ -299,6 +283,11 @@ class _Evaluator(_Tables):
         self.weights = weights
         self._cache: dict[tuple[int, ...], RawQos] = {}
         self.evaluations = 0
+        # Service times as one array for ant construction; EFT and the
+        # exhaustive oracle never read it. A plain attribute: a cached_property
+        # writes through the instance __dict__, which slows every attribute
+        # load in the scoring loops.
+        self._srv = np.array(self._transfer_tab) + np.array(self._exec_tab)
         # Independent tasks admit a closed-form per-machine recurrence that
         # matches the event simulation up to the last bits of its sums; tasks
         # with edges take the event walk, which matches it exactly.
@@ -363,13 +352,10 @@ class _Evaluator(_Tables):
 # Greedy earliest-finish-time baseline
 # ---------------------------------------------------------------------------
 
-def eft_schedule(
-    tasks: Sequence[Task] | DagWorkflow | WorkloadSet,
-    vms: Sequence[VmSpec] | None = None,
-) -> dict[int, int]:
+def eft_schedule(workload: WorkloadSet) -> dict[int, int]:
     """List scheduling: place each task (topological order) on the machine
     finishing it earliest given current loads. Machine ties break on id."""
-    tables = _Tables(as_workload(tasks, vms))
+    tables = _Tables(workload)
     return tables.assignment_of(tables.eft_vec)
 
 
@@ -435,8 +421,8 @@ def _construct_colony(
 
 
 def aco_schedule(
-    tasks: Sequence[Task] | DagWorkflow | WorkloadSet,
-    vms: Sequence[VmSpec] | None = None,
+    workload: WorkloadSet,
+    *,
     params: AcoParams = DEFAULT_ACO_PARAMS,
     seed: int = 0,
     weights: QosWeights = QosWeights(),
@@ -445,7 +431,7 @@ def aco_schedule(
     """Max-min ant system: iteration-best deposits, pheromone clamped to
     [tau_min, tau_max] after every evaporation and deposit."""
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(as_workload(tasks, vms), weights, rng)
+    ev = _Evaluator(workload, weights, rng)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     tau = np.full((n, m), params.tau_max)
     best_vec: tuple[int, ...] | None = None
@@ -488,8 +474,8 @@ def sa_accept(delta: float, temperature: float, rng: np.random.Generator) -> boo
 
 
 def sa_schedule(
-    tasks: Sequence[Task] | DagWorkflow | WorkloadSet,
-    vms: Sequence[VmSpec] | None = None,
+    workload: WorkloadSet,
+    *,
     params: SaParams = DEFAULT_SA_PARAMS,
     seed: int = 0,
     weights: QosWeights = QosWeights(),
@@ -498,7 +484,7 @@ def sa_schedule(
     """Single-task reassignment neighborhood under a geometric cooling
     schedule; returns the best assignment visited."""
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(as_workload(tasks, vms), weights, rng)
+    ev = _Evaluator(workload, weights, rng)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     # Anneal from the greedy earliest-finish placement rather than a random
     # one; the walk then explores its neighborhood instead of spending the
@@ -536,8 +522,8 @@ def sa_schedule(
 # ---------------------------------------------------------------------------
 
 def gaaco_schedule(
-    tasks: Sequence[Task] | DagWorkflow | WorkloadSet,
-    vms: Sequence[VmSpec] | None = None,
+    workload: WorkloadSet,
+    *,
     params: GaacoParams = DEFAULT_GAACO_PARAMS,
     seed: int = 0,
     weights: QosWeights = QosWeights(),
@@ -550,7 +536,7 @@ def gaaco_schedule(
     decays from pm to pm/4. The best assignment of the whole run is returned;
     elitism makes the per-generation best score nonincreasing."""
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(as_workload(tasks, vms), weights, rng)
+    ev = _Evaluator(workload, weights, rng)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     pop_size = params.population
     # Seed the population with the greedy earliest-finish solution so the
@@ -623,8 +609,8 @@ def gaaco_schedule(
 # ---------------------------------------------------------------------------
 
 def brute_force_schedule(
-    tasks: Sequence[Task] | DagWorkflow | WorkloadSet,
-    vms: Sequence[VmSpec] | None = None,
+    workload: WorkloadSet,
+    *,
     objective: str | Callable[[SimTrace, WorkloadSet], float] = "makespan",
     weights: QosWeights = QosWeights(),
     limit: int = 1_000_000,
@@ -636,18 +622,17 @@ def brute_force_schedule(
     (trace, workload) -> float. Ties keep the lexicographically smallest
     assignment vector. Refuses instances with more than `limit` combinations.
     """
-    wl = as_workload(tasks, vms)
-    n, m = len(wl.tasks), len(wl.vms)
+    n, m = len(workload.tasks), len(workload.vms)
     combos = m ** n
     if combos > limit:
         raise InstanceTooLargeError(
             f"{m}^{n} = {combos} assignments exceeds the limit of {limit}"
         )
-    tables = _Tables(wl)
+    tables = _Tables(workload)
     vecs = itertools.product(range(m), repeat=n)
     if callable(objective) or objective == "makespan":
         score_fn = objective if callable(objective) else lambda trace, _wl: trace.makespan
-        scored = ((v, score_fn(run_simulation(wl, tables.assignment_of(v)), wl)) for v in vecs)
+        scored = ((v, score_fn(run_simulation(workload, tables.assignment_of(v)), workload)) for v in vecs)
     elif objective in ("time", "cost"):
         field = "time_cost" if objective == "time" else "money_cost"
         scored = ((v, getattr(tables._raw_dag(v), field)) for v in vecs)

@@ -27,7 +27,9 @@ queue at or before s and completes after s. The first time the summed
 resident demand for a (machine, resource) exceeds capacity fraction 1.0 an
 overuse event is recorded; the pair never fires again. Summed demand and
 the stepper's reward inputs are read from each machine's ResidentSet, which
-is rebuilt only when the machine's queue changes.
+is rebuilt only when the machine's queue changes. After a run, scan_overuse
+and machine_usage_series read the same per-slot resident demand, built from
+the trace's residency rows, which equals the stepper's slot by slot.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -354,54 +356,50 @@ def _complete_task(state: SimState, tid: int, now: float) -> None:
 # Overuse
 # ---------------------------------------------------------------------------
 
-def _fire_overshoots(
-    residents: Iterable[tuple[int, ResidentSet]], slot: int, fired: set[tuple[int, str]]
-) -> list[tuple[int, str]]:
-    """Fire each (machine, resource) pair whose summed demand first exceeds
-    capacity at this slot, given each machine's resident set."""
-    fresh: list[tuple[int, str]] = []
-    for m, res in residents:
-        pending = [d for d in RESOURCES if (m, d) not in fired]
-        if res is _NO_RESIDENTS or not pending:
-            continue
-        used = res.used_at(slot)
-        for d in pending:
-            if used[d] > 1.0:
-                fired.add((m, d))
-                fresh.append((m, d))
-    return fresh
+def _resident_demand(trace: SimTrace, workload: WorkloadSet) -> dict[int, dict[str, np.ndarray]]:
+    """Each machine's summed resident demand per resource and slot, up to
+    ceil(makespan). A user counts once at slot s, on a machine where one of
+    their tasks has join <= s < completion, however many such tasks they
+    have. Users add in ascending id order from 0.0, the order of
+    ResidentSet's totals, so each slot equals the stepper's used_at."""
+    horizon = int(math.ceil(trace.makespan))
+    pmap = workload.profile_map()
+    out = {v.id: {d: np.zeros(horizon) for d in RESOURCES} for v in workload.vms}
+    spans: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for m, u, t0, t1 in trace.residency:
+        # The slots s with t0 <= s < t1.
+        spans.setdefault((m, u), []).append((math.ceil(t0), min(horizon, math.ceil(t1))))
+    for (m, u), ranges in sorted(spans.items()):
+        # Merge the user's overlapping ranges, so each slot is listed once
+        # and the slots never outnumber the horizon, however many of the
+        # user's tasks are resident.
+        ranges.sort()
+        merged = [list(ranges[0])]
+        for lo, hi in ranges[1:]:
+            if lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        slots = np.concatenate([np.arange(lo, hi) for lo, hi in merged])
+        for d in RESOURCES:
+            prof = pmap.get((u, d))
+            if prof is not None:
+                out[m][d][slots] += prof.series[slots % len(prof.series)]
+    return out
 
 
 def scan_overuse(trace: SimTrace, workload: WorkloadSet) -> list[OveruseEvent]:
-    """Post-hoc slot scan for first-overshoot events, from residency rows.
-
-    One sweep over the rows in join and in completion order keeps each
-    machine's resident set current from one slot to the next."""
+    """Post-hoc first-overshoot events: the first slot of each (machine,
+    resource) whose resident demand, as machine_usage_series exports it,
+    exceeds capacity fraction 1.0."""
     if not workload.profiles or not trace.residency:
         return []
-    pmap = workload.profile_map()
-    joins = deque(sorted((t0, m, u) for m, u, t0, _ in trace.residency))
-    leaves = deque(sorted((t1, m, u) for m, u, _, t1 in trace.residency))
-    live: dict[int, Counter[int]] = {m: Counter() for m in sorted({r[0] for r in trace.residency})}
-    events: list[OveruseEvent] = []
-    fired: set[tuple[int, str]] = set()
-    residents = dict.fromkeys(live, _NO_RESIDENTS)
-    for s in range(int(math.ceil(trace.makespan))):
-        changed = set()
-        while joins and joins[0][0] <= s:
-            _, m, u = joins.popleft()
-            live[m][u] += 1
-            changed.add(m)
-        while leaves and leaves[0][0] <= s:
-            _, m, u = leaves.popleft()
-            live[m][u] -= 1
-            changed.add(m)
-        for m in changed:
-            users = tuple(sorted(u for u, n in live[m].items() if n))
-            if users != residents[m].users and any((m, d) not in fired for d in RESOURCES):
-                residents[m] = ResidentSet.of_users(users, pmap)
-        for m, d in _fire_overshoots(residents.items(), s, fired):
-            events.append(OveruseEvent(m, d, float(s)))
+    events = []
+    for m, series in _resident_demand(trace, workload).items():
+        for d, used in series.items():
+            over = np.flatnonzero(used > 1.0)
+            if over.size:
+                events.append(OveruseEvent(m, d, float(over[0])))
     events.sort(key=lambda e: (e.time, e.machine_id, e.resource))
     return events
 
@@ -422,11 +420,21 @@ def _residents(state: SimState, machine: Machine) -> ResidentSet:
 
 
 def _sample_slot(state: SimState, slot: int) -> list[tuple[int, str]]:
-    """Check every (machine, resource) for a first overshoot at this slot."""
+    """Fire each (machine, resource) pair whose summed resident demand first
+    exceeds capacity at this slot."""
     if not state.pmap:
         return []
-    residents = [(m.spec.id, _residents(state, m)) for m in state.machines]
-    fresh = _fire_overshoots(residents, slot, state.fired)
+    fresh: list[tuple[int, str]] = []
+    for machine in state.machines:
+        m, res = machine.spec.id, _residents(state, machine)
+        pending = [d for d in RESOURCES if (m, d) not in state.fired]
+        if res is _NO_RESIDENTS or not pending:
+            continue
+        used = res.used_at(slot)
+        for d in pending:
+            if used[d] > 1.0:
+                state.fired.add((m, d))
+                fresh.append((m, d))
     state.overuse_events.extend(OveruseEvent(m, d, float(slot)) for m, d in fresh)
     return fresh
 
@@ -600,29 +608,21 @@ def write_task_csv(trace: SimTrace, path: str) -> None:
 def machine_usage_series(
     trace: SimTrace, workload: WorkloadSet
 ) -> dict[int, dict[str, np.ndarray]]:
-    """Per-machine slot series: busy fraction plus resident profile demand."""
+    """Per-machine slot series: busy fraction plus, when the workload has
+    profiles, the summed demand of the users resident at each slot."""
     horizon = int(math.ceil(trace.makespan))
     out: dict[int, dict[str, np.ndarray]] = {
         v.id: {"busy": np.zeros(horizon)} for v in workload.vms
     }
-    # Each record, then each residency row, adds its slice in row order, so
-    # every element sees the same sequence of adds as a slot-by-slot loop.
+    # Each record adds its slice in row order, so every element sees the
+    # same sequence of adds as a slot-by-slot loop.
     for r in trace.records.values():
         slots = np.arange(math.floor(r.start), min(horizon, math.ceil(r.completion)))
         overlap = np.minimum(r.completion, slots + 1) - np.maximum(r.start, slots)
         out[r.machine_id]["busy"][slots[overlap > 0]] += overlap[overlap > 0]
     if workload.profiles:
-        pmap = workload.profile_map()
-        for v in workload.vms:
-            for d in RESOURCES:
-                out[v.id][d] = np.zeros(horizon)
-        for m, u, t0, t1 in trace.residency:
-            # The slots s with t0 <= s < t1.
-            slots = np.arange(math.ceil(t0), min(horizon, math.ceil(t1)))
-            for d in RESOURCES:
-                prof = pmap.get((u, d))
-                if prof is not None:
-                    out[m][d][slots] += prof.series[slots % len(prof.series)]
+        for m, series in _resident_demand(trace, workload).items():
+            out[m].update(series)
     return out
 
 

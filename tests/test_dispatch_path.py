@@ -1,9 +1,11 @@
 """The dispatch path's cached and batched kernels against the code they
 replaced: the per-step reward snapshot and competition sum, the scalar DTW
-table and the slot-by-slot usage series. Each old body is kept here as the
-oracle, and results must be equal with ==, not approximately. So is the
-policy encoder's backlog walk, which now reads the service time each
-machine keeps beside every queued task."""
+table, the slot-by-slot usage series and overuse scan. Each old body is kept
+here as the oracle, and results must be equal with ==, not approximately;
+the usage oracle's resource half counts each resident user once, as the
+overuse scan and the stepper do. So is the policy encoder's backlog walk,
+which now reads the service time each machine keeps beside every queued
+task."""
 
 import math
 
@@ -35,6 +37,7 @@ from cloudsched.simulator import (
     machine_usage_series,
     replay_assignment,
     run_simulation,
+    scan_overuse,
     step,
 )
 from cloudsched.workload import RESOURCES, DagWorkflow, Task, UsageProfile, WorkloadSet
@@ -134,12 +137,17 @@ def old_usage_series(trace, workload):
         for v in workload.vms:
             for d in RESOURCES:
                 out[v.id][d] = np.zeros(horizon)
-        for m, u, t0, t1 in trace.residency:
-            for s in range(math.ceil(t0), min(horizon, math.ceil(t1))):
+        # Each user resident at the slot counts once, in ascending id order.
+        for s in range(horizon):
+            for m in out:
+                users = sorted({u for mm, u, t0, t1 in trace.residency if mm == m and t0 <= s < t1})
                 for d in RESOURCES:
-                    prof = pmap.get((u, d))
-                    if prof is not None:
-                        out[m][d][s] += prof.demand_at(s)
+                    demand = 0.0
+                    for u in users:
+                        prof = pmap.get((u, d))
+                        if prof is not None:
+                            demand += prof.demand_at(s)
+                    out[m][d][s] = demand
     return out
 
 
@@ -375,6 +383,45 @@ def test_usage_series_equal_the_slot_loop():
             for key, arr in old[m].items():
                 assert new[m][key].dtype == arr.dtype
                 assert np.array_equal(new[m][key], arr)
+
+
+def test_a_user_with_two_resident_tasks_counts_once():
+    # One user, two 2 s tasks on one machine: the second waits behind the
+    # first, so both are resident in slots 0 and 1. The user's 0.6 cpu demand
+    # counts once there, as the stepper's overuse check and reward read it.
+    tasks = [Task(id=i, user_id=0, length=2000.0) for i in (0, 1)]
+    wl = WorkloadSet([vm(0)], DagWorkflow(tasks, []), [UsageProfile(0, "cpu", [0.6])])
+    trace = run_simulation(wl, {0: 0, 1: 0})
+    assert machine_usage_series(trace, wl)[0]["cpu"].tolist() == [0.6] * 4
+    assert trace.overuse_events == scan_overuse(trace, wl) == []
+    assert replay_assignment(wl, {0: 0, 1: 0}).overuse_events == []
+
+
+def test_overuse_events_are_the_usage_series_first_overshoots():
+    # Each (machine, resource) fires at the first slot its exported demand
+    # exceeds 1.0, and a series that never exceeds it fires nothing, for
+    # traces of both drivers.
+    rng = np.random.default_rng(907)
+    fired = 0
+    for k in range(160):
+        wl = profiled_workload(rng)
+        if k % 2:
+            one_vm = k % 3 == 0  # every task piles onto one machine
+            picks = [0 if one_vm else int(rng.integers(len(wl.vms))) for _ in wl.tasks]
+            trace = run_simulation(wl, {t.id: wl.vms[j].id for t, j in zip(wl.tasks, picks)})
+        else:
+            for state, _ in random_episode(rng, wl):
+                pass
+            trace = state.trace()
+        first = {(e.machine_id, e.resource): e.time for e in trace.overuse_events}
+        assert len(first) == len(trace.overuse_events)
+        for m, series in machine_usage_series(trace, wl).items():
+            for d in RESOURCES:
+                over = np.flatnonzero(series[d] > 1.0)
+                assert first.pop((m, d), None) == (float(over[0]) if over.size else None)
+        assert not first
+        fired += len(trace.overuse_events)
+    assert fired > 20
 
 
 def test_busy_series_with_many_tasks_per_slot():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudsched import schedulers
-from cloudsched.errors import ConfigurationError, InstanceTooLargeError
+from cloudsched.errors import ConfigurationError, DagValidationError, InstanceTooLargeError
 from cloudsched.metrics import QosWeights, qos_scores, raw_qos
 from cloudsched.schedulers import (
     AcoParams,
@@ -20,7 +20,6 @@ from cloudsched.schedulers import (
     _construct_colony,
     _Evaluator,
     aco_schedule,
-    as_workload,
     brute_force_schedule,
     eft_schedule,
     gaaco_schedule,
@@ -70,9 +69,19 @@ FAST_SA = SaParams(initial_temp=0.02, cooling_rate=0.9, steps_per_temp=30, min_t
 # Inputs
 # ---------------------------------------------------------------------------
 
-def test_as_workload_requires_vms_for_raw_tasks():
-    with pytest.raises(ConfigurationError):
-        as_workload([task(0)])
+def test_cyclic_dag_is_rejected_as_by_the_simulator():
+    dag = DagWorkflow([task(0), task(1), task(2)], [(0, 1), (1, 2), (2, 1)])
+    wl = WorkloadSet([vm(0), vm(1)], dag, [])
+    for run in (
+        lambda: run_simulation(wl, {0: 0, 1: 0, 2: 1}),
+        lambda: eft_schedule(wl),
+        lambda: aco_schedule(wl, params=FAST_ACO),
+        lambda: sa_schedule(wl, params=FAST_SA),
+        lambda: gaaco_schedule(wl, params=FAST_GAACO),
+        lambda: brute_force_schedule(wl, objective="time"),
+    ):
+        with pytest.raises(DagValidationError, match="dag contains a cycle"):
+            run()
 
 
 # ---------------------------------------------------------------------------
