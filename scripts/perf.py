@@ -1,4 +1,5 @@
-"""Per-layer timings of the dispatch path, written to a BENCH_<n>.json file.
+"""Per-layer timings of the dispatch path and of simulated annealing,
+written to a BENCH_<n>.json file.
 
 Each figure is the median of --repeats runs (at least 5):
 
@@ -11,18 +12,22 @@ Each figure is the median of --repeats runs (at least 5):
 * `usage_series_100tasks_s`: machine_usage_series on one of those
   deployments with every task sent to one VM, as the benchmark's trained
   policies nearly do.
+* `sa_n<n>_s`: one sa_schedule call on the default config's cell of n
+  tasks, n = 10, 100, 1000, with cell seed 1 and that cell's scheduler seed
+  (bench.scheduler_seed), as `bench run` calls it.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/perf.py --src parent=../parent/src --src change=src --out BENCH_7.json
+    python3 scripts/perf.py --src parent=../parent/src --src change=src --out BENCH_9.json
 
 Each --src names one label and the directory holding the cloudsched package
 to time under it. A repeat runs every label once, each in a fresh Python
 process that measures every figure once; the label that goes first
 alternates from one repeat to the next, so a drift in the host's speed lands
-on all labels alike rather than between them. The medians go under each
-label in --out, next to any labels the file already holds, with the machine,
-Python and numpy versions. Only the standard library and numpy are used.
+on all labels alike rather than between them. The medians, and the first
+and third quartiles, go under each label in --out, next to any labels the
+file already holds, with the machine, Python and numpy versions. Only the
+standard library and numpy are used.
 """
 
 import argparse
@@ -96,11 +101,23 @@ def steps_per_s(pol, rw, workloads) -> float:
     return steps / spent
 
 
+def sa_cell_s(bench, schedulers, n: int) -> float:
+    """One sa_schedule call on the default config's cell (n, seed 1)."""
+    config = bench.default_config()
+    wl = bench.build_cell_workload(config, n, 1)
+    seed = bench.scheduler_seed(n, 1, "sa")
+    t0 = time.perf_counter()
+    schedulers.sa_schedule(wl, seed=seed, weights=config.weights)
+    return time.perf_counter() - t0
+
+
 def measure(src: str) -> dict[str, float]:
     """One run of every figure against the cloudsched package in src."""
     sys.path.insert(0, os.path.abspath(src))
+    import cloudsched.bench as bench
     import cloudsched.policy as pol
     import cloudsched.rewards as rw
+    import cloudsched.schedulers as sched
     import cloudsched.simulator as sim
     import cloudsched.workload as wk
 
@@ -115,6 +132,8 @@ def measure(src: str) -> dict[str, float]:
     t0 = time.perf_counter()
     sim.machine_usage_series(trace, wl)
     results["usage_series_100tasks_s"] = time.perf_counter() - t0
+    for n in (10, 100, 1000):
+        results[f"sa_n{n}_s"] = sa_cell_s(bench, sched, n)
     return results
 
 
@@ -169,7 +188,13 @@ def main() -> int:
     }
     for label, label_runs in runs.items():
         results = {name: statistics.median(r[name] for r in label_runs) for name in label_runs[0]}
-        doc[label] = {"machine": machine, "repeats": args.repeats, "results": results}
+        quartiles = {
+            name: statistics.quantiles([r[name] for r in label_runs], n=4)[::2]
+            for name in label_runs[0]
+        }
+        doc[label] = {
+            "machine": machine, "repeats": args.repeats, "results": results, "quartiles": quartiles,
+        }
         for name, value in results.items():
             print(f"{label:10s} {name:28s} {value:.6g}")
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -116,6 +116,16 @@ def policy_forward(
     return expv / expv.sum()
 
 
+def _episode_return(rewards: Sequence[float]) -> float:
+    """Undiscounted sum of an episode's rewards, added left to right from
+    0.0. Builtin sum() compensates float sums from Python 3.12, which would
+    change the training bytes between interpreter versions."""
+    total = 0.0
+    for r in rewards:
+        total += r
+    return total
+
+
 def compute_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
     """Discounted suffix sums: v_t = sum_{k>=t} gamma^(k-t) r_k."""
     if not 0.0 < gamma <= 1.0:
@@ -409,7 +419,7 @@ def train(env: SchedulingEnv, config: TrainConfig = TrainConfig()) -> tuple[Poli
     batch: list[Trajectory] = []
     for episode in range(config.episodes):
         traj = _rollout(env, theta, rng, episode_seed=episode)
-        curve.append(float(sum(traj.rewards)))
+        curve.append(float(_episode_return(traj.rewards)))
         batch.append(traj)
         if len(batch) >= config.batch_size or episode == config.episodes - 1:
             theta = reinforce_update(theta, batch, config)
@@ -433,7 +443,7 @@ def evaluate_policy(
     totals = []
     for e in range(episodes):
         traj = _rollout(env, theta, rng, episode_seed=seed + e, greedy=greedy)
-        totals.append(sum(traj.rewards))
+        totals.append(_episode_return(traj.rewards))
     return float(np.mean(totals)) if totals else 0.0
 
 

@@ -9,7 +9,12 @@ blends its mean flow time, mean money cost and deadline reliability. Search
 loops do not simulate: they score from those tables, with an event walk that
 reproduces raw_qos(run_simulation(...)) bit for bit, or, on instances without
 precedence edges, a closed-form per-machine recurrence that agrees with it
-up to the last bits of its sums. They freeze normalization bounds from a
+up to the last bits of its sums. Annealing on such instances, when they
+have more tasks than machines, scores a move from the previous state: it
+re-walks only the two machine queues the move changes and re-adds the flow
+and money totals left to right from the moved task on, the order in which
+the recurrence adds them, so every score equals a full re-score bit for bit.
+Searches freeze normalization bounds from a
 seeded reference pool (greedy assignment plus random samples) so that the
 best-so-far comparison is a fixed total order.
 The exhaustive oracle scores its "time", "cost" and "qos" objectives with
@@ -18,6 +23,7 @@ the same event walk.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -311,15 +317,15 @@ class _Evaluator(_Tables):
         total_time = 0.0
         money = 0.0
         dl_total = dl_met = 0
-        for pos, j in enumerate(vec):
-            a = self._arrivals[pos]
+        for a, transfer, exec_row, money_row, d, j in zip(
+            self._arrivals, self._transfer_tab, self._exec_tab,
+            self._money_tab, self._task_deadlines, vec,
+        ):
             f = free[j]
-            start = a if a > f else f
-            comp = (start + self._transfer_tab[pos][j]) + self._exec_tab[pos][j]
+            comp = ((a if a > f else f) + transfer[j]) + exec_row[j]
             free[j] = comp
             total_time += comp - a
-            money += self._money_tab[pos][j]
-            d = self._task_deadlines[pos]
+            money += money_row[j]
             if d is not None:
                 dl_total += 1
                 if comp <= d:
@@ -339,12 +345,16 @@ class _Evaluator(_Tables):
 
     def score(self, vec: tuple[int, ...]) -> float:
         r = self.raw(vec)
-        t_hat = (r.time_cost - self._t_lo) / self._t_span
-        c_hat = (r.money_cost - self._c_lo) / self._c_span
+        return self._blend(r.time_cost, r.money_cost, r.reliability)
+
+    def _blend(self, time_cost: float, money_cost: float, reliability: float) -> float:
+        """The score of raw metrics against the frozen reference bounds."""
+        t_hat = (time_cost - self._t_lo) / self._t_span
+        c_hat = (money_cost - self._c_lo) / self._c_span
         return (
             self.weights.time * t_hat
             + self.weights.cost * c_hat
-            + self.weights.reliability * (1.0 - r.reliability)
+            + self.weights.reliability * (1.0 - reliability)
         )
 
 
@@ -473,6 +483,142 @@ def sa_accept(delta: float, temperature: float, rng: np.random.Generator) -> boo
     return bool(rng.random() < math.exp(-delta / temperature))
 
 
+class _QueueMoves:
+    """Annealing state on an instance without precedence edges, scored one
+    move at a time with the same bits as _Evaluator._raw_fast.
+
+    Moving the task at position pos from machine j0 to j1 changes only the
+    completions after it on j0 and from it on on j1, and on each machine
+    only up to the first task whose completion comes out as before. Each
+    machine keeps its positions in order with their completions; propose
+    re-walks the two tails with _raw_fast's recurrence, then re-adds the flow
+    and money totals left to right from pos onto the kept prefix sums, so
+    every total is the same chain of additions that _raw_fast makes. (Builtin
+    sum() compensates from Python 3.12 and np.add.reduce adds pairwise;
+    neither would give the same bits.) Deadlines met are an exact count,
+    adjusted by the tasks whose completions changed."""
+
+    def __init__(self, ev: _Evaluator):
+        self._arrivals, self._transfer, self._exec = ev._arrivals, ev._transfer_tab, ev._exec_tab
+        self._money_tab, self._due = ev._money_tab, ev._task_deadlines
+        self._blend = ev._blend
+        self.vec = list(ev.eft_vec)
+        n = len(self.vec)
+        self._queues: list[list[int]] = [[] for _ in ev.vm_ids]
+        for pos, j in enumerate(self.vec):
+            self._queues[j].append(pos)
+        # Walking each queue against NaN completions, which equal nothing and
+        # meet no deadline, fills in every completion and counts the
+        # deadlines met from zero.
+        self._flows = [0.0] * n
+        self._comps = []
+        self._dl_met = 0
+        for j, queue in enumerate(self._queues):
+            comps, met = self._walk(j, queue, [math.nan] * len(queue), 0.0, self._flows, 0)
+            self._comps.append(comps)
+            self._dl_met += met
+        self._money = [self._money_tab[pos][j] for pos, j in enumerate(self.vec)]
+        self._flow_sums = list(itertools.accumulate(self._flows, initial=0.0))
+        self._money_sums = list(itertools.accumulate(self._money, initial=0.0))
+        self._dl_total = n - self._due.count(None)
+        self._pending: tuple = ()
+
+    def _walk(self, j, positions, before, f, flows, base):
+        """Serve `positions` in order on machine j after a task that
+        completes at f, up to the first whose completion equals its old one
+        in `before`: from there on nothing changes. Returns the changed
+        completions and the change in deadlines met, and writes each changed
+        flow to flows[pos - base]."""
+        arrivals, transfer, exec_tab, due = self._arrivals, self._transfer, self._exec, self._due
+        comps = []
+        met = 0
+        for pos, old in zip(positions, before):
+            a = arrivals[pos]
+            f = ((a if a > f else f) + transfer[pos][j]) + exec_tab[pos][j]
+            if f == old:
+                break
+            comps.append(f)
+            flows[pos - base] = f - a
+            d = due[pos]
+            if d is not None:
+                met += (f <= d) - (old <= d)
+        return comps, met
+
+    def propose(self, pos: int, j1: int) -> float:
+        """Score of the current assignment with pos moved to j1, from the
+        raw metrics as _raw_fast computes them."""
+        j0 = self.vec[pos]
+        q0, q1 = self._queues[j0], self._queues[j1]
+        c0, c1 = self._comps[j0], self._comps[j1]
+        i0, i1 = bisect.bisect_left(q0, pos), bisect.bisect_left(q1, pos)
+        flows = self._flows[pos:]
+        met = self._dl_met
+        if i0 + 1 < len(q0):
+            f = c0[i0 - 1] if i0 else 0.0
+            tail0, met0 = self._walk(j0, q0[i0 + 1:], c0[i0 + 1:], f, flows, pos)
+            met += met0
+        else:
+            tail0 = []
+        # pos itself is new on j1: walk it against NaN, so the walk cannot
+        # stop on it, and take its old completion out of the count here.
+        d = self._due[pos]
+        if d is not None and c0[i0] <= d:
+            met -= 1
+        q1 = q1[i1:]
+        q1.insert(0, pos)
+        before = c1[i1:]
+        before.insert(0, math.nan)
+        tail1, met1 = self._walk(j1, q1, before, c1[i1 - 1] if i1 else 0.0, flows, pos)
+        met += met1
+        money = self._money[pos:]
+        money[0] = self._money_tab[pos][j1]
+        total_time = self._flow_sums[pos]
+        for flow in flows:
+            total_time += flow
+        total_money = self._money_sums[pos]
+        for charge in money:
+            total_money += charge
+        self._pending = (pos, j0, j1, i0, i1, tail0, tail1, flows, money, met)
+        n = len(self.vec)
+        dl_total = self._dl_total
+        return self._blend(total_time / n, total_money / n, met / dl_total if dl_total else 1.0)
+
+    def accept(self) -> None:
+        """Make the last proposal the current assignment."""
+        pos, j0, j1, i0, i1, tail0, tail1, flows, money, met = self._pending
+        self.vec[pos] = j1
+        del self._queues[j0][i0]
+        self._queues[j1].insert(i1, pos)
+        self._comps[j0][i0:i0 + len(tail0) + 1] = tail0
+        self._comps[j1][i1:i1 + len(tail1) - 1] = tail1
+        self._flows[pos:] = flows
+        self._money[pos:] = money
+        # The same chains of additions as propose's totals, kept as prefixes.
+        self._flow_sums[pos:] = itertools.accumulate(flows, initial=self._flow_sums[pos])
+        self._money_sums[pos:] = itertools.accumulate(money, initial=self._money_sums[pos])
+        self._dl_met = met
+
+
+class _RescoredMoves:
+    """Annealing state that scores each proposal by a full evaluation
+    through the evaluator's cache: the path for instances with precedence
+    edges, and for those with no more tasks than machines."""
+
+    def __init__(self, ev: _Evaluator):
+        self._ev = ev
+        self.vec = ev.eft_vec
+        self._pending = ev.eft_vec
+
+    def propose(self, pos: int, j1: int) -> float:
+        neighbor = list(self.vec)
+        neighbor[pos] = j1
+        self._pending = tuple(neighbor)
+        return self._ev.score(self._pending)
+
+    def accept(self) -> None:
+        self.vec = self._pending
+
+
 def sa_schedule(
     workload: WorkloadSet,
     *,
@@ -488,10 +634,14 @@ def sa_schedule(
     n, m = len(ev.task_ids), len(ev.vm_ids)
     # Anneal from the greedy earliest-finish placement rather than a random
     # one; the walk then explores its neighborhood instead of spending the
-    # whole schedule recovering from noise.
-    current = ev.eft_vec
-    current_score = ev.score(current)
-    best, best_score = current, current_score
+    # whole schedule recovering from noise. With no more tasks than
+    # machines, queues are too short for a walk to save work, and the small
+    # neighborhood is revisited so often (about 60% of proposals at the
+    # default sweep's 10 tasks on 10 machines) that the evaluator's cache
+    # answers most proposals faster.
+    moves = _QueueMoves(ev) if ev._fast and n > m else _RescoredMoves(ev)
+    current_score = ev.score(ev.eft_vec)
+    best, best_score = ev.eft_vec, current_score
     temp = params.initial_temp
     history: dict = {"best_scores": [], "temps": []}
     while temp > params.min_temp:
@@ -500,14 +650,12 @@ def sa_schedule(
             if m == 1:
                 break
             shift = 1 + int(rng.integers(0, m - 1))
-            neighbor = list(current)
-            neighbor[pos] = (neighbor[pos] + shift) % m
-            neighbor = tuple(neighbor)
-            neighbor_score = ev.score(neighbor)
+            neighbor_score = moves.propose(pos, (moves.vec[pos] + shift) % m)
             if sa_accept(neighbor_score - current_score, temp, rng):
-                current, current_score = neighbor, neighbor_score
+                moves.accept()
+                current_score = neighbor_score
                 if current_score < best_score:
-                    best, best_score = current, current_score
+                    best, best_score = tuple(moves.vec), current_score
         history["best_scores"].append(best_score)
         history["temps"].append(temp)
         temp *= params.cooling_rate

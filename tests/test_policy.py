@@ -1,8 +1,11 @@
 """Policy network, REINFORCE update, encoding and the episodic environment."""
 
+import math
+
 import numpy as np
 import pytest
 
+from cloudsched import policy
 from cloudsched.errors import ConfigurationError
 from cloudsched.policy import (
     _STEP_CAP_FACTOR,
@@ -39,7 +42,7 @@ def zero_policy(n_in, n_hid, n_act):
     )
 
 
-def tiny_env(n_tasks=4, ready_slots=3):
+def tiny_env(n_tasks=4, ready_slots=3, reward=RewardConfig(k_u=0.0, resources=())):
     vms = [vm(0), vm(1, mips=500.0)]
     params = TaskGenParams(
         length_range=(500.0, 1500.0),
@@ -52,9 +55,7 @@ def tiny_env(n_tasks=4, ready_slots=3):
     def source(seed):
         return WorkloadSet.from_tasks(vms, generate_tasks(n_tasks, seed=seed, params=params))
 
-    return SchedulingEnv(
-        source, RewardConfig(k_u=0.0, resources=()), lookahead=3, ready_slots=ready_slots
-    )
+    return SchedulingEnv(source, reward, lookahead=3, ready_slots=ready_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +327,31 @@ def test_training_is_deterministic_per_seed():
     _, curve_b = train(tiny_env(), config)
     assert curve_a == curve_b
     assert len(curve_a) == 16
+
+
+def test_training_curve_adds_each_episode_left_to_right(monkeypatch):
+    # Fractional queue penalties over 89-step episodes, where the order of
+    # the additions shows in the last bits: a compensated sum, as builtin
+    # sum() takes from Python 3.12, differs from the left-to-right one.
+    episodes = []
+    rollout = policy._rollout
+
+    def recording(*args, **kwargs):
+        traj = rollout(*args, **kwargs)
+        episodes.append(traj.rewards)
+        return traj
+
+    monkeypatch.setattr(policy, "_rollout", recording)
+    env = tiny_env(n_tasks=30, reward=RewardConfig(k_w=0.1, k_u=0.0, resources=()))
+    _, curve = train(env, TrainConfig(episodes=8, batch_size=4, hidden=8, seed=3))
+    left_to_right = []
+    for rewards in episodes:
+        total = 0.0
+        for r in rewards:
+            total += r
+        left_to_right.append(total)
+    assert curve == left_to_right
+    assert all(c != math.fsum(rewards) for c, rewards in zip(curve, episodes))
 
 
 def test_evaluation_is_deterministic():

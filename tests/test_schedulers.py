@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cloudsched import schedulers
 from cloudsched.errors import ConfigurationError, DagValidationError, InstanceTooLargeError
-from cloudsched.metrics import QosWeights, qos_scores, raw_qos
+from cloudsched.metrics import QosWeights, RawQos, qos_scores, raw_qos
 from cloudsched.schedulers import (
     AcoParams,
     GaacoParams,
@@ -345,16 +345,18 @@ def test_fast_evaluator_matches_the_event_simulator(wl, seed):
 @st.composite
 def dag_workloads(draw):
     """Random DAGs made to tie: integer arrivals shared by several tasks,
-    zero data sizes, ids out of arrival order, deadlines on some tasks and
-    1-4 heterogeneous machines listed out of id order. Some draws have no
-    edges at all."""
+    zero data sizes, ids out of arrival order, deadlines on none, some or
+    all of the tasks and 1-5 heterogeneous machines listed out of id order.
+    Some draws have no edges at all."""
     n = draw(st.integers(1, 25))
     ids = draw(st.permutations(range(3 * n)))[:n]
+    slacks = st.sampled_from([0.5, 2.0, 6.0, 15.0])
+    slacks = draw(st.sampled_from([st.none(), st.one_of(st.none(), slacks), slacks]))
     tasks = []
     for tid in ids:
         arrival = float(draw(st.integers(0, 3)))
         size = draw(st.sampled_from([0.0, 0.0, 100.0, 250.0]))
-        slack = draw(st.one_of(st.none(), st.sampled_from([0.5, 2.0, 6.0, 15.0])))
+        slack = draw(slacks)
         tasks.append(Task(
             id=tid,
             length=draw(st.sampled_from([500.0, 1000.0, 2000.0, 2750.0])),
@@ -370,12 +372,12 @@ def dag_workloads(draw):
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
     ))
     edges = sorted({(topo[min(i, j)], topo[max(i, j)]) for i, j in pairs if i != j})
-    vm_ids = draw(st.permutations([0, 10, 20, 30]))[: draw(st.integers(1, 4))]
+    vm_ids = draw(st.permutations([0, 10, 20, 30, 40]))[: draw(st.integers(1, 5))]
     vms = [
         VmSpec(
             id=vid,
-            mips=draw(st.sampled_from([500.0, 1000.0, 2000.0])),
-            bandwidth=draw(st.sampled_from([100.0, 1000.0])),
+            mips=draw(st.sampled_from([500.0, 750.0, 1000.0, 2000.0])),
+            bandwidth=draw(st.sampled_from([100.0, 300.0, 1000.0])),
             instr_cost_rate=draw(st.sampled_from([0.0, 0.01, 0.02])),
             bw_cost_rate=draw(st.sampled_from([0.0, 0.005])),
         )
@@ -575,6 +577,108 @@ def test_sa_never_beats_the_enumeration():
         assignment = sa_schedule(ORACLE_WL, seed=seed)
         score, best = score_with_pool(raws, ORACLE_WL, assignment)
         assert score >= best - 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=dag_workloads(), data=st.data())
+def test_annealing_moves_score_as_a_full_rescore(dag, data):
+    # On the DAG's tasks without their edges, every proposal's raw metrics
+    # and score must equal, bit for bit, those of re-scoring the whole
+    # neighbor, whichever earlier proposals were accepted.
+    wl = WorkloadSet.from_tasks(dag.vms, dag.tasks)
+    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    n, m = len(ev.task_ids), len(ev.vm_ids)
+    raws = []
+    blend = ev._blend
+
+    def recording_blend(*raw):
+        raws.append(RawQos(*raw))
+        return blend(*raw)
+
+    ev._blend = recording_blend
+    moves = schedulers._QueueMoves(ev)
+    steps = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(1, max(m - 1, 1)), st.booleans()),
+        max_size=0 if m == 1 else 60,
+    ))
+    vec = list(ev.eft_vec)
+    for pos, shift, take in steps:
+        neighbor = vec.copy()
+        neighbor[pos] = (vec[pos] + shift) % m
+        raws.clear()
+        score = moves.propose(pos, neighbor[pos])
+        assert raws == [ev._raw_fast(tuple(neighbor))]
+        assert score == ev.score(tuple(neighbor))
+        if take:
+            moves.accept()
+            vec = neighbor
+        assert moves.vec == vec
+
+
+def full_rescore_sa(workload, params, seed, weights=QosWeights()):
+    """The annealing loop with every neighbor re-scored in full through the
+    evaluator, as sa_schedule ran before it scored moves from the previous
+    state; kept as its oracle. Returns (assignment, history)."""
+    rng = np.random.default_rng(seed)
+    ev = _Evaluator(workload, weights, rng)
+    n, m = len(ev.task_ids), len(ev.vm_ids)
+    current = ev.eft_vec
+    current_score = ev.score(current)
+    best, best_score = current, current_score
+    temp = params.initial_temp
+    history = {"best_scores": [], "temps": []}
+    while temp > params.min_temp:
+        for _ in range(params.steps_per_temp):
+            pos = int(rng.integers(0, n))
+            if m == 1:
+                break
+            shift = 1 + int(rng.integers(0, m - 1))
+            neighbor = list(current)
+            neighbor[pos] = (neighbor[pos] + shift) % m
+            neighbor = tuple(neighbor)
+            neighbor_score = ev.score(neighbor)
+            if sa_accept(neighbor_score - current_score, temp, rng):
+                current, current_score = neighbor, neighbor_score
+                if current_score < best_score:
+                    best, best_score = current, current_score
+        history["best_scores"].append(best_score)
+        history["temps"].append(temp)
+        temp *= params.cooling_rate
+    return ev.assignment_of(best), history
+
+
+def annealing_workload(seed):
+    """Random workload for the annealing oracle: every sixth seed a layered
+    DAG, otherwise 1-60 independent tasks on 1-6 heterogeneous machines
+    listed out of id order, with or without deadlines."""
+    if seed % 6 == 0:
+        return layered_dag_workload(seed)
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 7))
+    vms = [
+        VmSpec(
+            id=int(vid),
+            mips=float(rng.choice([500.0, 750.0, 1000.0, 2000.0])),
+            bandwidth=float(rng.choice([100.0, 1000.0])),
+            instr_cost_rate=float(rng.choice([0.0, 0.005, 0.01])),
+            bw_cost_rate=float(rng.choice([0.0, 0.01])),
+        )
+        for vid in rng.permutation(m) * 10
+    ]
+    params = TaskGenParams(
+        mean_interarrival=float(rng.choice([0.0, 0.1, 0.5])),
+        arrival_pattern=str(rng.choice(["even", "poisson"])),
+        deadline_slack_range=None if rng.random() < 0.5 else (0.5, 20.0),
+    )
+    return WorkloadSet.from_tasks(vms, generate_tasks(int(rng.integers(1, 61)), seed, params))
+
+
+def test_sa_equals_the_full_rescore_loop():
+    params = SaParams(initial_temp=0.02, cooling_rate=0.9, steps_per_temp=40, min_temp=0.0005)
+    for seed in range(48):
+        wl = annealing_workload(seed)
+        got = sa_schedule(wl, params=params, seed=seed, with_history=True)
+        assert got == full_rescore_sa(wl, params, seed), f"seed {seed}"
 
 
 # ---------------------------------------------------------------------------
