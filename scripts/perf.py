@@ -1,5 +1,5 @@
-"""Per-layer timings of the dispatch path and of simulated annealing,
-written to a BENCH_<n>.json file.
+"""Per-layer timings of the dispatch path, of simulated annealing and of
+the search scorers, written to a BENCH_<n>.json file.
 
 Each figure is the median of --repeats runs (at least 5):
 
@@ -15,10 +15,17 @@ Each figure is the median of --repeats runs (at least 5):
 * `sa_n<n>_s`: one sa_schedule call on the default config's cell of n
   tasks, n = 10, 100, 1000, with cell seed 1 and that cell's scheduler seed
   (bench.scheduler_seed), as `bench run` calls it.
+* `raw_fast_n100_us`: microseconds per _Evaluator._raw_fast call on the
+  default config's n = 100 cell (cell seed 1), over 2,000 random
+  assignment vectors; its inverse is the evaluations/s of the searches on
+  instances without precedence edges.
+* `raw_dag_4x10_us`: the same for _Tables._raw_dag, the event walk, on a
+  layered DAG instance of 4 workflows of 10 tasks on the default fleet,
+  built as the benchmark's search-dag instances are (perfbench/workloads.py).
 
 Usage, from the root of a checkout:
 
-    python3 scripts/perf.py --src parent=../parent/src --src change=src --out BENCH_9.json
+    python3 scripts/perf.py --src parent=../parent/src --src change=src --out BENCH_10.json
 
 Each --src names one label and the directory holding the cloudsched package
 to time under it. A repeat runs every label once, each in a fresh Python
@@ -111,6 +118,38 @@ def sa_cell_s(bench, schedulers, n: int) -> float:
     return time.perf_counter() - t0
 
 
+def layered_dag(wk, bench, seed: int, flows: int = 4, per_flow: int = 10):
+    """`flows` disconnected layered DAGs of `per_flow` tasks submitted at t=0
+    with deadlines, on the default fleet: perfbench's search-dag instance."""
+    params = wk.TaskGenParams(mean_interarrival=0.0, deadline_slack_range=(8.0, 40.0))
+    tasks = wk.generate_tasks(flows * per_flow, seed, params)
+    rng = np.random.default_rng([seed, 0xDA6])
+    edges = []
+    for f in range(flows):
+        ids = np.arange(f * per_flow, (f + 1) * per_flow)
+        n_layers = int(rng.integers(3, 5))
+        cuts = np.sort(rng.choice(np.arange(1, per_flow), n_layers - 1, replace=False))
+        layers = np.split(ids, cuts)
+        for prev, layer in zip(layers, layers[1:]):
+            for t in layer:
+                k = min(len(prev), 1 + int(rng.integers(0, 2)))
+                edges.extend((int(p), int(t)) for p in rng.choice(prev, k, replace=False))
+    return wk.WorkloadSet(list(bench.VmFleetConfig().build()), wk.DagWorkflow(tasks, edges))
+
+
+def scorer_us(sched, wl, name: str, calls: int = 2000) -> float:
+    """Microseconds per call of the evaluator's scorer `name` over `calls`
+    seeded random assignment vectors."""
+    ev = sched._Evaluator(wl, sched.QosWeights(), np.random.default_rng(0))
+    rng = np.random.default_rng(3)
+    vecs = [tuple(row) for row in rng.integers(0, len(ev.vm_ids), (calls, len(ev.task_ids))).tolist()]
+    score = getattr(ev, name)
+    t0 = time.perf_counter()
+    for vec in vecs:
+        score(vec)
+    return (time.perf_counter() - t0) / calls * 1e6
+
+
 def measure(src: str) -> dict[str, float]:
     """One run of every figure against the cloudsched package in src."""
     sys.path.insert(0, os.path.abspath(src))
@@ -134,6 +173,9 @@ def measure(src: str) -> dict[str, float]:
     results["usage_series_100tasks_s"] = time.perf_counter() - t0
     for n in (10, 100, 1000):
         results[f"sa_n{n}_s"] = sa_cell_s(bench, sched, n)
+    cell = bench.build_cell_workload(bench.default_config(), 100, 1)
+    results["raw_fast_n100_us"] = scorer_us(sched, cell, "_raw_fast")
+    results["raw_dag_4x10_us"] = scorer_us(sched, layered_dag(wk, bench, 1), "_raw_dag")
     return results
 
 

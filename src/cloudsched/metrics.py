@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .simulator import SimTrace
+from .simulator import SimTrace, TaskRecord
 from .workload import VmSpec
 
 _NORM_EPS = 1e-12
@@ -46,12 +46,21 @@ def _spec_map(specs: Sequence[VmSpec] | Mapping[int, VmSpec]) -> Mapping[int, Vm
     return {v.id: v for v in specs}
 
 
+def _mean_by_arrival(trace: SimTrace, value: Callable[[TaskRecord], float]) -> float:
+    """value(record) averaged over the trace's records, added left to right
+    from 0.0 in (arrival, task id) order, whatever order they were written
+    in. The search scorers add in that order too, so they equal raw_qos."""
+    total = 0.0
+    for r in sorted(trace.records.values(), key=lambda r: (r.arrival, r.task_id)):
+        total += value(r)
+    return total / len(trace.records)
+
+
 def time_cost(trace: SimTrace) -> float:
     """Mean flow time: completion minus arrival, averaged over tasks."""
     if not trace.records:
         raise ValueError("time_cost of an empty trace is undefined")
-    vals = [r.completion - r.arrival for r in trace.records.values()]
-    return float(np.mean(vals))
+    return _mean_by_arrival(trace, lambda r: r.completion - r.arrival)
 
 
 def _task_charge(spec: VmSpec, transfer: float, exec_time: float) -> float:
@@ -64,10 +73,9 @@ def money_cost(trace: SimTrace, specs: Sequence[VmSpec] | Mapping[int, VmSpec]) 
     if not trace.records:
         return 0.0
     by_id = _spec_map(specs)
-    total = 0.0
-    for r in trace.records.values():
-        total += _task_charge(by_id[r.machine_id], r.transfer_time, r.exec_time)
-    return total / len(trace.records)
+    return _mean_by_arrival(
+        trace, lambda r: _task_charge(by_id[r.machine_id], r.transfer_time, r.exec_time)
+    )
 
 
 def reliability(trace: SimTrace, deadlines: Mapping[int, float] | None = None) -> float:
@@ -104,6 +112,11 @@ def load_rate(usages: Sequence[float]) -> float:
     return float(np.abs(u - avg).sum() / (avg * u.size))
 
 
+def _qos_blend(weights: QosWeights, t_hat: float, c_hat: float, reliability: float) -> float:
+    """One score from normalized time and money and the reliability."""
+    return weights.time * t_hat + weights.cost * c_hat + weights.reliability * (1.0 - reliability)
+
+
 def qos_scores(raws: Sequence[RawQos], weights: QosWeights) -> list[float]:
     """Blend raw triples into scores, min-max normalizing time and money
     within the given pool. Lower is better; a singleton pool scores the
@@ -119,12 +132,7 @@ def qos_scores(raws: Sequence[RawQos], weights: QosWeights) -> list[float]:
 
     t_hat = normalize([r.time_cost for r in raws])
     c_hat = normalize([r.money_cost for r in raws])
-    return [
-        weights.time * t_hat[i]
-        + weights.cost * c_hat[i]
-        + weights.reliability * (1.0 - raws[i].reliability)
-        for i in range(len(raws))
-    ]
+    return [_qos_blend(weights, t, c, r.reliability) for t, c, r in zip(t_hat, c_hat, raws)]
 
 
 def raw_qos(

@@ -96,6 +96,13 @@ def policy_forward(
     theta: PolicyParams, state_vec: np.ndarray, valid: np.ndarray | None = None
 ) -> np.ndarray:
     """Action distribution for one encoded state; masked entries are exactly 0."""
+    return _forward(theta, state_vec, valid)[1]
+
+
+def _forward(
+    theta: PolicyParams, state_vec: np.ndarray, valid: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """policy_forward's checks and pass, returning (hidden layer, probs)."""
     s = np.asarray(state_vec, dtype=float)
     if s.shape != (theta.n_inputs,):
         raise ConfigurationError(
@@ -113,7 +120,7 @@ def policy_forward(
     logits = hidden @ theta.w2 + theta.b2
     shifted = logits - logits[valid].max()
     expv = np.where(valid, np.exp(shifted), 0.0)
-    return expv / expv.sum()
+    return hidden, expv / expv.sum()
 
 
 def _episode_return(rewards: Sequence[float]) -> float:
@@ -190,8 +197,7 @@ def _log_policy_grad(
     theta: PolicyParams, s: np.ndarray, a: int, valid: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Analytic grad of log pi(a | s) for every parameter tensor."""
-    hidden = np.tanh(s @ theta.w1 + theta.b1)
-    probs = policy_forward(theta, s, valid)
+    hidden, probs = _forward(theta, s, valid)
     dlogits = -probs
     dlogits[a] += 1.0  # masked entries have p == 0 so their grad stays 0
     gw2 = np.outer(hidden, dlogits)

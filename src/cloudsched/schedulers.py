@@ -6,17 +6,15 @@ object: the construction order, the per-(task, machine) service times and
 money, and the earliest-finish-time (EFT) plan, which is the greedy baseline
 and also seeds the reference pool, annealing and the GA. A candidate's score
 blends its mean flow time, mean money cost and deadline reliability. Search
-loops do not simulate: they score from those tables, with an event walk that
-reproduces raw_qos(run_simulation(...)) bit for bit, or, on instances without
-precedence edges, a closed-form per-machine recurrence that agrees with it
-up to the last bits of its sums. Annealing on such instances, when they
-have more tasks than machines, scores a move from the previous state: it
-re-walks only the two machine queues the move changes and re-adds the flow
-and money totals left to right from the moved task on, the order in which
-the recurrence adds them, so every score equals a full re-score bit for bit.
-Searches freeze normalization bounds from a
-seeded reference pool (greedy assignment plus random samples) so that the
-best-so-far comparison is a fixed total order.
+loops do not simulate: they score from those tables, with an event walk or,
+on instances without precedence edges, a per-machine recurrence. Both add
+flows and charges left to right in (arrival, id) order, as metrics does, so
+every score equals raw_qos(run_simulation(...)) bit for bit. Annealing on
+such instances with more tasks than machines re-walks only the two machine
+queues a move changes and re-adds the totals from the moved task on, so each
+score equals a full re-score bit for bit. Searches freeze normalization
+bounds from a seeded reference pool (greedy assignment plus random samples)
+so that the best-so-far comparison is a fixed total order.
 The exhaustive oracle scores its "time", "cost" and "qos" objectives with
 the same event walk.
 """
@@ -33,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DagValidationError, InstanceTooLargeError
-from .metrics import QosWeights, RawQos, _task_charge, qos_scores, raw_qos  # noqa: F401 (perfbench traces raw_qos here)
+from .metrics import QosWeights, RawQos, _qos_blend, _task_charge, qos_scores, raw_qos  # noqa: F401 (perfbench traces raw_qos here)
 from .simulator import SimTrace, run_simulation, _service_times
 from .workload import WorkloadSet, validate_dag
 
@@ -191,13 +189,13 @@ class _Tables:
             self._money_tab.append(money_row)
         # Precedence by position: successor lists, predecessor counts, and the
         # tasks without predecessors as a ready heap of (arrival, id, position).
+        # The heap is cut from all positions in (arrival, id) order, the order
+        # in which metrics adds flows and charges.
         self._succ_pos = [[pos_of[s] for s in succ[i]] for i in order]
         self._indeg = [indeg[i] for i in order]
-        self._roots = sorted(
-            (self._arrivals[pos], tid, pos)
-            for pos, tid in enumerate(self.task_ids)
-            if not self._indeg[pos]
-        )
+        keyed = sorted(zip(self._arrivals, self.task_ids, range(len(order))))
+        self._arrival_order = [pos for _, _, pos in keyed]
+        self._roots = [key for key in keyed if not self._indeg[key[2]]]
         self.eft_vec = self._plan_eft()
 
     def _plan_eft(self) -> tuple[int, ...]:
@@ -236,10 +234,9 @@ class _Tables:
         completion are known the moment it joins, and its successors can be
         released at once: their ready times are never earlier than that
         completion, as in the simulator, which handles completions before
-        readies at equal times. The aggregates are taken in the simulator's
-        completion order, (completion, id): the mean flow as np.mean takes
-        it, the money as a running sum over n, and reliability from exact
-        counts.
+        readies at equal times. Each completion is kept by position; flows
+        and money are then added left to right in (arrival, id) order, as
+        metrics adds them, and reliability comes from exact counts.
         """
         arrivals = self._arrivals
         transfer, exec_tab = self._transfer_tab, self._exec_tab
@@ -247,28 +244,26 @@ class _Tables:
         free = [0.0] * len(self.vm_ids)
         remaining = self._indeg.copy()
         ready = arrivals.copy()
+        comps = [0.0] * len(vec)
         heap = self._roots.copy()
-        done = []
         while heap:
-            r, tid, pos = heapq.heappop(heap)
+            r, _, pos = heapq.heappop(heap)
             j = vec[pos]
             f = free[j]
             start = r if r > f else f
             comp = (start + transfer[pos][j]) + exec_tab[pos][j]
-            free[j] = comp
-            done.append((comp, tid, pos))
+            free[j] = comps[pos] = comp
             for s in succ_pos[pos]:
                 if comp > ready[s]:
                     ready[s] = comp
                 remaining[s] -= 1
                 if not remaining[s]:
                     heapq.heappush(heap, (ready[s], task_ids[s], s))
-        done.sort()
-        flows = []
-        money = 0.0
+        total_time = money = 0.0
         dl_total = dl_met = 0
-        for comp, _, pos in done:
-            flows.append(comp - arrivals[pos])
+        for pos in self._arrival_order:
+            comp = comps[pos]
+            total_time += comp - arrivals[pos]
             money += self._money_tab[pos][vec[pos]]
             d = self._task_deadlines[pos]
             if d is not None:
@@ -277,8 +272,7 @@ class _Tables:
                     dl_met += 1
         n = len(vec)
         rel = dl_met / dl_total if dl_total else 1.0
-        # np.mean(flows) is this same pairwise sum over n, behind more dispatch.
-        return RawQos(float(np.add.reduce(np.array(flows))) / n, money / n, rel)
+        return RawQos(total_time / n, money / n, rel)
 
 
 class _Evaluator(_Tables):
@@ -294,9 +288,9 @@ class _Evaluator(_Tables):
         # writes through the instance __dict__, which slows every attribute
         # load in the scoring loops.
         self._srv = np.array(self._transfer_tab) + np.array(self._exec_tab)
-        # Independent tasks admit a closed-form per-machine recurrence that
-        # matches the event simulation up to the last bits of its sums; tasks
-        # with edges take the event walk, which matches it exactly.
+        # Independent tasks admit a per-machine recurrence fused with the
+        # sums in one pass; tasks with edges take the event walk. Both equal
+        # the event simulation exactly.
         self._fast = not workload.dag.edges
         # Reference pool: greedy assignment plus seeded random samples.
         ref_vecs = [self.eft_vec]
@@ -351,11 +345,7 @@ class _Evaluator(_Tables):
         """The score of raw metrics against the frozen reference bounds."""
         t_hat = (time_cost - self._t_lo) / self._t_span
         c_hat = (money_cost - self._c_lo) / self._c_span
-        return (
-            self.weights.time * t_hat
-            + self.weights.cost * c_hat
-            + self.weights.reliability * (1.0 - reliability)
-        )
+        return _qos_blend(self.weights, t_hat, c_hat, reliability)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +475,7 @@ def sa_accept(delta: float, temperature: float, rng: np.random.Generator) -> boo
 
 class _QueueMoves:
     """Annealing state on an instance without precedence edges, scored one
-    move at a time with the same bits as _Evaluator._raw_fast.
+    move at a time with the bits of _Evaluator._raw_fast, the simulator's.
 
     Moving the task at position pos from machine j0 to j1 changes only the
     completions after it on j0 and from it on on j1, and on each machine

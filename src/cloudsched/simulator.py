@@ -367,20 +367,13 @@ def _resident_demand(trace: SimTrace, workload: WorkloadSet) -> dict[int, dict[s
     out = {v.id: {d: np.zeros(horizon) for d in RESOURCES} for v in workload.vms}
     spans: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for m, u, t0, t1 in trace.residency:
-        # The slots s with t0 <= s < t1.
-        spans.setdefault((m, u), []).append((math.ceil(t0), min(horizon, math.ceil(t1))))
+        spans.setdefault((m, u), []).append((math.ceil(t0), math.ceil(t1)))
     for (m, u), ranges in sorted(spans.items()):
-        # Merge the user's overlapping ranges, so each slot is listed once
-        # and the slots never outnumber the horizon, however many of the
-        # user's tasks are resident.
-        ranges.sort()
-        merged = [list(ranges[0])]
-        for lo, hi in ranges[1:]:
-            if lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        slots = np.concatenate([np.arange(lo, hi) for lo, hi in merged])
+        # Each slot s with t0 <= s < t1 for one of the user's tasks, once.
+        mask = np.zeros(horizon, dtype=bool)
+        for lo, hi in ranges:
+            mask[lo:hi] = True
+        slots = np.flatnonzero(mask)
         for d in RESOURCES:
             prof = pmap.get((u, d))
             if prof is not None:

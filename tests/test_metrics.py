@@ -1,5 +1,7 @@
 """Trace metrics: flow time, money, reliability, load rate and blended QoS."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,47 @@ def test_money_cost_scales_linearly_with_rates():
 def test_money_cost_averages_over_tasks():
     trace, wl = simulate([100000.0, 100000.0])
     assert money_cost(trace, wl.vms) == pytest.approx(1.00)
+
+
+# ---------------------------------------------------------------------------
+# Summation order
+# ---------------------------------------------------------------------------
+
+def test_money_adds_in_arrival_order_not_completion_order():
+    # Tasks 0, 1, 2 arrive in that order and complete in the order 1, 2, 0.
+    # Their charges 0.1, 0.2, 0.3 add to different doubles in the two orders.
+    vms = [vm(0, instr_cost_rate=0.1), vm(1, instr_cost_rate=1.0), vm(2, instr_cost_rate=1.0)]
+    tasks = [task(0, length=1000.0), task(1, length=200.0, arrival=0.1), task(2, length=300.0, arrival=0.2)]
+    wl = WorkloadSet.from_tasks(vms, tasks)
+    trace = run_simulation(wl, {0: 0, 1: 1, 2: 2})
+    assert list(trace.records) == [1, 2, 0]
+    by_arrival, by_completion = (0.1 + 0.2) + 0.3, (0.2 + 0.3) + 0.1
+    assert money_cost(trace, wl.vms) == by_arrival / 3 != by_completion / 3
+
+
+def test_raw_qos_does_not_depend_on_record_order():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        n, m = int(rng.integers(8, 40)), int(rng.integers(1, 5))
+        vms = [
+            vm(j, mips=float(rng.choice([750.0, 1000.0, 2000.0])),
+               instr_cost_rate=float(rng.choice([0.003, 0.01, 0.02])), bw_cost_rate=0.005)
+            for j in range(m)
+        ]
+        tasks = []
+        for i in range(n):
+            arrival = float(rng.uniform(0.0, 10.0))
+            tasks.append(task(
+                i, length=float(rng.uniform(100.0, 5000.0)), arrival=arrival,
+                input_size=float(rng.uniform(0.0, 300.0)), deadline=arrival + float(rng.uniform(1.0, 20.0)),
+            ))
+        wl = WorkloadSet.from_tasks(vms, tasks)
+        trace = run_simulation(wl, {i: int(rng.integers(0, m)) for i in range(n)})
+        deadlines = {t.id: t.deadline for t in tasks}
+        expected = raw_qos(trace, wl.vms, deadlines)
+        for _ in range(3):
+            shuffled = {int(tid): trace.records[int(tid)] for tid in rng.permutation(n)}
+            assert raw_qos(replace(trace, records=shuffled), wl.vms, deadlines) == expected
 
 
 # ---------------------------------------------------------------------------
