@@ -328,6 +328,18 @@ def simulated_raw(wl, assignment):
     return raw_qos(run_simulation(wl, assignment), wl.vms, deadlines)
 
 
+@settings(max_examples=150, deadline=None)
+@given(wl=independent_workloads(), seed=st.integers(0, 2**32 - 1))
+def test_fast_evaluator_matches_the_event_simulator(wl, seed):
+    # The fused recurrence adds flow and money in the simulator's (arrival,
+    # id) order, so it equals the simulated metrics bit for bit.
+    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        vec = tuple(int(v) for v in rng.integers(0, len(ev.vm_ids), len(ev.task_ids)))
+        assert ev._raw_fast(vec) == simulated_raw(wl, ev.assignment_of(vec))
+
+
 @st.composite
 def dag_workloads(draw):
     """Random DAGs made to tie: integer arrivals shared by several tasks,
