@@ -22,10 +22,18 @@ Each figure is the median of --repeats runs (at least 5):
 * `raw_dag_4x10_us`: the same for _Tables._raw_dag, the event walk, on a
   layered DAG instance of 4 workflows of 10 tasks on the default fleet,
   built as the benchmark's search-dag instances are (perfbench/workloads.py).
+* `train_10x15_s`: one policy.train call shaped like one pipeline of the
+  benchmark's dispatch-learned workload: 10 episodes of 15 profiled tasks
+  on the 4 VMs, the full RewardConfig(), alpha 1e-5, batches of 5, 16
+  hidden units, lookahead 3 and 3 ready slots; the median of the calls
+  for pipeline seeds 1, 2 and 3.
+* `reinforce_update_us`: microseconds per reinforce_update call on one
+  batch of 5 such episodes rolled out (policy._rollout) under the initial
+  policy, as train's first update gets it; the mean of 20 calls.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/perf.py --src parent=../parent/src --src change=src --out BENCH_10.json
+    python3 scripts/perf.py --src parent=../parent/src --src change=src --out BENCH_11.json
 
 Each --src names one label and the directory holding the cloudsched package
 to time under it. A repeat runs every label once, each in a fresh Python
@@ -137,6 +145,38 @@ def layered_dag(wk, bench, seed: int, flows: int = 4, per_flow: int = 10):
     return wk.WorkloadSet(list(bench.VmFleetConfig().build()), wk.DagWorkflow(tasks, edges))
 
 
+def train_env(pol, rw, wk, profiles, sub_seed: int = 1):
+    """A dispatch-learned training environment: each episode is 15 fresh
+    tasks of the 30 users, with their profiles, on the 4 VMs."""
+    params = wk.TaskGenParams(mean_interarrival=1.0, n_users=30, deadline_slack_range=(30.0, 600.0))
+    vms = [wk.VmSpec(id=i, mips=m, bandwidth=b) for i, (m, b) in enumerate(FLEET)]
+
+    def episode(episode_seed):
+        tasks = wk.generate_tasks(15, sub_seed * 7919 + episode_seed, params)
+        present = {t.user_id for t in tasks}
+        return wk.WorkloadSet.from_tasks(vms, tasks, [p for p in profiles if p.user_id in present])
+
+    return pol.SchedulingEnv(episode, rw.RewardConfig(), lookahead=3, ready_slots=3)
+
+
+def train_s(pol, env, seed: int) -> float:
+    config = pol.TrainConfig(alpha=1e-5, episodes=10, batch_size=5, seed=seed, hidden=16)
+    t0 = time.perf_counter()
+    pol.train(env, config)
+    return time.perf_counter() - t0
+
+
+def reinforce_update_us(pol, env, calls: int = 20) -> float:
+    config = pol.TrainConfig(alpha=1e-5, episodes=5, batch_size=5, seed=1, hidden=16)
+    theta = pol.init_policy(env.observation_dim, config.hidden, env.n_actions, seed=config.seed)
+    rng = np.random.default_rng(config.seed)
+    batch = [pol._rollout(env, theta, rng, episode_seed=e) for e in range(config.batch_size)]
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        pol.reinforce_update(theta, batch, config)
+    return (time.perf_counter() - t0) / calls * 1e6
+
+
 def scorer_us(sched, wl, name: str, calls: int = 2000) -> float:
     """Microseconds per call of the evaluator's scorer `name` over `calls`
     seeded random assignment vectors."""
@@ -166,6 +206,10 @@ def measure(src: str) -> dict[str, float]:
     profiles = profiles_for(wk, 30)
     workloads = [deployment(wk, profiles, seed) for seed in range(1, 6)]
     results["env_step_per_s"] = steps_per_s(pol, rw, workloads)
+    results["train_10x15_s"] = statistics.median(
+        train_s(pol, train_env(pol, rw, wk, profiles, seed), seed) for seed in (1, 2, 3)
+    )
+    results["reinforce_update_us"] = reinforce_update_us(pol, train_env(pol, rw, wk, profiles))
     wl = workloads[0]
     trace = sim.run_simulation(wl, {t.id: wl.vms[0].id for t in wl.tasks})
     t0 = time.perf_counter()

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from operator import attrgetter
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,21 +47,32 @@ def _spec_map(specs: Sequence[VmSpec] | Mapping[int, VmSpec]) -> Mapping[int, Vm
     return {v.id: v for v in specs}
 
 
-def _mean_by_arrival(trace: SimTrace, value: Callable[[TaskRecord], float]) -> float:
-    """value(record) averaged over the trace's records, added left to right
-    from 0.0 in (arrival, task id) order, whatever order they were written
-    in. The search scorers add in that order too, so they equal raw_qos."""
+def _by_arrival(trace: SimTrace) -> list[TaskRecord]:
+    """The trace's records in (arrival, task id) order, whatever order they
+    were written in. The means below add left to right from 0.0 in this
+    order; the search scorers add in it too, so they equal raw_qos."""
+    return sorted(trace.records.values(), key=attrgetter("arrival", "task_id"))
+
+
+def _mean_flow(records: Sequence[TaskRecord]) -> float:
+    if not records:
+        raise ValueError("time_cost of an empty trace is undefined")
     total = 0.0
-    for r in sorted(trace.records.values(), key=lambda r: (r.arrival, r.task_id)):
-        total += value(r)
-    return total / len(trace.records)
+    for r in records:
+        total += r.completion - r.arrival
+    return total / len(records)
+
+
+def _mean_charge(records: Sequence[TaskRecord], by_id: Mapping[int, VmSpec]) -> float:
+    total = 0.0
+    for r in records:
+        total += _task_charge(by_id[r.machine_id], r.transfer_time, r.exec_time)
+    return total / len(records)
 
 
 def time_cost(trace: SimTrace) -> float:
     """Mean flow time: completion minus arrival, averaged over tasks."""
-    if not trace.records:
-        raise ValueError("time_cost of an empty trace is undefined")
-    return _mean_by_arrival(trace, lambda r: r.completion - r.arrival)
+    return _mean_flow(_by_arrival(trace))
 
 
 def _task_charge(spec: VmSpec, transfer: float, exec_time: float) -> float:
@@ -72,10 +84,7 @@ def money_cost(trace: SimTrace, specs: Sequence[VmSpec] | Mapping[int, VmSpec]) 
     """Per-task average charge: execution and transfer seconds at vm rates."""
     if not trace.records:
         return 0.0
-    by_id = _spec_map(specs)
-    return _mean_by_arrival(
-        trace, lambda r: _task_charge(by_id[r.machine_id], r.transfer_time, r.exec_time)
-    )
+    return _mean_charge(_by_arrival(trace), _spec_map(specs))
 
 
 def reliability(trace: SimTrace, deadlines: Mapping[int, float] | None = None) -> float:
@@ -140,9 +149,11 @@ def raw_qos(
     specs: Sequence[VmSpec] | Mapping[int, VmSpec],
     deadlines: Mapping[int, float] | None = None,
 ) -> RawQos:
+    """time_cost, money_cost and reliability, sorting the records once."""
+    records = _by_arrival(trace)
     return RawQos(
-        time_cost=time_cost(trace),
-        money_cost=money_cost(trace, specs),
+        time_cost=_mean_flow(records),
+        money_cost=_mean_charge(records, _spec_map(specs)),
         reliability=reliability(trace, deadlines),
     )
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, TrainingError
 from .rewards import RewardConfig, total_reward
-from .simulator import SimState, init_state, step
+from .simulator import RewardInputs, SimState, _advance, init_state, step
 from .workload import WorkloadSet
 
 _INIT_SCALE = 0.05
@@ -147,18 +147,29 @@ def compute_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """One episode rollout: aligned (state, action, reward) plus masks."""
+    """One episode rollout: aligned (state, action, reward) plus masks.
+
+    A rollout under a policy also keeps each step's forward pass, (hidden
+    layer, probs), in `passes`, and the PolicyParams it ran under in
+    `theta`. reinforce_update reads the passes in place of a second forward
+    pass only when it updates that same theta object, which must not have
+    been changed in place since; any other trajectory is recomputed.
+    """
 
     states: list[np.ndarray]
     actions: list[int]
     rewards: list[float]
     valid_masks: list[np.ndarray] = field(default_factory=list)
+    passes: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    theta: PolicyParams | None = None
 
     def __post_init__(self):
         if len(self.states) != len(self.actions) or len(self.actions) != len(self.rewards):
             raise ConfigurationError("trajectory fields must have equal length")
         if self.valid_masks and len(self.valid_masks) != len(self.actions):
             raise ConfigurationError("valid_masks must align with actions")
+        if self.passes and len(self.passes) != len(self.actions):
+            raise ConfigurationError("passes must align with actions")
         if any(not np.isfinite(r) for r in self.rewards):
             raise ConfigurationError("trajectory rewards must be finite")
 
@@ -194,10 +205,15 @@ class TrainConfig:
 
 
 def _log_policy_grad(
-    theta: PolicyParams, s: np.ndarray, a: int, valid: np.ndarray | None
+    theta: PolicyParams,
+    s: np.ndarray,
+    a: int,
+    valid: np.ndarray | None,
+    forward: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic grad of log pi(a | s) for every parameter tensor."""
-    hidden, probs = _forward(theta, s, valid)
+    """Analytic grad of log pi(a | s) for every parameter tensor. forward is
+    _forward(theta, s, valid) when the caller has it already."""
+    hidden, probs = forward if forward is not None else _forward(theta, s, valid)
     dlogits = -probs
     dlogits[a] += 1.0  # masked entries have p == 0 so their grad stays 0
     gw2 = np.outer(hidden, dlogits)
@@ -209,6 +225,26 @@ def _log_policy_grad(
     return gw1, gb1, gw2, gb2
 
 
+def _step_grads(
+    theta: PolicyParams,
+    trajectories: Sequence[Trajectory],
+    all_returns: Sequence[np.ndarray],
+    baseline: float,
+):
+    """(step, advantage, grad log pi) of each step with a nonzero advantage,
+    in batch order. A trajectory rolled out under this theta object lends
+    its stored forward passes."""
+    for tr, returns in zip(trajectories, all_returns):
+        masks = tr.valid_masks if tr.valid_masks else [None] * len(tr)
+        passes = tr.passes if tr.passes and tr.theta is theta else [None] * len(tr)
+        for t in range(len(tr)):
+            advantage = returns[t] - baseline
+            if advantage != 0.0:
+                yield t, advantage, _log_policy_grad(
+                    theta, tr.states[t], tr.actions[t], masks[t], passes[t]
+                )
+
+
 def reinforce_update(
     theta: PolicyParams,
     trajectories: Trajectory | Sequence[Trajectory],
@@ -218,7 +254,12 @@ def reinforce_update(
 
     Returns are computed per episode; the optional baseline is the mean
     return across everything in the batch. All-zero returns leave theta
-    unchanged.
+    unchanged. A trajectory that _rollout made under this same theta object
+    supplies its stored forward passes; every other one (built by hand, or
+    rolled out under another theta) is passed forward again, to the same
+    bits. Finiteness is checked once, on the summed gradients; only if that
+    fails is the batch walked again, so the TrainingError names the first
+    step whose gradient is not finite, or the sum if every step's is.
     """
     if isinstance(trajectories, Trajectory):
         trajectories = [trajectories]
@@ -230,19 +271,16 @@ def reinforce_update(
     gb1 = np.zeros_like(theta.b1)
     gw2 = np.zeros_like(theta.w2)
     gb2 = np.zeros_like(theta.b2)
-    for tr, returns in zip(trajectories, all_returns):
-        masks = tr.valid_masks if tr.valid_masks else [None] * len(tr)
-        for t in range(len(tr)):
-            advantage = returns[t] - baseline
-            if advantage == 0.0:
-                continue
-            g1, g2, g3, g4 = _log_policy_grad(theta, tr.states[t], tr.actions[t], masks[t])
-            if not all(np.all(np.isfinite(g)) for g in (g1, g2, g3, g4)):
+    for _, advantage, (g1, g2, g3, g4) in _step_grads(theta, trajectories, all_returns, baseline):
+        gw1 += advantage * g1
+        gb1 += advantage * g2
+        gw2 += advantage * g3
+        gb2 += advantage * g4
+    if not all(np.isfinite(g).all() for g in (gw1, gb1, gw2, gb2)):
+        for t, _, grads in _step_grads(theta, trajectories, all_returns, baseline):
+            if not all(np.isfinite(g).all() for g in grads):
                 raise TrainingError(f"non-finite gradient at step {t}")
-            gw1 += advantage * g1
-            gb1 += advantage * g2
-            gw2 += advantage * g3
-            gb2 += advantage * g4
+        raise TrainingError("non-finite gradient sum over the batch; try a smaller alpha")
     return PolicyParams(
         w1=theta.w1 + config.alpha * gw1,
         b1=theta.b1 + config.alpha * gb1,
@@ -269,8 +307,13 @@ def encode_state(state: SimState, lookahead: int = 3, *, ready_slots: int = 5) -
     feats: list[float] = []
     for machine in state.machines:
         backlog = max(0.0, machine.busy_until - state.clock) if machine.running is not None else 0.0
-        for _, service in machine.queue:
-            backlog += service
+        if backlog < lookahead:
+            # Services are >= 0, so the sum never falls: once it reaches
+            # lookahead every slot below reads 1.0, as it would at the end.
+            for _, service in machine.queue:
+                backlog += service
+                if backlog >= lookahead:
+                    break
         for slot in range(lookahead):
             feats.append(min(1.0, max(0.0, backlog - slot)))
     for slot in range(ready_slots):
@@ -366,7 +409,12 @@ class SchedulingEnv:
         if self._state is None:
             raise ConfigurationError("call reset() before step()")
         decoded = self.decode_action(int(action_index))
-        self._state, inputs = step(self._state, decoded)
+        if self.reward_config.resources:
+            self._state, inputs = step(self._state, decoded)
+        else:
+            # No per-resource term reads the machines: skip their snapshots.
+            fresh = _advance(self._state, decoded)
+            inputs = RewardInputs(self._state.clock, self._state.waiting_count(), (), tuple(fresh))
         reward = total_reward(inputs, self.reward_config)
         self._steps += 1
         done = self._state.done or self._steps >= self._cap
@@ -393,14 +441,16 @@ def _rollout(
     greedy: bool = False,
 ) -> Trajectory:
     obs, mask = env.reset(seed=episode_seed)
-    states, actions, rewards, masks = [], [], [], []
+    states, actions, rewards, masks, passes = [], [], [], [], []
     done = False
     while not done:
         if theta is None:
             choices = np.flatnonzero(mask)
             a = int(choices[rng.integers(0, len(choices))])
         else:
-            probs = policy_forward(theta, obs, mask)
+            forward = _forward(theta, obs, mask)
+            passes.append(forward)
+            probs = forward[1]
             if greedy:
                 a = int(np.argmax(probs))
             else:
@@ -410,7 +460,14 @@ def _rollout(
         masks.append(mask)
         obs, mask, reward, done = env.step(a)
         rewards.append(reward)
-    return Trajectory(states=states, actions=actions, rewards=rewards, valid_masks=masks)
+    return Trajectory(
+        states=states,
+        actions=actions,
+        rewards=rewards,
+        valid_masks=masks,
+        passes=passes,
+        theta=theta,
+    )
 
 
 def train(env: SchedulingEnv, config: TrainConfig = TrainConfig()) -> tuple[PolicyParams, list[float]]:

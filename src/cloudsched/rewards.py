@@ -43,6 +43,8 @@ class RewardConfig:
     resources: tuple[str, ...] = RESOURCES
 
     def __post_init__(self):
+        # A tuple, whatever sequence was given: ResidentSet.pair_sums keys on it.
+        object.__setattr__(self, "resources", tuple(self.resources))
         for name in ("k_c", "k_u", "k_o", "k_w"):
             if not getattr(self, name) >= 0:  # also false for NaN
                 raise ConfigurationError(f"{name} must be >= 0")
@@ -59,15 +61,14 @@ def competition_penalty(
 
     machine_profiles holds, per machine, the demand series of the workloads
     resident there keyed by resource. Series sharing a machine and resource
-    must have equal length. Each pair sum is ResidentSet.pair_sum, which a
-    stepper's snapshot keeps until the machine's residents change.
+    must have equal length. The pair sums come from ResidentSet.pair_sums,
+    which a stepper's snapshot keeps until the machine's residents change,
+    and are added one by one in machine and resource order.
     """
     total = 0.0
     for entry in machine_profiles:
-        residents = ResidentSet.of(entry)
-        for d in config.resources:
-            if len(residents.get(d, ())) >= 2:
-                total += config.k_c * residents.pair_sum(d)
+        for pair_sum in ResidentSet.of(entry).pair_sums(config.resources):
+            total += config.k_c * pair_sum
     return -total
 
 

@@ -26,10 +26,13 @@ resident on a machine at slot s iff one of their tasks joined the machine
 queue at or before s and completes after s. The first time the summed
 resident demand for a (machine, resource) exceeds capacity fraction 1.0 an
 overuse event is recorded; the pair never fires again. Summed demand and
-the stepper's reward inputs are read from each machine's ResidentSet, which
-is rebuilt only when the machine's queue changes. After a run, scan_overuse
-and machine_usage_series read the same per-slot resident demand, built from
-the trace's residency rows, which equals the stepper's slot by slot.
+the stepper's reward inputs are read from each machine's ResidentSet. Each
+machine counts its users' running and queued tasks as they join and
+complete, and its set is rebuilt only when its resident users change; a
+machine's reward snapshot is reused while the set, the slot and its in_use
+stay the same. After a run, scan_overuse and machine_usage_series read the
+same per-slot resident demand, built from the trace's residency rows, which
+equals the stepper's slot by slot.
 """
 
 from __future__ import annotations
@@ -126,7 +129,12 @@ class Machine:
     busy_until: float = 0.0
     busy_total: float = 0.0
     residents: "ResidentSet | None" = None
-    queue_changed: bool = True  # set by _join and _complete_task
+    # user id -> that user's running and queued tasks here; a key is present
+    # only while its count is positive
+    user_tasks: dict[int, int] = field(default_factory=dict)
+    users_changed: bool = True  # set when a user_tasks key comes or goes
+    # (slot, snapshot) of the last snapshot _snapshot built for the machine
+    last_snapshot: "tuple[int, MachineSnapshot] | None" = None
 
     @property
     def in_use(self) -> bool:
@@ -139,14 +147,17 @@ class ResidentSet(Mapping):
     A machine keeps its set, and every snapshot shares it, until its
     resident users change, so the set is read-only, as profile series are.
     On first use each resource's series are summed over one period, user by
-    user from +0.0 as sum() adds at one slot, and each resource's
-    competition pair sum is kept once computed.
+    user from +0.0 as sum() adds at one slot. The demand dict of the last
+    slot read, each resource's competition pair sum and the pair sums of
+    each tuple of resources are kept once computed.
     """
 
     def __init__(self, series: Mapping[str, Sequence[np.ndarray]], users: tuple[int, ...] = ()):
         self._series = {d: tuple(rows) for d, rows in series.items()}
         self.users = users
         self._pair_sums: dict[str, float] = {}
+        self._pair_sums_of: dict[tuple[str, ...], tuple[float, ...]] = {}
+        self._used: tuple[int, dict[str, float]] | None = None
 
     @classmethod
     def of_users(
@@ -185,8 +196,12 @@ class ResidentSet(Mapping):
         }
 
     def used_at(self, slot: int) -> dict[str, float]:
-        """Each resource's summed demand at a slot, in user order."""
-        return {d: float(t[slot % len(t)]) for d, t in self._totals.items()}
+        """Each resource's summed demand at a slot, in user order. The dict
+        is kept and handed out again while the slot is the same, so it is
+        read-only."""
+        if self._used is None or self._used[0] != slot:
+            self._used = (slot, {d: float(t[slot % len(t)]) for d, t in self._totals.items()})
+        return self._used[1]
 
     def pair_sum(self, resource: str) -> float:
         """Sum over unordered pairs of the resource's series inner products,
@@ -200,11 +215,20 @@ class ResidentSet(Mapping):
                 )
             pair_sum = 0.0
             if len(rows) >= 2:
-                stacked = np.stack(rows)
+                stacked = np.array(rows)  # np.stack's array, built faster
                 agg = stacked.sum(axis=0)
                 pair_sum = (float(agg @ agg) - float((stacked * stacked).sum())) / 2.0
             self._pair_sums[resource] = pair_sum
         return self._pair_sums[resource]
+
+    def pair_sums(self, resources: tuple[str, ...]) -> tuple[float, ...]:
+        """pair_sum of each of the resources with two or more series, in the
+        order given."""
+        sums = self._pair_sums_of.get(resources)
+        if sums is None:
+            sums = tuple(self.pair_sum(d) for d in resources if len(self.get(d, ())) >= 2)
+            self._pair_sums_of[resources] = sums
+        return sums
 
 
 _NO_RESIDENTS = ResidentSet({d: () for d in RESOURCES})
@@ -304,7 +328,11 @@ def _join(state: SimState, tid: int, vm_id: int, now: float) -> None:
     state.join_times[tid] = now
     state.dispatched[tid] = vm_id
     machine = state.machines[state.vm_index[vm_id]]
-    machine.queue_changed = True
+    user = state.tasks[tid].user_id
+    count = machine.user_tasks.get(user, 0)
+    machine.user_tasks[user] = count + 1
+    if not count:
+        machine.users_changed = True
     if machine.running is None:
         _begin_execution(state, machine, tid, now)
     else:
@@ -341,7 +369,12 @@ def _complete_task(state: SimState, tid: int, now: float) -> None:
     )
     state.residency.append((vm_id, task.user_id, state.join_times[tid], now))
     machine.running = None
-    machine.queue_changed = True
+    count = machine.user_tasks[task.user_id] - 1
+    if count:
+        machine.user_tasks[task.user_id] = count
+    else:
+        del machine.user_tasks[task.user_id]
+        machine.users_changed = True
     for succ in state.succs[tid]:
         state.remaining[succ] -= 1
         if state.remaining[succ] == 0:
@@ -398,17 +431,15 @@ def scan_overuse(trace: SimTrace, workload: WorkloadSet) -> list[OveruseEvent]:
 
 
 def _residents(state: SimState, machine: Machine) -> ResidentSet:
-    """The machine's resident set. Its users are listed again only after
-    _join or _complete_task changed its queue, and the set is rebuilt only
-    if they changed: a long queue often keeps its users as tasks come and go."""
-    if machine.queue_changed:
-        users = {state.tasks[tid].user_id for tid, _ in machine.queue}
-        if machine.running is not None:
-            users.add(state.tasks[machine.running].user_id)
-        users = tuple(sorted(users))
+    """The machine's resident set, rebuilt only when its resident users
+    changed: _join and _complete_task count each user's tasks on the machine
+    and flag it when a count crosses 0 <-> 1. A user who left and came back
+    between two reads keeps the set."""
+    if machine.users_changed:
+        users = tuple(sorted(machine.user_tasks))
         if machine.residents is None or users != machine.residents.users:
             machine.residents = ResidentSet.of_users(users, state.pmap)
-        machine.queue_changed = False
+        machine.users_changed = False
     return machine.residents
 
 
@@ -457,13 +488,21 @@ def _absorb_events(state: SimState, now: float) -> None:
 
 
 def _snapshot(state: SimState, new_overuse: Sequence[tuple[int, str]]) -> RewardInputs:
-    """Reward inputs at the clock, read from each machine's resident set:
-    no sort and no per-user demand lookup unless the machine's queue changed."""
+    """Reward inputs at the clock, read from each machine's resident set. A
+    machine's last snapshot is reused while its set, the slot and its in_use
+    are unchanged, so snapshots are read-only."""
     slot = int(math.floor(state.clock))
     snaps = []
     for machine in state.machines:
-        res = _residents(state, machine)
-        snaps.append(MachineSnapshot(machine.spec.id, machine.in_use, res.used_at(slot), res))
+        res, in_use, last = _residents(state, machine), machine.in_use, machine.last_snapshot
+        if last is not None:
+            last_slot, snap = last
+            if last_slot == slot and snap.resident_profiles is res and snap.in_use == in_use:
+                snaps.append(snap)
+                continue
+        snap = MachineSnapshot(machine.spec.id, in_use, res.used_at(slot), res)
+        machine.last_snapshot = (slot, snap)
+        snaps.append(snap)
     return RewardInputs(
         clock=state.clock,
         queue_len=state.waiting_count(),

@@ -5,9 +5,11 @@ here as the oracle, and results must be equal with ==, not approximately;
 the usage oracle's resource half counts each resident user once, as the
 overuse scan and the stepper do. So is the policy encoder's backlog walk,
 which now reads the service time each machine keeps beside every queued
-task."""
+task and stops once the backlog covers the lookahead, and so are the
+resident users, which each machine now counts as tasks join and complete."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -244,6 +246,10 @@ def test_cached_snapshots_equal_the_per_step_snapshot():
         for state, inputs in random_episode(rng, wl):
             old = old_snapshot(state, inputs.new_overuse)
             assert_same_inputs(inputs, old)
+            for machine in state.machines:
+                assert sorted(machine.user_tasks) == old_resident_users(state, machine)
+                running = machine.running is not None
+                assert sum(machine.user_tasks.values()) == len(machine.queue) + running
             for cfg in configs:
                 # Twice, so the second call reads the memoized pair sums.
                 for _ in range(2):
@@ -264,6 +270,65 @@ def test_encoded_backlogs_equal_the_queue_walk():
             assert obs[: lookahead * len(wl.vms)].tolist() == old_machine_features(state, lookahead)
             queued += sum(len(m.queue) for m in state.machines)
     assert queued > 300
+
+
+@pytest.mark.parametrize("lookahead", [1, 2, 3])
+def test_encoded_backlogs_stop_early_at_lookahead(lookahead):
+    # Short lookaheads, so most long queues reach lookahead partway through
+    # their walk and the rest of it is skipped.
+    rng = np.random.default_rng(908)
+    crossed = 0
+    for _ in range(40):
+        # Up to 20 tasks of 0.1-1.5 s at t < 2 on one or two machines.
+        tasks = [
+            Task(id=i, user_id=int(rng.integers(3)), length=float(rng.uniform(100.0, 1500.0)),
+                 input_size=float(rng.choice([0.0, rng.uniform(0.0, 50.0)])),
+                 arrival_time=float(rng.uniform(0.0, 2.0)))
+            for i in range(int(rng.integers(4, 21)))
+        ]
+        wl = WorkloadSet([vm(j) for j in range(int(rng.integers(1, 3)))], DagWorkflow(tasks, []))
+        for state, _ in random_episode(rng, wl):
+            obs = encode_state(state, lookahead, ready_slots=1)
+            assert obs[: lookahead * len(wl.vms)].tolist() == old_machine_features(state, lookahead)
+            for m in state.machines:
+                head = max(0.0, m.busy_until - state.clock) if m.running is not None else 0.0
+                services = [service for _, service in m.queue]
+                crossed += head < lookahead <= head + sum(services[:-1])
+    assert crossed > 300
+
+
+def test_user_task_counts_follow_the_queue():
+    # User 0 has two tasks on machine 0, co-resident while the second waits;
+    # user 1 has one, queued behind them. The counts, and so the resident
+    # users, match the queue walk after every step, and the resident set is
+    # rebuilt only when a user comes or goes.
+    tasks = [Task(id=0, user_id=0, length=2000.0), Task(id=1, user_id=0, length=1000.0)]
+    tasks.append(Task(id=2, user_id=1, length=1000.0))
+    profiles = [UsageProfile(u, "cpu", [0.3]) for u in (0, 1)]
+    wl = WorkloadSet([vm(0)], DagWorkflow(tasks, []), profiles)
+    state = init_state(wl)
+    machine = state.machines[0]
+    seen, sets = [], []
+    for action in [(0, 0), (1, 0), (2, 0)] + [None] * 4:
+        state, inputs = step(state, action)
+        users = old_resident_users(state, machine)
+        tids = [tid for tid, _ in machine.queue] + [machine.running] * (machine.running is not None)
+        assert machine.user_tasks == Counter(state.tasks[tid].user_id for tid in tids)
+        assert sorted(machine.user_tasks) == users
+        assert inputs.machines[0].resident_profiles.users == tuple(users)
+        seen.append((state.clock, dict(machine.user_tasks)))
+        sets.append(inputs.machines[0].resident_profiles)
+    assert seen == [
+        (0.0, {0: 1}),
+        (0.0, {0: 2}),
+        (0.0, {0: 2, 1: 1}),
+        (2.0, {0: 1, 1: 1}),  # task 0 done: user 0 still resident through task 1
+        (3.0, {1: 1}),
+        (4.0, {}),
+        (4.0, {}),
+    ]
+    assert sets[0] is sets[1] and sets[2] is sets[3]
+    assert len({id(r) for r in sets}) == 4  # (0,), (0, 1), (1,), ()
 
 
 def test_mixed_profile_lengths_are_rejected():

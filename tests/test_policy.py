@@ -26,9 +26,9 @@ from cloudsched.policy import (
     train,
     valid_actions,
 )
-from cloudsched.rewards import RewardConfig
+from cloudsched.rewards import RewardConfig, total_reward
 from cloudsched.simulator import init_state, step
-from cloudsched.workload import TaskGenParams, WorkloadSet, generate_tasks
+from cloudsched.workload import TaskGenParams, UsageProfile, WorkloadSet, generate_tasks
 
 from helpers import task, vm
 
@@ -226,6 +226,111 @@ def test_analytic_gradient_matches_finite_differences():
                 err = abs(grad[mi] - numeric) / max(1.0, abs(numeric))
                 worst = max(worst, err)
     assert worst <= 1e-4
+
+
+def tensors_bytes(theta):
+    return [a.tobytes() for a in (theta.w1, theta.b1, theta.w2, theta.b2)]
+
+
+def without_passes(tr):
+    return Trajectory(tr.states, tr.actions, tr.rewards, valid_masks=tr.valid_masks)
+
+
+def counting_forward(monkeypatch):
+    calls = []
+    forward = policy._forward
+
+    def counted(*args):
+        calls.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(policy, "_forward", counted)
+    return calls
+
+
+def rollouts(env, theta, seeds):
+    rng = np.random.default_rng(11)
+    return [policy._rollout(env, theta, rng, episode_seed=s) for s in seeds]
+
+
+def test_update_reads_the_rollout_passes_to_the_same_bits(monkeypatch):
+    env = tiny_env(n_tasks=6, reward=RewardConfig(k_w=0.1, k_u=0.0, resources=()))
+    theta = init_policy(env.observation_dim, 8, env.n_actions, seed=4)
+    batch = rollouts(env, theta, range(4))
+    assert all(tr.theta is theta and len(tr.passes) == len(tr) for tr in batch)
+    config = TrainConfig(alpha=0.05, gamma=0.9)
+    calls = counting_forward(monkeypatch)
+    stored = reinforce_update(theta, batch, config)
+    assert calls == []  # no second forward pass
+    recomputed = reinforce_update(theta, [without_passes(tr) for tr in batch], config)
+    assert len(calls) == sum(len(tr) for tr in batch)
+    assert tensors_bytes(stored) == tensors_bytes(recomputed)
+    assert tensors_bytes(stored) != tensors_bytes(theta)
+
+
+def test_update_under_another_theta_recomputes_the_passes(monkeypatch):
+    env = tiny_env(n_tasks=6, reward=RewardConfig(k_w=0.1, k_u=0.0, resources=()))
+    rolled = init_policy(env.observation_dim, 8, env.n_actions, seed=4)
+    batch = rollouts(env, rolled, range(3))
+    config = TrainConfig(alpha=0.05, gamma=0.9)
+    bare = [without_passes(tr) for tr in batch]
+    # Another policy, and an equal copy that is another object: both take
+    # the recompute path and equal an update of the bare trajectories.
+    for theta in (init_policy(env.observation_dim, 8, env.n_actions, seed=5), rolled.copy()):
+        calls = counting_forward(monkeypatch)
+        updated = reinforce_update(theta, batch, config)
+        assert len(calls) == sum(len(tr) for tr in batch)
+        assert tensors_bytes(updated) == tensors_bytes(reinforce_update(theta, bare, config))
+        monkeypatch.undo()
+
+
+def test_a_non_finite_step_gradient_is_named():
+    from cloudsched.errors import TrainingError
+
+    theta = init_policy(4, 3, 3, seed=1)
+    states = [np.full(4, 0.1 * t) for t in range(4)]
+    states[2] = np.array([np.inf, 0.0, 0.0, 0.0])  # tanh saturates: inf * 0 in grad w1
+    bad = Trajectory(states=states, actions=[0, 1, 2, 0], rewards=[1.0, 0.5, 2.0, 1.0])
+    good = Trajectory(states=states[:2], actions=[1, 1], rewards=[1.0, 1.0])
+    config = TrainConfig(alpha=0.01, baseline="none")
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingError, match="non-finite gradient at step 2$"):
+            reinforce_update(theta, bad, config)
+        with pytest.raises(TrainingError, match="non-finite gradient at step 2$"):
+            reinforce_update(theta, [good, bad], config)
+        # Every step's gradient finite, the weighted sum not: the sum is named.
+        huge = Trajectory(states=states[:2], actions=[1, 1], rewards=[1e308, 1e308])
+        with pytest.raises(TrainingError, match="non-finite gradient sum over the batch"):
+            reinforce_update(theta, huge, TrainConfig(gamma=1.0, baseline="none"))
+
+
+def test_a_reward_without_resources_equals_the_snapshot_reward():
+    # SchedulingEnv skips the machine snapshots when no per-resource term is
+    # on; its reward must equal total_reward of the full step's inputs,
+    # overuse charges included.
+    vms = [vm(0), vm(1, mips=500.0)]
+    params = TaskGenParams(length_range=(500.0, 3000.0), mean_interarrival=0.5, n_users=3)
+    profiles = [UsageProfile(u, d, [0.6, 0.7]) for u in range(3) for d in ("cpu", "memory")]
+
+    def source(seed):
+        return WorkloadSet.from_tasks(vms, generate_tasks(12, seed=seed, params=params), profiles)
+
+    config = RewardConfig(k_w=0.3, k_o=2.0, resources=())
+    env = SchedulingEnv(source, config, lookahead=3, ready_slots=3)
+    rng = np.random.default_rng(8)
+    fired = 0
+    for seed in range(5):
+        env.reset(seed=seed)
+        twin = init_state(env.state.workload)
+        done = False
+        while not done:
+            choices = np.flatnonzero(valid_actions(env.state, env.ready_slots))
+            a = int(choices[rng.integers(len(choices))])
+            twin, inputs = step(twin, env.decode_action(a))
+            _, _, reward, done = env.step(a)
+            assert len(inputs.machines) == 2 and reward == total_reward(inputs, config)
+            fired += len(inputs.new_overuse)
+    assert fired > 0
 
 
 def test_divergent_training_is_reported():
