@@ -1,5 +1,5 @@
-"""Per-layer timings of the dispatch path, of simulated annealing and of
-the search scorers, written to a BENCH_<n>.json file.
+"""Per-layer timings of the dispatch path, of the searches and of their
+scorers and ant construction, written to a BENCH_<n>.json file.
 
 Each figure is the median of --repeats runs (at least 5):
 
@@ -15,6 +15,13 @@ Each figure is the median of --repeats runs (at least 5):
 * `sa_n<n>_s`: one sa_schedule call on the default config's cell of n
   tasks, n = 10, 100, 1000, with cell seed 1 and that cell's scheduler seed
   (bench.scheduler_seed), as `bench run` calls it.
+* `gaaco_n200_s`, `aco_n200_s`: the same for gaaco_schedule and
+  aco_schedule on the n = 200 cell.
+* `colony_ants_per_s_<k>`: ants built per second by _construct_colony on
+  the n = 200 cell (cell seed 1), over 10 colonies of k ants after one
+  unmeasured colony, with the pheromone fixed at 1: k = 31 with beta 2 (the
+  hybrid's colony at its last generation) and k = 20 with beta 0.5 (plain
+  ACO's colony).
 * `raw_fast_n100_us`: microseconds per _Evaluator._raw_fast call on the
   default config's n = 100 cell (cell seed 1), over 2,000 random
   assignment vectors; its inverse is the evaluations/s of the searches on
@@ -33,7 +40,7 @@ Each figure is the median of --repeats runs (at least 5):
 
 Usage, from the root of a checkout:
 
-    python3 scripts/perf.py --src parent=../parent/src --src change=src --out BENCH_11.json
+    python3 scripts/perf.py --src parent=../parent/src --src change=src --out BENCH_12.json
 
 Each --src names one label and the directory holding the cloudsched package
 to time under it. A repeat runs every label once, each in a fresh Python
@@ -116,14 +123,31 @@ def steps_per_s(pol, rw, workloads) -> float:
     return steps / spent
 
 
-def sa_cell_s(bench, schedulers, n: int) -> float:
-    """One sa_schedule call on the default config's cell (n, seed 1)."""
+def cell_s(bench, schedulers, name: str, n: int) -> float:
+    """One <name>_schedule call on the default config's cell (n, seed 1)."""
     config = bench.default_config()
     wl = bench.build_cell_workload(config, n, 1)
-    seed = bench.scheduler_seed(n, 1, "sa")
+    seed = bench.scheduler_seed(n, 1, name)
+    search = getattr(schedulers, f"{name}_schedule")
     t0 = time.perf_counter()
-    schedulers.sa_schedule(wl, seed=seed, weights=config.weights)
+    search(wl, seed=seed, weights=config.weights)
     return time.perf_counter() - t0
+
+
+def colony_ants_per_s(bench, schedulers, ants: int, beta: float, colonies: int = 10) -> float:
+    """Ants per second built by _construct_colony on the default config's
+    n = 200 cell (seed 1) with the pheromone fixed at 1."""
+    config = bench.default_config()
+    ev = schedulers._Evaluator(
+        bench.build_cell_workload(config, 200, 1), config.weights, np.random.default_rng(0)
+    )
+    tau_pow = np.ones((len(ev.task_ids), len(ev.vm_ids)))
+    rng = np.random.default_rng(1)
+    schedulers._construct_colony(ev, tau_pow, beta, rng, ants)
+    t0 = time.perf_counter()
+    for _ in range(colonies):
+        schedulers._construct_colony(ev, tau_pow, beta, rng, ants)
+    return ants * colonies / (time.perf_counter() - t0)
 
 
 def layered_dag(wk, bench, seed: int, flows: int = 4, per_flow: int = 10):
@@ -216,7 +240,11 @@ def measure(src: str) -> dict[str, float]:
     sim.machine_usage_series(trace, wl)
     results["usage_series_100tasks_s"] = time.perf_counter() - t0
     for n in (10, 100, 1000):
-        results[f"sa_n{n}_s"] = sa_cell_s(bench, sched, n)
+        results[f"sa_n{n}_s"] = cell_s(bench, sched, "sa", n)
+    for name in ("gaaco", "aco"):
+        results[f"{name}_n200_s"] = cell_s(bench, sched, name, 200)
+    results["colony_ants_per_s_31"] = colony_ants_per_s(bench, sched, 31, beta=2.0)
+    results["colony_ants_per_s_20"] = colony_ants_per_s(bench, sched, 20, beta=0.5)
     cell = bench.build_cell_workload(bench.default_config(), 100, 1)
     results["raw_fast_n100_us"] = scorer_us(sched, cell, "_raw_fast")
     results["raw_dag_4x10_us"] = scorer_us(sched, layered_dag(wk, bench, 1), "_raw_dag")

@@ -1,22 +1,18 @@
 """Assignment search: greedy, annealing, ant colony and a GA-ACO hybrid.
 
-Every scheduler is a pure function of (inputs, seed): identical calls return
-identical assignments. Each call builds its instance once, as one table
-object: the construction order, the per-(task, machine) service times and
-money, and the earliest-finish-time (EFT) plan, which is the greedy baseline
-and also seeds the reference pool, annealing and the GA. A candidate's score
-blends its mean flow time, mean money cost and deadline reliability. Search
-loops do not simulate: they score from those tables, with an event walk or,
-on instances without precedence edges, a per-machine recurrence. Both add
-flows and charges left to right in (arrival, id) order, as metrics does, so
-every score equals raw_qos(run_simulation(...)) bit for bit. Annealing on
-such instances with more tasks than machines re-walks only the two machine
-queues a move changes and re-adds the totals from the moved task on, so each
-score equals a full re-score bit for bit. Searches freeze normalization
-bounds from a seeded reference pool (greedy assignment plus random samples)
-so that the best-so-far comparison is a fixed total order.
-The exhaustive oracle scores its "time", "cost" and "qos" objectives with
-the same event walk.
+Every scheduler is a pure function of (inputs, seed). Each call builds its
+instance once, as one table object: the construction order, per-(task,
+machine) service times and money, and the earliest-finish-time (EFT) plan,
+the greedy baseline that also seeds the reference pool, annealing and the
+GA. A score blends mean flow time, mean money cost and deadline
+reliability, computed without simulating: by an event walk or, without
+precedence edges, a per-machine recurrence. Both add flows and charges left
+to right in (arrival, id) order, as metrics does, so every score equals
+raw_qos(run_simulation(...)) bit for bit, and so does annealing's re-walk
+of the two machine queues a move changes. Normalization bounds are frozen
+from a seeded reference pool (EFT plus random samples), so best-so-far
+comparisons are a fixed total order. The exhaustive oracle scores its
+"time", "cost" and "qos" objectives with the same event walk.
 """
 
 from __future__ import annotations
@@ -283,10 +279,8 @@ class _Evaluator(_Tables):
         self.weights = weights
         self._cache: dict[tuple[int, ...], RawQos] = {}
         self.evaluations = 0
-        # Service times as one array for ant construction; EFT and the
-        # exhaustive oracle never read it. A plain attribute: a cached_property
-        # writes through the instance __dict__, which slows every attribute
-        # load in the scoring loops.
+        # Service times for ant construction, as a plain attribute: a
+        # cached_property would slow every attribute load in the scoring loops.
         self._srv = np.array(self._transfer_tab) + np.array(self._exec_tab)
         # Independent tasks admit a per-machine recurrence fused with the
         # sums in one pass; tasks with edges take the event walk. Both equal
@@ -363,6 +357,16 @@ def eft_schedule(workload: WorkloadSet) -> dict[int, int]:
 # Ant colony construction (shared by ACO and the hybrid)
 # ---------------------------------------------------------------------------
 
+def _columns(table: np.ndarray, ants: int):
+    """Each row of an (n, m) table as an (m, ants) block, broadcast 32 rows
+    at a time: ufuncs on equal shapes skip the broadcasting loop."""
+    buf = np.empty((32, table.shape[1], ants))
+    for lo in range(0, len(table), 32):
+        rows = table[lo:lo + 32]
+        np.copyto(buf[:len(rows)], rows[:, :, None])
+        yield from buf[:len(rows)]
+
+
 def _construct_colony(
     ev: _Evaluator,
     tau_pow: np.ndarray,
@@ -373,51 +377,58 @@ def _construct_colony(
     """Build `ants` assignment vectors guided by pheromone and a completion-
     time heuristic evaluated against each ant's own partial loads.
 
-    tau_pow is the pheromone matrix already raised to alpha. One uniform
-    draw per (ant, task) drives roulette selection; degenerate weight rows
-    fall back to a uniform pick. All ants advance together, task by task,
-    over (ants x machines) arrays, and each comes out bit-identical to an
-    ant built alone with scalar arithmetic, machine by machine:
-
-    - rng.random((ants, n)) fills row-major from the same stream, so row k
-      holds the draws of the k-th of `ants` sequential rng.random(n) calls
-      and the generator ends in the same state.
-    - np.float_power computes each power with the C library's pow(), as
-      Python's `x ** beta` does; np.power may take SIMD code that differs
-      in the last bit (about 5% of inputs on AVX-512 hosts).
-    - cumsum along a row adds left to right, so its prefix sums are those of
-      a running `acc += w`. The pick is the first machine whose prefix sum
-      exceeds u * total, i.e. the count of prefix sums <= u * total among
-      the first m - 1 (the last machine takes whatever is left).
+    tau_pow is the pheromone matrix already raised to alpha. One uniform draw
+    per (ant, task) drives roulette selection; a degenerate weight row falls
+    back to a uniform pick. All ants advance together, task by task, on
+    (machines x ants) buffers allocated once, each ufunc running over the
+    ants, and each ant equals one built alone with scalar arithmetic:
+    - rng.random((ants, n)) fills row-major: ant k draws what the k-th of
+      `ants` sequential rng.random(n) calls would, and the stream ends alike.
+    - A weight is tau * (1 / ((1 + start) + srv)) ** beta, the power by the C
+      library's pow() as in `x ** beta`: np.float_power, not np.power's SIMD.
+    - np.add.accumulate down the machines adds left to right, as `acc += w`.
+      The pick is the first machine whose prefix sum exceeds u * total. Row j
+      of `below` is prefix sum j - 1 <= u * total (rows 1..m-1; row 0 is True,
+      row m False). Prefix sums never fall, so adjacent rows differ at the
+      pick alone, the one-hot that updates the loads; the pick is the count
+      of True rows 1..m-1.
+    A total outside (0, inf) needs the uniform pick and a NaN breaks the
+    monotone `below`, so totals are tested once per colony. If one fails, the
+    colony is rebuilt from empty loads on the same draws, replacing failing
+    picks as it goes; the first pass wrote only its own buffers, so this is
+    exactly the per-task fallback.
     """
-    m = len(ev.vm_ids)
-    n = len(ev.task_ids)
-    arrivals = ev._arrivals
-    srv = ev._srv
-    draws = rng.random((ants, n)).T.copy()
-    free = np.zeros((ants, m))
-    free_flat = free.reshape(-1)
-    row_offsets = np.arange(ants) * m
-    choice = np.empty((n, ants), dtype=np.intp)
-    for pos in range(n):
-        start = np.maximum(free, arrivals[pos])
-        row_srv = srv[pos]
-        w = 1.0 + start
-        w += row_srv
-        np.divide(1.0, w, out=w)
-        np.float_power(w, beta, out=w)
-        w *= tau_pow[pos]
-        cum = w.cumsum(axis=1)
-        total = cum[:, -1]
-        u = draws[pos]
-        j = (cum[:, :-1] <= (u * total)[:, None]).sum(axis=1)
-        if not (0.0 < total.min() and total.max() < math.inf):
-            degenerate = ~((0.0 < total) & (total < math.inf))
-            j[degenerate] = np.minimum((u[degenerate] * m).astype(np.intp), m - 1)
-        flat = row_offsets + j
-        free_flat[flat] = start.reshape(-1)[flat] + row_srv[j]
-        choice[pos] = j
-    return [tuple(vec) for vec in choice.T.tolist()]
+    m, n = len(ev.vm_ids), len(ev.task_ids)
+    draws = rng.random((ants, n)).T
+    free, start, w, cum = (np.empty((m, ants)) for _ in range(4))
+    head, last = cum[:-1], cum[-1]
+    target, totals, pick = np.empty(ants), np.empty((n, ants)), np.empty((m, ants), dtype=bool)
+    below = np.zeros((n, m + 1, ants), dtype=bool)
+    below[:, 0] = True
+    for fallback in (False, True):
+        free.fill(0.0)
+        for a, srv_col, tau_col, u, total, mid, lo, hi in zip(
+            ev._arrivals, _columns(ev._srv, ants), _columns(tau_pow, ants), draws, totals,
+            below[:, 1:m], below[:, :m], below[:, 1:],
+        ):
+            np.maximum(free, a, out=start)
+            np.add(1.0, start, out=w)
+            np.add(w, srv_col, out=w)
+            np.divide(1.0, w, out=w)
+            np.float_power(w, beta, out=w)
+            np.multiply(w, tau_col, out=w)
+            np.add.accumulate(w, axis=0, out=cum)
+            np.copyto(total, last)
+            np.multiply(u, last, out=target)
+            np.less_equal(head, target, out=mid)
+            if fallback:
+                bad = ~((0.0 < total) & (total < math.inf))
+                j = np.minimum((u[bad] * m).astype(np.intp), m - 1)
+                mid[:, bad] = np.arange(1, m)[:, None] <= j
+            np.not_equal(lo, hi, out=pick)
+            np.add(start, srv_col, out=free, where=pick)
+        if fallback or ((0.0 < totals) & (totals < math.inf)).all():
+            return [tuple(vec) for vec in below[:, 1:m].sum(axis=1).T.tolist()]
 
 
 def aco_schedule(
@@ -439,17 +450,13 @@ def aco_schedule(
     history: dict = {"tau": [], "best_scores": []}
     for _ in range(params.iterations):
         tau_pow = np.float_power(tau, params.alpha)
-        iter_best_vec, iter_best_score = None, math.inf
-        for vec in _construct_colony(ev, tau_pow, params.beta, rng, params.ants):
-            s = ev.score(vec)
-            if s < iter_best_score:
-                iter_best_vec, iter_best_score = vec, s
+        colony = _construct_colony(ev, tau_pow, params.beta, rng, params.ants)
+        iter_best_vec = min(colony, key=ev.score)
+        iter_best_score = ev.score(iter_best_vec)
         if iter_best_score < best_score:
             best_vec, best_score = iter_best_vec, iter_best_score
         tau *= 1.0 - params.rho
-        deposit = params.q / (1.0 + max(0.0, iter_best_score))
-        for pos, j in enumerate(iter_best_vec):
-            tau[pos, j] += deposit
+        tau[np.arange(n), iter_best_vec] += params.q / (1.0 + max(0.0, iter_best_score))
         np.clip(tau, params.tau_min, params.tau_max, out=tau)
         if with_history:
             history["tau"].append(tau.copy())
@@ -622,13 +629,10 @@ def sa_schedule(
     rng = np.random.default_rng(seed)
     ev = _Evaluator(workload, weights, rng)
     n, m = len(ev.task_ids), len(ev.vm_ids)
-    # Anneal from the greedy earliest-finish placement rather than a random
-    # one; the walk then explores its neighborhood instead of spending the
-    # whole schedule recovering from noise. With no more tasks than
-    # machines, queues are too short for a walk to save work, and the small
-    # neighborhood is revisited so often (about 60% of proposals at the
-    # default sweep's 10 tasks on 10 machines) that the evaluator's cache
-    # answers most proposals faster.
+    # Anneal from the greedy earliest-finish placement, not from noise. With
+    # no more tasks than machines, queues are too short for a walk to save
+    # work, and the evaluator's cache answers most proposals faster (about
+    # 60% are revisits at the default sweep's 10 tasks on 10 machines).
     moves = _QueueMoves(ev) if ev._fast and n > m else _RescoredMoves(ev)
     current_score = ev.score(ev.eft_vec)
     best, best_score = ev.eft_vec, current_score
@@ -679,9 +683,7 @@ def gaaco_schedule(
     pop_size = params.population
     # Seed the population with the greedy earliest-finish solution so the
     # genetic phase starts from a competent placement instead of pure noise.
-    pop = [ev.eft_vec]
-    pop += [tuple(int(v) for v in rng.integers(0, m, n)) for _ in range(pop_size - 1)]
-    pop = pop[:pop_size]
+    pop = [ev.eft_vec] + [tuple(int(v) for v in rng.integers(0, m, n)) for _ in range(pop_size - 1)]
     tau = np.ones((n, m))
     best_vec = min(pop, key=ev.score)
     best_score = ev.score(best_vec)
@@ -721,9 +723,7 @@ def gaaco_schedule(
 
         # Elite deposits pheromone on its task->vm edges.
         tau *= 1.0 - rho_g
-        deposit = params.q / (1.0 + max(0.0, best_score))
-        for pos, j in enumerate(best_vec):
-            tau[pos, j] += deposit
+        tau[np.arange(n), best_vec] += params.q / (1.0 + max(0.0, best_score))
         np.clip(tau, _TAU_FLOOR, _TAU_CEIL, out=tau)
 
         # Ant phase constructs candidates from the trails.

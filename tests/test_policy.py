@@ -110,6 +110,39 @@ def test_masked_actions_are_never_sampled():
     assert not np.isin(draws, [1, 3]).any()
 
 
+def test_sampler_draws_as_generator_choice():
+    # _rollout samples with policy._sample, which must pick what
+    # rng.choice(len(probs), p=probs) picks and consume the same draws.
+    rng = np.random.default_rng(8)
+    choice_rng = np.random.default_rng(9)
+    sample_rng = np.random.default_rng(9)
+    for _ in range(1500):
+        n_act = int(rng.integers(2, 30))
+        scale = rng.choice([0.05, 1.0, 10.0])
+        theta = PolicyParams(
+            w1=rng.normal(0, scale, (6, 4)),
+            b1=rng.normal(0, scale, 4),
+            w2=rng.normal(0, scale, (4, n_act)),
+            b2=rng.normal(0, scale, n_act),
+        )
+        valid = rng.random(n_act) < 0.5
+        valid[rng.integers(n_act)] = True
+        probs = policy_forward(theta, rng.normal(size=6), valid)
+        assert policy._sample(probs, sample_rng) == choice_rng.choice(n_act, p=probs)
+    assert sample_rng.bit_generator.state == choice_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "probs", [[0.5, math.nan, 0.5], [1.25, -0.25], [0.5, 0.4], [math.inf, 0.0]]
+)
+def test_sampler_rejects_what_generator_choice_rejects(probs):
+    probs = np.array(probs)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(probs), p=probs)
+    with pytest.raises(ValueError):
+        policy._sample(probs, np.random.default_rng(0))
+
+
 def test_forward_input_validation():
     theta = init_policy(4, 3, 2, seed=0)
     with pytest.raises(ConfigurationError):

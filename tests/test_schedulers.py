@@ -152,9 +152,11 @@ def test_aco_finds_the_optimum_often_and_never_beats_it():
 # Ant construction and the fast evaluator, against their references
 # ---------------------------------------------------------------------------
 
-def _reference_ant(ev, tau_pow, beta, rng):
+def _reference_ant(ev, tau_pow, beta, rng, degenerate=None):
     """One ant built with scalar Python arithmetic, machine by machine: the
-    per-ant construction the colony kernel replaced, kept as its oracle."""
+    per-ant construction the colony kernel replaced, kept as its oracle.
+    If given, `degenerate` gets one flag per task: whether the uniform
+    fallback picked."""
     m = len(ev.vm_ids)
     n = len(ev.task_ids)
     arrivals = ev._arrivals
@@ -175,6 +177,8 @@ def _reference_ant(ev, tau_pow, beta, rng):
             weights.append(w)
             total += w
         u = draws[pos]
+        if degenerate is not None:
+            degenerate.append(not (0.0 < total < math.inf))
         if not (0.0 < total < math.inf):
             j = min(int(u * m), m - 1)
         else:
@@ -245,6 +249,47 @@ def test_colony_matches_sequential_reference_ants(wl, ants, beta, alpha, seed):
     expected = [_reference_ant(ev, tau_pow.tolist(), beta, ref_rng) for _ in range(ants)]
     assert _construct_colony(ev, tau_pow, beta, got_rng, ants) == expected
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _colony_against_reference(ev, tau_pow, beta, ants, seed):
+    """Assert the colony equals `ants` sequential reference ants and leaves
+    the generator in their state; return each ant's fallback flags."""
+    ref_rng = np.random.default_rng(seed)
+    got_rng = np.random.default_rng(seed)
+    degenerate = [[] for _ in range(ants)]
+    expected = [_reference_ant(ev, tau_pow.tolist(), beta, ref_rng, flags) for flags in degenerate]
+    assert _construct_colony(ev, tau_pow, beta, got_rng, ants) == expected
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    return np.array(degenerate)
+
+
+def test_colony_falls_back_at_zero_and_infinite_pheromone_rows_only():
+    # A row of zeros makes a zero total and an infinite pheromone an
+    # infinite one, at those tasks only: every ant falls back there and
+    # takes the roulette everywhere else.
+    wl = WorkloadSet.from_tasks([vm(j, mips=500.0 * (j + 1)) for j in range(4)], generate_tasks(40, 3))
+    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    tau_pow = np.random.default_rng(1).uniform(0.1, 10.0, (40, 4))
+    tau_pow[[3, 17, 18]] = 0.0
+    tau_pow[25, 2] = math.inf
+    degenerate = _colony_against_reference(ev, tau_pow, 2.0, 9, seed=2)
+    assert np.flatnonzero(degenerate.any(axis=0)).tolist() == [3, 17, 18, 25]
+    assert degenerate[:, [3, 17, 18, 25]].all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_colony_falls_back_exactly_when_only_some_ants_underflow(seed):
+    # Every task arrives at t = 0 and needs 1.5-12 s. With beta = 200 a
+    # weight (1 / (1 + t)) ** 200 underflows to zero once t passes about
+    # 40 s, so an ant falls back only once its least loaded machine holds
+    # that much: at some tasks only some of the ants do.
+    vms = [vm(j, mips=mips) for j, mips in enumerate((500.0, 750.0, 1000.0, 1500.0))]
+    params = TaskGenParams(length_range=(2000.0, 6000.0), mean_interarrival=0.0)
+    wl = WorkloadSet.from_tasks(vms, generate_tasks(36, seed, params))
+    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    tau_pow = np.random.default_rng(seed).uniform(0.5, 2.0, (36, 4))
+    per_task = _colony_against_reference(ev, tau_pow, 200.0, 12, seed + 1).sum(axis=0)
+    assert ((0 < per_task) & (per_task < 12)).any()
 
 
 class _PresetDraws:
