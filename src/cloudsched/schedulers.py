@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DagValidationError, InstanceTooLargeError
+from .errors import ConfigurationError, InstanceTooLargeError
 from .metrics import QosWeights, RawQos, _qos_blend, _task_charge, qos_scores, raw_qos  # noqa: F401 (perfbench traces raw_qos here)
 from .simulator import SimTrace, run_simulation, _service_times
 from .workload import WorkloadSet, validate_dag
@@ -141,31 +141,11 @@ class _Tables:
         if not workload.vms:
             raise ConfigurationError("scheduling needs at least one machine")
         dag = workload.dag
-        check = validate_dag(dag)
-        if not check.ok:
-            raise DagValidationError(f"dag contains a cycle: {check.cycle}")
-        # One Kahn pass over input indices gives the construction order, a
-        # topological order with ties broken by (arrival, id).
-        tasks = dag.tasks
-        index = {t.id: i for i, t in enumerate(tasks)}
-        succ: list[list[int]] = [[] for _ in tasks]
-        indeg = [0] * len(tasks)
-        for a, b in dag.edges:
-            succ[index[a]].append(index[b])
-            indeg[index[b]] += 1
-        left = indeg.copy()
-        heap = [(t.arrival_time, t.id, i) for i, t in enumerate(tasks) if not indeg[i]]
-        heapq.heapify(heap)
-        order: list[int] = []
-        while heap:
-            i = heapq.heappop(heap)[2]
-            order.append(i)
-            for s in succ[i]:
-                left[s] -= 1
-                if not left[s]:
-                    heapq.heappush(heap, (tasks[s].arrival_time, tasks[s].id, s))
-        pos_of = {i: pos for pos, i in enumerate(order)}
-        ordered = [tasks[i] for i in order]
+        # The construction order: input indices in a topological order with
+        # ties broken by (arrival, id).
+        order = validate_dag(dag)
+        ordered = [dag.tasks[i] for i in order]
+        pos_of = {t.id: pos for pos, t in enumerate(ordered)}
         self.task_ids = [t.id for t in ordered]
         self.vm_ids = [v.id for v in workload.vms]
         self._arrivals = [t.arrival_time for t in ordered]
@@ -187,8 +167,11 @@ class _Tables:
         # tasks without predecessors as a ready heap of (arrival, id, position).
         # The heap is cut from all positions in (arrival, id) order, the order
         # in which metrics adds flows and charges.
-        self._succ_pos = [[pos_of[s] for s in succ[i]] for i in order]
-        self._indeg = [indeg[i] for i in order]
+        self._succ_pos: list[list[int]] = [[] for _ in ordered]
+        self._indeg = [0] * len(ordered)
+        for a, b in dag.edges:
+            self._succ_pos[pos_of[a]].append(pos_of[b])
+            self._indeg[pos_of[b]] += 1
         keyed = sorted(zip(self._arrivals, self.task_ids, range(len(order))))
         self._arrival_order = [pos for _, _, pos in keyed]
         self._roots = [key for key in keyed if not self._indeg[key[2]]]

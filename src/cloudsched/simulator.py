@@ -47,15 +47,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DagValidationError, SimulationError
-from .workload import (
-    RESOURCES,
-    Task,
-    UsageProfile,
-    VmSpec,
-    WorkloadSet,
-    validate_dag,
-)
+from .errors import SimulationError
+from .workload import RESOURCES, Task, UsageProfile, VmSpec, WorkloadSet
 
 # Event ranks: completions are processed before ready events at equal times so
 # successors observe predecessor completions, then ties break on task id.
@@ -301,11 +294,8 @@ class SimState:
 
 
 def _new_state(workload: WorkloadSet) -> SimState:
-    """Validate the DAG; the new state's heap holds the initial READY events."""
+    """The new state's heap holds the initial READY events."""
     dag = workload.dag
-    check = validate_dag(dag)  # raises on dangling endpoints
-    if not check.ok:
-        raise DagValidationError(f"dag contains a cycle: {check.cycle}")
     tasks = {t.id: t for t in dag.tasks}
     remaining = {tid: len(ps) for tid, ps in dag.predecessors().items()}
     events = [(t.arrival_time, _READY, tid) for tid, t in tasks.items() if not remaining[tid]]

@@ -8,9 +8,10 @@ workflow inputs.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .errors import ConfigurationError, DagValidationError
 
 RESOURCES = ("cpu", "memory", "bandwidth")
 
+# Each range check tests that the valid range fails to hold, so NaN, for
+# which every comparison is false, is rejected too.
 
 @dataclass(frozen=True)
 class VmSpec:
@@ -42,11 +45,11 @@ class VmSpec:
 
     def __post_init__(self):
         for name in ("mips", "memory", "bandwidth", "storage"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigurationError(f"vm {self.id}: {name} must be positive")
         if self.cpu_count != 1:
             raise ConfigurationError(f"vm {self.id}: cpu_count must be 1")
-        if self.instr_cost_rate < 0 or self.bw_cost_rate < 0:
+        if not (self.instr_cost_rate >= 0 and self.bw_cost_rate >= 0):
             raise ConfigurationError(f"vm {self.id}: cost rates must be >= 0")
 
 
@@ -67,13 +70,13 @@ class Task:
     deadline: float | None = None
 
     def __post_init__(self):
-        if self.length <= 0:
+        if not self.length > 0:
             raise ConfigurationError(f"task {self.id}: length must be positive")
-        if self.input_size < 0 or self.output_size < 0:
+        if not (self.input_size >= 0 and self.output_size >= 0):
             raise ConfigurationError(f"task {self.id}: data sizes must be >= 0")
-        if self.arrival_time < 0:
+        if not self.arrival_time >= 0:
             raise ConfigurationError(f"task {self.id}: arrival_time must be >= 0")
-        if self.deadline is not None and self.deadline <= self.arrival_time:
+        if self.deadline is not None and not self.deadline > self.arrival_time:
             raise ConfigurationError(f"task {self.id}: deadline must fall after arrival")
 
 
@@ -93,7 +96,7 @@ class UsageProfile:
         arr = np.asarray(self.series, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ConfigurationError("profile series must be a non-empty 1-d sequence")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ConfigurationError("profile entries must lie in [0, 1]")
         series = arr.view()
         series.flags.writeable = False  # read-only, like the profile itself
@@ -111,9 +114,6 @@ class DagWorkflow:
     tasks: list[Task]
     edges: list[tuple[int, int]] = field(default_factory=list)
 
-    def task_ids(self) -> list[int]:
-        return [t.id for t in self.tasks]
-
     def predecessors(self) -> dict[int, list[int]]:
         preds: dict[int, list[int]] = {t.id: [] for t in self.tasks}
         for a, b in self.edges:
@@ -127,70 +127,67 @@ class DagWorkflow:
         return succs
 
 
-@dataclass(frozen=True)
-class DagValidation:
-    """Outcome of validate_dag: ok, or a witness cycle of task ids."""
+def validate_dag(dag: DagWorkflow) -> list[int]:
+    """Check a precedence graph and return its construction order.
 
-    ok: bool
-    cycle: tuple[int, ...] | None = None
-
-
-def validate_dag(dag: DagWorkflow) -> DagValidation:
-    """Check a precedence graph for duplicate ids, dangling edges and cycles.
-
-    Dangling edge endpoints and duplicate task ids raise DagValidationError.
-    A cyclic graph is reported (not raised) with one offending cycle.
+    One Kahn pass (Kahn, CACM 1962), with the ready tasks in a heap keyed by
+    (arrival, id), returns the indices of dag.tasks in topological order,
+    ties broken by (arrival, id). Duplicate task ids, edge endpoints that
+    name no task and cycles raise DagValidationError; a cycle's message
+    names one cycle of task ids.
     """
-    ids = dag.task_ids()
-    id_set = set(ids)
-    if len(ids) != len(id_set):
+    tasks = dag.tasks
+    index = {t.id: i for i, t in enumerate(tasks)}
+    if len(index) != len(tasks):
         seen: set[int] = set()
-        dupes = sorted({i for i in ids if i in seen or seen.add(i)})
+        dupes = sorted({t.id for t in tasks if t.id in seen or seen.add(t.id)})
         raise DagValidationError(f"duplicate task ids: {dupes}")
-    missing = sorted({e for edge in dag.edges for e in edge if e not in id_set})
+    missing = sorted({e for edge in dag.edges for e in edge if e not in index})
     if missing:
         raise DagValidationError(f"edges reference unknown task ids: {missing}")
-
-    succs = dag.successors()
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in ids}
-    for root in ids:
-        if color[root] != WHITE:
-            continue
-        path: list[int] = []
-        stack: list[tuple[int, Iterable[int]]] = [(root, iter(succs[root]))]
-        color[root] = GREY
-        path.append(root)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    # Back edge: slice the current path to expose the cycle.
-                    start = path.index(nxt)
-                    return DagValidation(False, tuple(path[start:]))
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    path.append(nxt)
-                    stack.append((nxt, iter(succs[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
-    return DagValidation(True, None)
+    succ: list[list[int]] = [[] for _ in tasks]
+    left = [0] * len(tasks)
+    for a, b in dag.edges:
+        succ[index[a]].append(index[b])
+        left[index[b]] += 1
+    heap = [(t.arrival_time, t.id, i) for i, t in enumerate(tasks) if not left[i]]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        i = heapq.heappop(heap)[2]
+        order.append(i)
+        for s in succ[i]:
+            left[s] -= 1
+            if not left[s]:
+                heapq.heappush(heap, (tasks[s].arrival_time, tasks[s].id, s))
+    if len(order) < len(tasks):
+        # Each task left over keeps a predecessor that is left over, so a walk
+        # back along such edges must revisit a task; from there it is a cycle.
+        pred = {b: a for a, b in dag.edges if left[index[a]] and left[index[b]]}
+        step: dict[int, int] = {}
+        tid = next(t.id for t, k in zip(tasks, left) if k)
+        while tid not in step:
+            step[tid] = len(step)
+            tid = pred[tid]
+        cycle = tuple(reversed(list(step)[step[tid]:]))
+        raise DagValidationError(f"dag contains a cycle: {cycle}")
+    return order
 
 
 @dataclass
 class WorkloadSet:
-    """A complete scheduling instance: machines, tasks (as a DAG), profiles."""
+    """A complete scheduling instance: machines, tasks (as a DAG), profiles.
+
+    Its DAG is checked by validate_dag when the set is built, so duplicate
+    task ids, dangling edges and cycles are rejected then, not when it runs.
+    """
 
     vms: list[VmSpec]
     dag: DagWorkflow
     profiles: list[UsageProfile] = field(default_factory=list)
 
     def __post_init__(self):
+        validate_dag(self.dag)
         vm_ids = [v.id for v in self.vms]
         if len(vm_ids) != len(set(vm_ids)):
             raise ConfigurationError("duplicate vm ids")
@@ -252,13 +249,13 @@ class TaskGenParams:
     def __post_init__(self):
         for name in ("length_range", "input_range", "output_range"):
             lo, hi = getattr(self, name)
-            if lo > hi:
+            if not lo <= hi:
                 raise ConfigurationError(f"{name}: min {lo} exceeds max {hi}")
-            if lo < 0:
+            if not lo >= 0:
                 raise ConfigurationError(f"{name}: values must be >= 0")
-        if self.length_range[0] <= 0:
+        if not self.length_range[0] > 0:
             raise ConfigurationError("length_range: lengths must be positive")
-        if self.mean_interarrival < 0:
+        if not self.mean_interarrival >= 0:
             raise ConfigurationError("mean_interarrival must be >= 0")
         if self.arrival_pattern not in ("even", "poisson"):
             raise ConfigurationError("arrival_pattern must be 'even' or 'poisson'")
@@ -266,7 +263,7 @@ class TaskGenParams:
             raise ConfigurationError("n_users must be >= 1")
         if self.deadline_slack_range is not None:
             lo, hi = self.deadline_slack_range
-            if lo > hi or lo <= 0:
+            if not 0 < lo <= hi:
                 raise ConfigurationError("deadline_slack_range must be positive and ordered")
 
 
@@ -403,9 +400,6 @@ def load_workload(path: str) -> WorkloadSet:
     dag = DagWorkflow(
         [t for d in dags for t in d.tasks], [e for d in dags for e in d.edges]
     )
-    result = validate_dag(dag)
-    if not result.ok:
-        raise DagValidationError(f"workload dag contains a cycle: {result.cycle}")
     return WorkloadSet(list(doc.vms), dag, list(doc.profiles))
 
 

@@ -1,7 +1,11 @@
-"""Source hygiene: every imported name is read somewhere in its module."""
+"""Source hygiene: every imported name is read somewhere in its module, and
+every name the benchmark traces is bound where it wraps it."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,3 +44,26 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unused_imports(path) == []
+
+
+def test_every_traced_name_is_bound_in_its_owner():
+    # perfbench/run.py wraps each traced function in its owner's __dict__, so
+    # a refactor that unbinds one (say schedulers.raw_qos) would otherwise
+    # fail only in a traced benchmark run. Its sibling modules go on sys.path
+    # for the load only and leave sys.modules afterwards.
+    bench = ROOT / "perfbench"
+    before = set(sys.modules)
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(bench))
+        for name in set(sys.modules) - before:
+            if Path(getattr(sys.modules[name], "__file__", None) or "/").parent == bench:
+                del sys.modules[name]
+    cs = SimpleNamespace(**{m: importlib.import_module(f"cloudsched.{m}") for m in run.MODULES})
+    pairs = [(owner, attr) for owner, attr, _, _ in run.bindings(cs)]
+    assert len(pairs) == 41
+    assert [f"{o.__name__}.{a}" for o, a in pairs if a not in o.__dict__] == []

@@ -70,18 +70,11 @@ FAST_SA = SaParams(initial_temp=0.02, cooling_rate=0.9, steps_per_temp=30, min_t
 # ---------------------------------------------------------------------------
 
 def test_cyclic_dag_is_rejected_as_by_the_simulator():
+    # A cyclic workload cannot be built, so neither the simulator nor any
+    # scheduler can be handed one.
     dag = DagWorkflow([task(0), task(1), task(2)], [(0, 1), (1, 2), (2, 1)])
-    wl = WorkloadSet([vm(0), vm(1)], dag, [])
-    for run in (
-        lambda: run_simulation(wl, {0: 0, 1: 0, 2: 1}),
-        lambda: eft_schedule(wl),
-        lambda: aco_schedule(wl, params=FAST_ACO),
-        lambda: sa_schedule(wl, params=FAST_SA),
-        lambda: gaaco_schedule(wl, params=FAST_GAACO),
-        lambda: brute_force_schedule(wl, objective="time"),
-    ):
-        with pytest.raises(DagValidationError, match="dag contains a cycle"):
-            run()
+    with pytest.raises(DagValidationError, match=r"dag contains a cycle: \((1, 2|2, 1)\)"):
+        WorkloadSet([vm(0), vm(1)], dag, [])
 
 
 # ---------------------------------------------------------------------------

@@ -116,10 +116,10 @@ def test_unknown_machine_rejected():
 
 
 def test_cyclic_dag_rejected():
+    # Rejected when the workload is built, so no simulation can be handed it.
     tasks = [task(0), task(1)]
-    wl = WorkloadSet([vm(0)], DagWorkflow(tasks, [(0, 1), (1, 0)]))
-    with pytest.raises(DagValidationError):
-        run_simulation(wl, {0: 0, 1: 0})
+    with pytest.raises(DagValidationError, match="dag contains a cycle"):
+        WorkloadSet([vm(0)], DagWorkflow(tasks, [(0, 1), (1, 0)]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Generators, DAG validation and workload (de)serialization."""
 
+import ast
 import json
 
 import numpy as np
@@ -123,26 +124,63 @@ def test_vm_field_validation():
         VmSpec(id=0, instr_cost_rate=-0.01)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (VmSpec, {"id": 0, "mips": NAN}),
+        (VmSpec, {"id": 0, "storage": NAN}),
+        (VmSpec, {"id": 0, "instr_cost_rate": NAN}),
+        (VmSpec, {"id": 0, "bw_cost_rate": NAN}),
+        (Task, {"id": 0, "length": NAN}),
+        (Task, {"id": 0, "output_size": NAN}),
+        (Task, {"id": 0, "arrival_time": NAN}),
+        (Task, {"id": 0, "deadline": NAN}),
+        (UsageProfile, {"user_id": 0, "resource": "cpu", "series": [NAN]}),
+        (UsageProfile, {"user_id": 0, "resource": "cpu", "series": [0.5, NAN]}),
+        (TaskGenParams, {"mean_interarrival": NAN}),
+        (TaskGenParams, {"length_range": (NAN, 1.0)}),
+        (TaskGenParams, {"input_range": (0.0, NAN)}),
+        (TaskGenParams, {"deadline_slack_range": (NAN, 5.0)}),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "-".join(k for k, x in v.items() if "nan" in repr(x)),
+)
+def test_nan_fields_are_rejected(cls, kwargs):
+    # A NaN fails every comparison, so each check must test that the valid
+    # range fails to hold rather than that an invalid one holds.
+    with pytest.raises(ConfigurationError):
+        cls(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # DAG validation
 # ---------------------------------------------------------------------------
 
+def _witness(err):
+    """The cycle of task ids named by a DagValidationError's message."""
+    return ast.literal_eval(str(err).split("dag contains a cycle: ", 1)[1])
+
+
 def test_empty_dag_is_valid():
-    out = validate_dag(DagWorkflow([], []))
-    assert out.ok and out.cycle is None
+    assert validate_dag(DagWorkflow([], [])) == []
 
 
 def test_chain_is_acyclic():
-    tasks = [task(i) for i in range(3)]
-    out = validate_dag(DagWorkflow(tasks, [(0, 1), (1, 2)]))
-    assert out.ok
+    # Input indices, in edge order: task 2 is listed first but runs last.
+    tasks = [task(2), task(1), task(0)]
+    assert validate_dag(DagWorkflow(tasks, [(0, 1), (1, 2)])) == [2, 1, 0]
 
 
 def test_two_node_cycle_reported_with_witness():
     tasks = [task(1), task(2)]
-    out = validate_dag(DagWorkflow(tasks, [(1, 2), (2, 1)]))
-    assert not out.ok
-    assert set(out.cycle) == {1, 2}
+    with pytest.raises(DagValidationError, match="dag contains a cycle") as exc:
+        validate_dag(DagWorkflow(tasks, [(1, 2), (2, 1)]))
+    assert set(_witness(exc.value)) == {1, 2}
+    with pytest.raises(DagValidationError, match="dag contains a cycle") as exc:
+        validate_dag(DagWorkflow([task(0), task(1)], [(0, 1), (0, 0)]))
+    assert _witness(exc.value) == (0,)
 
 
 def test_duplicate_task_ids_raise():
@@ -183,14 +221,21 @@ def test_cycle_detection_agrees_with_reference_on_random_graphs():
                 if a != b and rng.random() < 0.15:
                     edges.append((a, b))
         dag = DagWorkflow([task(i) for i in range(n)], edges)
-        out = validate_dag(dag)
-        assert out.ok == _kahn_is_acyclic(n, edges)
-        if not out.ok:
-            # The witness must be an actual cycle of the graph.
-            cyc = list(out.cycle)
-            edge_set = set(edges)
-            for i in range(len(cyc)):
-                assert (cyc[i], cyc[(i + 1) % len(cyc)]) in edge_set
+        if _kahn_is_acyclic(n, edges):
+            # A topological permutation of the input indices (here the ids).
+            order = validate_dag(dag)
+            assert sorted(order) == list(range(n))
+            place = {t: k for k, t in enumerate(order)}
+            assert all(place[a] < place[b] for a, b in edges)
+            continue
+        with pytest.raises(DagValidationError, match="dag contains a cycle") as exc:
+            validate_dag(dag)
+        # The witness must be an actual cycle of the graph.
+        cyc = list(_witness(exc.value))
+        assert len(set(cyc)) == len(cyc)
+        edge_set = set(edges)
+        for i in range(len(cyc)):
+            assert (cyc[i], cyc[(i + 1) % len(cyc)]) in edge_set
 
 
 def test_validate_does_not_mutate_the_dag():
@@ -344,6 +389,14 @@ def test_malformed_workload_fails_naming_its_field(tmp_path, doc, path):
     with pytest.raises(ConfigurationError) as exc:
         load_workload(str(file))
     assert path in str(exc.value)
+
+
+def test_load_rejects_a_cyclic_dag(tmp_path):
+    doc = {"vms": [_VM], "dags": [{"tasks": [_TASK, {"id": 1}], "edges": [[0, 1], [1, 0]]}]}
+    file = tmp_path / "wl.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(DagValidationError, match=r"dag contains a cycle: \((0, 1|1, 0)\)"):
+        load_workload(str(file))
 
 
 def test_load_rejects_unknown_top_level_keys(tmp_path):
