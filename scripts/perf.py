@@ -16,7 +16,12 @@ Each figure is the median of --repeats runs (at least 5):
   tasks, n = 10, 100, 1000, with cell seed 1 and that cell's scheduler seed
   (bench.scheduler_seed), as `bench run` calls it.
 * `gaaco_n200_s`, `aco_n200_s`: the same for gaaco_schedule and
-  aco_schedule on the n = 200 cell.
+  aco_schedule on the n = 200 cell; `gaaco_n1000_s` for gaaco_schedule on
+  the n = 1000 cell.
+* `sa_dag_4x10_s`, `gaaco_dag_4x10_s`: one sa_schedule and one
+  gaaco_schedule call, with seed 1 and the default weights as the benchmark's
+  search-dag workload calls them, on the layered DAG instance of
+  `raw_dag_4x10_us` below, where every candidate is scored by the event walk.
 * `colony_ants_per_s_<k>`: ants built per second by _construct_colony on
   the n = 200 cell (cell seed 1), over 10 colonies of k ants after one
   unmeasured colony, with the pheromone fixed at 1: k = 31 with beta 2 (the
@@ -127,10 +132,14 @@ def cell_s(bench, schedulers, name: str, n: int) -> float:
     """One <name>_schedule call on the default config's cell (n, seed 1)."""
     config = bench.default_config()
     wl = bench.build_cell_workload(config, n, 1)
-    seed = bench.scheduler_seed(n, 1, name)
+    return search_s(schedulers, name, wl, seed=bench.scheduler_seed(n, 1, name), weights=config.weights)
+
+
+def search_s(schedulers, name: str, wl, **kwargs) -> float:
+    """Seconds of one <name>_schedule call on wl."""
     search = getattr(schedulers, f"{name}_schedule")
     t0 = time.perf_counter()
-    search(wl, seed=seed, weights=config.weights)
+    search(wl, **kwargs)
     return time.perf_counter() - t0
 
 
@@ -243,11 +252,15 @@ def measure(src: str) -> dict[str, float]:
         results[f"sa_n{n}_s"] = cell_s(bench, sched, "sa", n)
     for name in ("gaaco", "aco"):
         results[f"{name}_n200_s"] = cell_s(bench, sched, name, 200)
+    results["gaaco_n1000_s"] = cell_s(bench, sched, "gaaco", 1000)
     results["colony_ants_per_s_31"] = colony_ants_per_s(bench, sched, 31, beta=2.0)
     results["colony_ants_per_s_20"] = colony_ants_per_s(bench, sched, 20, beta=0.5)
     cell = bench.build_cell_workload(bench.default_config(), 100, 1)
     results["raw_fast_n100_us"] = scorer_us(sched, cell, "_raw_fast")
-    results["raw_dag_4x10_us"] = scorer_us(sched, layered_dag(wk, bench, 1), "_raw_dag")
+    dag = layered_dag(wk, bench, 1)
+    results["raw_dag_4x10_us"] = scorer_us(sched, dag, "_raw_dag")
+    for name in ("sa", "gaaco"):
+        results[f"{name}_dag_4x10_s"] = search_s(sched, name, dag, seed=1)
     return results
 
 

@@ -454,13 +454,15 @@ def aco_schedule(
 # Simulated annealing
 # ---------------------------------------------------------------------------
 
-def sa_accept(delta: float, temperature: float, rng: np.random.Generator) -> bool:
-    """Metropolis rule: downhill always, uphill with exp(-delta/T)."""
-    if delta < 0:
+def sa_accept(delta: float, temperature: float, u: float) -> bool:
+    """Metropolis rule (Metropolis et al., 1953): accept with probability
+    min(1, exp(-delta/T)), given a uniform u in [0, 1). A move that does not
+    go uphill is accepted without reading u."""
+    if delta <= 0:
         return True
     if temperature <= 0:
         return False
-    return bool(rng.random() < math.exp(-delta / temperature))
+    return u < math.exp(-delta / temperature)
 
 
 class _QueueMoves:
@@ -608,7 +610,14 @@ def sa_schedule(
     with_history: bool = False,
 ):
     """Single-task reassignment neighborhood under a geometric cooling
-    schedule; returns the best assignment visited."""
+    schedule; returns the best assignment visited.
+
+    The generator's draws, in stream order: the evaluator's reference pool,
+    then at each temperature one array each of steps_per_temp positions
+    (rng.integers(0, n, steps)), machine shifts (rng.integers(1, m, steps))
+    and acceptance uniforms (rng.random(steps)), used in order by the moves.
+    A move that does not go uphill leaves its uniform unread. With one
+    machine there is no move: the arrays are empty and draw nothing."""
     rng = np.random.default_rng(seed)
     ev = _Evaluator(workload, weights, rng)
     n, m = len(ev.task_ids), len(ev.vm_ids)
@@ -621,14 +630,14 @@ def sa_schedule(
     best, best_score = ev.eft_vec, current_score
     temp = params.initial_temp
     history: dict = {"best_scores": [], "temps": []}
+    steps = params.steps_per_temp if m > 1 else 0  # zero-size draws take nothing
     while temp > params.min_temp:
-        for _ in range(params.steps_per_temp):
-            pos = int(rng.integers(0, n))
-            if m == 1:
-                break
-            shift = 1 + int(rng.integers(0, m - 1))
+        positions = rng.integers(0, n, steps).tolist()
+        shifts = rng.integers(1, m, steps).tolist()
+        uniforms = rng.random(steps).tolist()
+        for pos, shift, u in zip(positions, shifts, uniforms):
             neighbor_score = moves.propose(pos, (moves.vec[pos] + shift) % m)
-            if sa_accept(neighbor_score - current_score, temp, rng):
+            if sa_accept(neighbor_score - current_score, temp, u):
                 moves.accept()
                 current_score = neighbor_score
                 if current_score < best_score:
@@ -659,7 +668,20 @@ def gaaco_schedule(
     candidates from the trails, and the best of both populations survive.
     Adaptive parameters ramp toward their configured maxima while mutation
     decays from pm to pm/4. The best assignment of the whole run is returned;
-    elitism makes the per-generation best score nonincreasing."""
+    elitism makes the per-generation best score nonincreasing.
+
+    The generator's draws, in stream order: the evaluator's reference pool
+    and pop_size - 1 random chromosomes (rng.integers(0, m, n) each). Then,
+    each generation, for its pop_size - 1 children:
+    - the tournament pairs, rng.integers(0, pop_size, (pop_size - 1, 2, 2)):
+      child c's parents are the winners of pairs [c, 0] and [c, 1], the first
+      of a pair winning ties;
+    - with n > 1, the crossover uniforms rng.random(pop_size - 1), each
+      compared with pc, and the cuts rng.integers(1, n, pop_size - 1);
+    - per child, a mutation mask rng.random(n) < pm_g, then
+      rng.integers(0, m, hits), the new machines of its hit genes in
+      position order;
+    - the colony's rng.random((ants, n)) (see _construct_colony)."""
     rng = np.random.default_rng(seed)
     ev = _Evaluator(workload, weights, rng)
     n, m = len(ev.task_ids), len(ev.vm_ids)
@@ -672,11 +694,8 @@ def gaaco_schedule(
     best_score = ev.score(best_vec)
     history: dict = {"best_scores": []}
 
-    def tournament(scores: list[float]) -> int:
-        i, j = rng.integers(0, len(scores)), rng.integers(0, len(scores))
-        return int(i if scores[i] <= scores[j] else j)
-
     generations = params.evolution_num
+    children = pop_size - 1
     for g in range(generations):
         progress = g / (generations - 1) if generations > 1 else 1.0
         pm_g = params.pm * (1.0 - 0.75 * progress)
@@ -689,19 +708,21 @@ def gaaco_schedule(
         if scores[gen_best] < best_score:
             best_vec, best_score = pop[gen_best], scores[gen_best]
 
-        # Genetic phase: elitist reproduction.
+        # Genetic phase: elitist reproduction. A cut at n copies the first
+        # parent, as a child that is not crossed over.
+        pairs = rng.integers(0, pop_size, (children, 2, 2)).tolist()
+        cuts = [n] * children
+        if n > 1:
+            crossed = rng.random(children) < params.pc
+            cuts = np.where(crossed, rng.integers(1, n, children), n).tolist()
         offspring: list[tuple[int, ...]] = [best_vec]
-        while len(offspring) < pop_size:
-            pa = list(pop[tournament(scores)])
-            pb = list(pop[tournament(scores)])
-            if n > 1 and rng.random() < params.pc:
-                cut = int(rng.integers(1, n))
-                child = pa[:cut] + pb[cut:]
-            else:
-                child = pa
-            for i in range(n):
-                if rng.random() < pm_g:
-                    child[i] = int(rng.integers(0, m))
+        for ((i, j), (k, l)), cut in zip(pairs, cuts):
+            pa = pop[i if scores[i] <= scores[j] else j]
+            pb = pop[k if scores[k] <= scores[l] else l]
+            child = list(pa[:cut] + pb[cut:])
+            hits = np.flatnonzero(rng.random(n) < pm_g).tolist()
+            for pos, v in zip(hits, rng.integers(0, m, len(hits)).tolist()):
+                child[pos] = v
             offspring.append(tuple(child))
 
         # Elite deposits pheromone on its task->vm edges.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,7 +22,8 @@ from .errors import ConfigurationError, DagValidationError
 RESOURCES = ("cpu", "memory", "bandwidth")
 
 # Each range check tests that the valid range fails to hold, so NaN, for
-# which every comparison is false, is rejected too.
+# which every comparison is false, is rejected too, and bounds each value
+# above by inf, so an infinity built from Python is rejected as JSON's is.
 
 @dataclass(frozen=True)
 class VmSpec:
@@ -45,12 +47,13 @@ class VmSpec:
 
     def __post_init__(self):
         for name in ("mips", "memory", "bandwidth", "storage"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"vm {self.id}: {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"vm {self.id}: {name} must be positive and finite")
         if self.cpu_count != 1:
             raise ConfigurationError(f"vm {self.id}: cpu_count must be 1")
-        if not (self.instr_cost_rate >= 0 and self.bw_cost_rate >= 0):
-            raise ConfigurationError(f"vm {self.id}: cost rates must be >= 0")
+        for name in ("instr_cost_rate", "bw_cost_rate"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"vm {self.id}: {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -70,14 +73,13 @@ class Task:
     deadline: float | None = None
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ConfigurationError(f"task {self.id}: length must be positive")
-        if not (self.input_size >= 0 and self.output_size >= 0):
-            raise ConfigurationError(f"task {self.id}: data sizes must be >= 0")
-        if not self.arrival_time >= 0:
-            raise ConfigurationError(f"task {self.id}: arrival_time must be >= 0")
-        if self.deadline is not None and not self.deadline > self.arrival_time:
-            raise ConfigurationError(f"task {self.id}: deadline must fall after arrival")
+        if not 0 < self.length < math.inf:
+            raise ConfigurationError(f"task {self.id}: length must be positive and finite")
+        for name in ("input_size", "output_size", "arrival_time"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"task {self.id}: {name} must be finite and >= 0")
+        if self.deadline is not None and not self.arrival_time < self.deadline < math.inf:
+            raise ConfigurationError(f"task {self.id}: deadline must be finite and fall after arrival")
 
 
 @dataclass(frozen=True)
@@ -251,20 +253,20 @@ class TaskGenParams:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ConfigurationError(f"{name}: min {lo} exceeds max {hi}")
-            if not lo >= 0:
-                raise ConfigurationError(f"{name}: values must be >= 0")
+            if not (lo >= 0 and hi < math.inf):
+                raise ConfigurationError(f"{name}: values must be finite and >= 0")
         if not self.length_range[0] > 0:
             raise ConfigurationError("length_range: lengths must be positive")
-        if not self.mean_interarrival >= 0:
-            raise ConfigurationError("mean_interarrival must be >= 0")
+        if not 0 <= self.mean_interarrival < math.inf:
+            raise ConfigurationError("mean_interarrival must be finite and >= 0")
         if self.arrival_pattern not in ("even", "poisson"):
             raise ConfigurationError("arrival_pattern must be 'even' or 'poisson'")
-        if self.n_users < 1:
-            raise ConfigurationError("n_users must be >= 1")
+        if not (self.n_users >= 1 and float(self.n_users).is_integer()):
+            raise ConfigurationError("n_users must be an integer >= 1")
         if self.deadline_slack_range is not None:
             lo, hi = self.deadline_slack_range
-            if not 0 < lo <= hi:
-                raise ConfigurationError("deadline_slack_range must be positive and ordered")
+            if not 0 < lo <= hi < math.inf:
+                raise ConfigurationError("deadline_slack_range must be positive, finite and ordered")
 
 
 def generate_tasks(n: int, seed: int, params: TaskGenParams | None = None) -> list[Task]:

@@ -7,7 +7,7 @@ import numpy as np
 
 from cloudsched.metrics import QosWeights, qos_scores, raw_qos
 from cloudsched.simulator import run_simulation
-from cloudsched.workload import Task, VmSpec, WorkloadSet
+from cloudsched.workload import Task, TaskGenParams, VmSpec, WorkloadSet, generate_tasks
 
 
 def vm(vid, mips=1000.0, **kw):
@@ -50,6 +50,18 @@ def random_instance(rng):
         for i in range(n)
     ]
     return WorkloadSet.from_tasks(vms, tasks)
+
+
+def contested_workload(n, seed):
+    """n tasks on a fleet where the searches can beat EFT: 10 machines in
+    five speed/price tiers (500-1500 MIPS, instr_cost_rate 0.004-0.02, the
+    faster the dearer), Poisson arrivals and deadlines 4-12 s after arrival."""
+    vms = [
+        VmSpec(id=j, mips=500.0 + 250.0 * (j // 2), instr_cost_rate=0.004 * (1 + j // 2))
+        for j in range(10)
+    ]
+    params = TaskGenParams(arrival_pattern="poisson", deadline_slack_range=(4.0, 12.0))
+    return WorkloadSet.from_tasks(vms, generate_tasks(n, seed, params))
 
 
 def full_enumeration_raws(wl):

@@ -37,6 +37,7 @@ from cloudsched.workload import (
 )
 
 from helpers import (
+    contested_workload,
     flat_workload,
     full_enumeration_raws,
     random_dag_workload,
@@ -569,8 +570,17 @@ def test_downhill_moves_always_accepted():
 def test_uphill_acceptance_matches_boltzmann_frequency():
     rng = np.random.default_rng(123)
     trials = 10_000
-    accepted = sum(sa_accept(1.0, 1.0, rng) for _ in range(trials))
+    accepted = sum(sa_accept(1.0, 1.0, u) for u in rng.random(trials).tolist())
     assert accepted / trials == pytest.approx(math.exp(-1.0), abs=0.03)
+
+
+def test_level_moves_are_accepted_without_reading_the_uniform():
+    # min(1, exp(-0/T)) = 1 accepts a tie at any temperature, a frozen one
+    # included, so the rule must not compare it with the uniform, even one
+    # just below 1.
+    u = math.nextafter(1.0, 0.0)
+    for temp in (0.0, 1e-300, 1e-6, 0.5, 100.0):
+        assert sa_accept(0.0, temp, u) and sa_accept(-0.0, temp, u)
 
 
 def test_sa_cooling_terminates_below_min_temp():
@@ -640,7 +650,9 @@ def test_annealing_moves_score_as_a_full_rescore(dag, data):
 def full_rescore_sa(workload, params, seed, weights=QosWeights()):
     """The annealing loop with every neighbor re-scored in full through the
     evaluator, as sa_schedule ran before it scored moves from the previous
-    state; kept as its oracle. Returns (assignment, history)."""
+    state; kept as its oracle. Each temperature draws its positions, shifts
+    and acceptance uniforms as one array each, and one machine draws
+    nothing. Returns (assignment, history)."""
     rng = np.random.default_rng(seed)
     ev = _Evaluator(workload, weights, rng)
     n, m = len(ev.task_ids), len(ev.vm_ids)
@@ -650,16 +662,17 @@ def full_rescore_sa(workload, params, seed, weights=QosWeights()):
     temp = params.initial_temp
     history = {"best_scores": [], "temps": []}
     while temp > params.min_temp:
-        for _ in range(params.steps_per_temp):
-            pos = int(rng.integers(0, n))
-            if m == 1:
-                break
-            shift = 1 + int(rng.integers(0, m - 1))
+        if m > 1:
+            positions = rng.integers(0, n, params.steps_per_temp)
+            shifts = rng.integers(1, m, params.steps_per_temp)
+            uniforms = rng.random(params.steps_per_temp)
+        for step in range(params.steps_per_temp if m > 1 else 0):
+            pos = int(positions[step])
             neighbor = list(current)
-            neighbor[pos] = (neighbor[pos] + shift) % m
+            neighbor[pos] = (neighbor[pos] + int(shifts[step])) % m
             neighbor = tuple(neighbor)
             neighbor_score = ev.score(neighbor)
-            if sa_accept(neighbor_score - current_score, temp, rng):
+            if sa_accept(neighbor_score - current_score, temp, float(uniforms[step])):
                 current, current_score = neighbor, neighbor_score
                 if current_score < best_score:
                     best, best_score = current, current_score
@@ -734,6 +747,87 @@ def test_gaaco_generation_best_is_nonincreasing():
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
 
 
+def reference_gaaco(workload, params, seed, weights=QosWeights()):
+    """The GA-ACO hybrid with scalar loops and sequential reference ants,
+    drawing as gaaco_schedule documents: each generation the tournament
+    pairs, then (n > 1) the crossover uniforms and the cuts, then per child
+    a mutation mask and its hit genes' machines; kept as its oracle.
+    Returns (assignment, history)."""
+    rng = np.random.default_rng(seed)
+    ev = _Evaluator(workload, weights, rng)
+    n, m = len(ev.task_ids), len(ev.vm_ids)
+    size = params.population
+    pop = [ev.eft_vec] + [tuple(int(v) for v in rng.integers(0, m, n)) for _ in range(size - 1)]
+    tau = np.ones((n, m))
+    best = min(pop, key=ev.score)
+    best_score = ev.score(best)
+    history = {"best_scores": []}
+    generations = params.evolution_num
+    for g in range(generations):
+        progress = g / (generations - 1) if generations > 1 else 1.0
+        pm_g = params.pm * (1.0 - 0.75 * progress)
+        alpha_g = params.alpha_max * (0.5 + 0.5 * progress)
+        beta_g = params.beta_max * (0.5 + 0.5 * progress)
+        rho_g = params.rho_max * (0.25 + 0.75 * progress)
+        scores = [ev.score(v) for v in pop]
+        for vec, score in zip(pop, scores):
+            if score < best_score:
+                best, best_score = vec, score
+        pairs = rng.integers(0, size, (size - 1, 2, 2))
+        if n > 1:
+            crossing = rng.random(size - 1)
+            cuts = rng.integers(1, n, size - 1)
+        offspring = [best]
+        for c in range(size - 1):
+            pa, pb = (pop[i] if scores[i] <= scores[j] else pop[j] for i, j in pairs[c])
+            child = list(pa)
+            if n > 1 and crossing[c] < params.pc:
+                for pos in range(cuts[c], n):
+                    child[pos] = pb[pos]
+            mask = rng.random(n)
+            hits = [pos for pos in range(n) if mask[pos] < pm_g]
+            for pos, gene in zip(hits, rng.integers(0, m, len(hits))):
+                child[pos] = int(gene)
+            offspring.append(tuple(child))
+        tau *= 1.0 - rho_g
+        for pos in range(n):
+            tau[pos, best[pos]] += params.q / (1.0 + max(0.0, best_score))
+        np.clip(tau, schedulers._TAU_FLOOR, schedulers._TAU_CEIL, out=tau)
+        tau_pow = np.float_power(tau, alpha_g)
+        merged = offspring + [_reference_ant(ev, tau_pow, beta_g, rng) for _ in range(params.m)]
+        merged_scores = [ev.score(v) for v in merged]
+        keep = sorted(range(len(merged)), key=lambda i: (merged_scores[i], i))[:size]
+        pop = [merged[i] for i in keep]
+        if merged_scores[keep[0]] < best_score:
+            best, best_score = merged[keep[0]], merged_scores[keep[0]]
+        history["best_scores"].append(best_score)
+    return ev.assignment_of(best), history
+
+
+def test_gaaco_equals_the_scalar_reference(monkeypatch):
+    # Seeds 229, 283 and 341 have one task, on 4, 1 and 6 machines; seeds
+    # 11, 14 and 23 in range(24) have one machine, and every sixth is a DAG.
+    # Both sides score every candidate in the same order, so the recorded
+    # candidates pin each child, not only the best of the run.
+    scored = []
+    score = _Evaluator.score
+
+    def recording_score(ev, vec):
+        scored.append(vec)
+        return score(ev, vec)
+
+    monkeypatch.setattr(_Evaluator, "score", recording_score)
+    shapes = set()
+    for seed in [*range(24), 229, 283, 341]:
+        wl = annealing_workload(seed)
+        shapes.add((len(wl.tasks), len(wl.vms)))
+        got = gaaco_schedule(wl, params=FAST_GAACO, seed=seed, with_history=True), scored.copy()
+        scored.clear()
+        assert got == (reference_gaaco(wl, FAST_GAACO, seed), scored), f"seed {seed}"
+        scored.clear()
+    assert (1, 1) in shapes and (1, 6) in shapes and (52, 1) in shapes
+
+
 def test_gaaco_finds_the_optimum_often_and_never_beats_it():
     wl = WorkloadSet.from_tasks(
         [
@@ -758,6 +852,20 @@ def test_gaaco_finds_the_optimum_often_and_never_beats_it():
         if abs(score - best) <= 1e-9:
             matches += 1
     assert matches >= 16  # 80% of 20 seeds
+
+
+def test_searches_beat_eft_on_contested_cells():
+    # On identical machines at one price, EFT is hard to beat and the
+    # searches hand it back; on five speed/price tiers with deadlines, each
+    # must find a strictly better plan, all judged by one evaluator.
+    for seed in (1, 2, 3):
+        wl = contested_workload(20, seed)
+        ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+        eft = ev.score(ev.eft_vec)
+        for search in (sa_schedule, gaaco_schedule):
+            assignment = search(wl, seed=seed)
+            vec = tuple(ev.vm_ids.index(assignment[t]) for t in ev.task_ids)
+            assert ev.score(vec) < eft, f"{search.__name__}, seed {seed}"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 
 import numpy as np
 import pytest
@@ -151,6 +152,44 @@ def test_nan_fields_are_rejected(cls, kwargs):
     # A NaN fails every comparison, so each check must test that the valid
     # range fails to hold rather than that an invalid one holds.
     with pytest.raises(ConfigurationError):
+        cls(**kwargs)
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (VmSpec, {"id": 0, "mips": INF}),
+        (VmSpec, {"id": 0, "memory": INF}),
+        (VmSpec, {"id": 0, "bandwidth": INF}),
+        (VmSpec, {"id": 0, "storage": INF}),
+        (VmSpec, {"id": 0, "instr_cost_rate": INF}),
+        (VmSpec, {"id": 0, "bw_cost_rate": INF}),
+        (Task, {"id": 0, "length": INF}),
+        (Task, {"id": 0, "input_size": INF}),
+        (Task, {"id": 0, "output_size": INF}),
+        (Task, {"id": 0, "arrival_time": INF}),
+        (Task, {"id": 0, "deadline": INF}),
+        (TaskGenParams, {"length_range": (1.0, INF)}),
+        (TaskGenParams, {"length_range": (INF, INF)}),
+        (TaskGenParams, {"input_range": (0.0, INF)}),
+        (TaskGenParams, {"output_range": (INF, INF)}),
+        (TaskGenParams, {"deadline_slack_range": (1.0, INF)}),
+        (TaskGenParams, {"deadline_slack_range": (INF, INF)}),
+        (TaskGenParams, {"mean_interarrival": INF}),
+        (TaskGenParams, {"n_users": NAN}),
+        (TaskGenParams, {"n_users": INF}),
+        (TaskGenParams, {"n_users": 2.5}),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "-".join(f"{k}={x}" for k, x in v.items() if k != "id"),
+)
+def test_non_finite_fields_are_rejected_naming_the_field(cls, kwargs):
+    # JSON input rejects these in the codec; values built in Python must be
+    # rejected by the dataclass itself, with a message that names the field.
+    (field,) = set(kwargs) - {"id"}
+    with pytest.raises(ConfigurationError, match=field):
         cls(**kwargs)
 
 
