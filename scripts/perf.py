@@ -42,6 +42,14 @@ Each figure is the median of --repeats runs (at least 5):
 * `reinforce_update_us`: microseconds per reinforce_update call on one
   batch of 5 such episodes rolled out (policy._rollout) under the initial
   policy, as train's first update gets it; the mean of 20 calls.
+* `greedy_decision_us`: the median microseconds of one greedy decision,
+  policy_forward plus SchedulingEnv.step, as the benchmark's
+  dispatch-learned workload times a deployment step. The policies are the
+  three that `train_10x15_s` trains; each is deployed greedily on the
+  100-task deployment of its pipeline seed (the `env_step_per_s`
+  workload of that seed), with the full RewardConfig(), lookahead 3 and 3
+  ready slots, three times over. Only finished episodes count, as in the
+  benchmark.
 
 Usage, from the root of a checkout:
 
@@ -192,11 +200,33 @@ def train_env(pol, rw, wk, profiles, sub_seed: int = 1):
     return pol.SchedulingEnv(episode, rw.RewardConfig(), lookahead=3, ready_slots=3)
 
 
-def train_s(pol, env, seed: int) -> float:
+def train_s(pol, env, seed: int):
+    """(seconds, trained policy) of one train call."""
     config = pol.TrainConfig(alpha=1e-5, episodes=10, batch_size=5, seed=seed, hidden=16)
     t0 = time.perf_counter()
-    pol.train(env, config)
-    return time.perf_counter() - t0
+    theta, _ = pol.train(env, config)
+    return time.perf_counter() - t0, theta
+
+
+def greedy_decision_us(pol, rw, deployments, passes: int = 3) -> float:
+    """Median microseconds of policy_forward plus SchedulingEnv.step per
+    greedy step, over `passes` episodes of each (policy, workload); stalled
+    episodes are left out."""
+    latencies = []
+    for _ in range(passes):
+        for theta, wl in deployments:
+            env = pol.SchedulingEnv(wl, rw.RewardConfig(), lookahead=3, ready_slots=3)
+            obs, mask = env.reset()
+            done = env.state.done
+            steps = []
+            while not done:
+                t0 = time.perf_counter()
+                probs = pol.policy_forward(theta, obs, mask)
+                obs, mask, _, done = env.step(int(np.argmax(probs)))
+                steps.append(time.perf_counter() - t0)
+            if env.state.done:
+                latencies.extend(steps)
+    return statistics.median(latencies) * 1e6
 
 
 def reinforce_update_us(pol, env, calls: int = 20) -> float:
@@ -239,8 +269,10 @@ def measure(src: str) -> dict[str, float]:
     profiles = profiles_for(wk, 30)
     workloads = [deployment(wk, profiles, seed) for seed in range(1, 6)]
     results["env_step_per_s"] = steps_per_s(pol, rw, workloads)
-    results["train_10x15_s"] = statistics.median(
-        train_s(pol, train_env(pol, rw, wk, profiles, seed), seed) for seed in (1, 2, 3)
+    trained = {seed: train_s(pol, train_env(pol, rw, wk, profiles, seed), seed) for seed in (1, 2, 3)}
+    results["train_10x15_s"] = statistics.median(spent for spent, _ in trained.values())
+    results["greedy_decision_us"] = greedy_decision_us(
+        pol, rw, [(theta, workloads[seed - 1]) for seed, (_, theta) in trained.items()]
     )
     results["reinforce_update_us"] = reinforce_update_us(pol, train_env(pol, rw, wk, profiles))
     wl = workloads[0]

@@ -14,6 +14,7 @@ in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -33,6 +34,7 @@ _LENGTH_SCALE = 5000.0
 _SIZE_SCALE = 200.0
 _WAIT_SCALE = 10.0
 _QUEUE_SCALE = 50.0
+_EMPTY_SLOT = (0.0, 0.0, 0.0, 0.0)  # the features of an empty ready slot
 _PROBS_ATOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p)
 
 
@@ -116,13 +118,16 @@ def _forward(
         valid = np.asarray(valid, dtype=bool)
         if valid.shape != (theta.n_actions,):
             raise ConfigurationError("valid mask length does not match action count")
-        if not valid.any():
-            raise ConfigurationError("at least one action must be valid")
     hidden = np.tanh(s @ theta.w1 + theta.b1)
     logits = hidden @ theta.w2 + theta.b2
-    shifted = logits - logits[valid].max()
-    expv = np.where(valid, np.exp(shifted), 0.0)
-    return hidden, expv / expv.sum()
+    live = logits[valid]
+    if not live.size:
+        raise ConfigurationError("at least one action must be valid")
+    shifted = logits - live.max()
+    # Only valid logits are exponentiated, so a large masked one cannot overflow.
+    probs = np.exp(shifted, out=np.zeros(shifted.shape), where=valid)
+    probs /= probs.sum()
+    return hidden, probs
 
 
 def _episode_return(rewards: Sequence[float]) -> float:
@@ -302,13 +307,15 @@ def encode_state(state: SimState, lookahead: int = 3, *, ready_slots: int = 5) -
     in-flight plus queued work covers the slot, fractional at the edge).
     Per ready slot: normalized length, input and output sizes, wait so far.
     One extra feature holds the waiting count. An empty idle system encodes
-    to the zero vector.
+    to the zero vector. Each feature is clamped to [0, 1] as
+    min(1.0, max(0.0, x)) would: a feature at or below 0 reads +0.0.
     """
     if lookahead < 1 or ready_slots < 1:
         raise ConfigurationError("lookahead and ready_slots must be >= 1")
     feats: list[float] = []
+    clock, ready = state.clock, state.ready
     for machine in state.machines:
-        backlog = max(0.0, machine.busy_until - state.clock) if machine.running is not None else 0.0
+        backlog = max(0.0, machine.busy_until - clock) if machine.running is not None else 0.0
         if backlog < lookahead:
             # Services are >= 0, so the sum never falls: once it reaches
             # lookahead every slot below reads 1.0, as it would at the end.
@@ -317,17 +324,23 @@ def encode_state(state: SimState, lookahead: int = 3, *, ready_slots: int = 5) -
                 if backlog >= lookahead:
                     break
         for slot in range(lookahead):
-            feats.append(min(1.0, max(0.0, backlog - slot)))
+            x = backlog - slot
+            feats.append(1.0 if x >= 1.0 else x if x > 0.0 else 0.0)
     for slot in range(ready_slots):
-        if slot < len(state.ready):
-            task = state.tasks[state.ready[slot]]
-            feats.append(min(1.0, task.length / _LENGTH_SCALE))
-            feats.append(min(1.0, task.input_size / _SIZE_SCALE))
-            feats.append(min(1.0, task.output_size / _SIZE_SCALE))
-            waited = state.clock - state.ready_times[task.id]
-            feats.append(min(1.0, max(0.0, waited) / _WAIT_SCALE))
+        if slot < len(ready):
+            task = state.tasks[ready[slot]]
+            length = task.length / _LENGTH_SCALE
+            size_in = task.input_size / _SIZE_SCALE
+            size_out = task.output_size / _SIZE_SCALE
+            waited = (clock - state.ready_times[task.id]) / _WAIT_SCALE
+            feats += (
+                length if length < 1.0 else 1.0,
+                size_in if size_in < 1.0 else 1.0,
+                size_out if size_out < 1.0 else 1.0,
+                1.0 if waited >= 1.0 else waited if waited > 0.0 else 0.0,
+            )
         else:
-            feats.extend([0.0, 0.0, 0.0, 0.0])
+            feats += _EMPTY_SLOT
     feats.append(min(1.0, state.waiting_count() / _QUEUE_SCALE))
     return np.asarray(feats)
 
@@ -342,11 +355,19 @@ def action_count(n_machines: int, ready_slots: int = 5) -> int:
 
 def valid_actions(state: SimState, ready_slots: int = 5) -> np.ndarray:
     """Mask over (ready slot, machine) pairs plus the always-valid no-op:
-    every machine is open to every occupied ready slot."""
-    n_machines = len(state.machines)
+    every machine is open to every occupied ready slot. Each call returns
+    a fresh, writable array."""
+    occupied = min(ready_slots, len(state.ready))
+    return _mask_template(len(state.machines), ready_slots, occupied).copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _mask_template(n_machines: int, ready_slots: int, occupied: int) -> np.ndarray:
+    """valid_actions' mask for one shape; read-only, so every call copies it."""
     mask = np.zeros(action_count(n_machines, ready_slots), dtype=bool)
-    mask[: min(ready_slots, len(state.ready)) * n_machines] = True
+    mask[: occupied * n_machines] = True
     mask[-1] = True  # no-op
+    mask.flags.writeable = False
     return mask
 
 
@@ -400,6 +421,8 @@ class SchedulingEnv:
 
     def decode_action(self, index: int) -> tuple[int, int] | None:
         """Map an action index to (task_id, machine_id), or None for no-op."""
+        if not 0 <= index < self.n_actions:
+            raise ConfigurationError(f"action {index} is outside [0, {self.n_actions})")
         if index == self.n_actions - 1:
             return None
         slot, j = divmod(index, self.n_machines)

@@ -65,10 +65,13 @@ def competition_penalty(
     which a stepper's snapshot keeps until the machine's residents change,
     and are added one by one in machine and resource order.
     """
+    k_c, resources = config.k_c, config.resources
     total = 0.0
     for entry in machine_profiles:
-        for pair_sum in ResidentSet.of(entry).pair_sums(config.resources):
-            total += config.k_c * pair_sum
+        if not isinstance(entry, ResidentSet):
+            entry = ResidentSet.of(entry)
+        for pair_sum in entry.pair_sums(resources):
+            total += k_c * pair_sum
     return -total
 
 
@@ -133,7 +136,14 @@ def reward_breakdown(inputs: RewardInputs, config: RewardConfig) -> RewardBreakd
 
 
 def total_reward(inputs: RewardInputs, config: RewardConfig) -> float:
-    return reward_breakdown(inputs, config).total
+    """reward_breakdown(inputs, config).total, added in the same order
+    without building the breakdown."""
+    return (
+        competition_penalty([m.resident_profiles for m in inputs.machines], config)
+        + utilization_penalty(inputs.machines, config)
+        + overuse_penalty(inputs.new_overuse, config)
+        + wait_penalty(inputs.queue_len, config)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,17 @@ so a task occupies its machine for transfer_time + exec_time seconds.
 
 Resource usage is sampled at integer slot boundaries: a user counts as
 resident on a machine at slot s iff one of their tasks joined the machine
-queue at or before s and completes after s. The first time the summed
-resident demand for a (machine, resource) exceeds capacity fraction 1.0 an
-overuse event is recorded; the pair never fires again. Summed demand and
-the stepper's reward inputs are read from each machine's ResidentSet. Each
-machine counts its users' running and queued tasks as they join and
-complete, and its set is rebuilt only when its resident users change; a
-machine's reward snapshot is reused while the set, the slot and its in_use
-stay the same. After a run, scan_overuse and machine_usage_series read the
-same per-slot resident demand, built from the trace's residency rows, which
-equals the stepper's slot by slot.
+queue at or before s and completes after s. A (machine, resource) pair
+fires an overuse event at the first sampled slot where its summed resident
+demand exceeds 1.0, each capacity being 1.0; the pair never fires again,
+so each machine keeps the resources that have not fired on it. Summed
+demand and the stepper's reward inputs are read from each machine's
+ResidentSet. Each machine counts its users' running and queued tasks as
+they join and complete, and its set is rebuilt only when its resident users
+change; a machine's reward snapshot is reused while the set, the slot and
+its in_use stay the same. After a run, scan_overuse and
+machine_usage_series read the same per-slot resident demand, built from the
+trace's residency rows, which equals the stepper's slot by slot.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ class Machine:
     # only while its count is positive
     user_tasks: dict[int, int] = field(default_factory=dict)
     users_changed: bool = True  # set when a user_tasks key comes or goes
+    unfired: tuple[str, ...] = RESOURCES  # resources that have not overshot here
     # (slot, snapshot) of the last snapshot _snapshot built for the machine
     last_snapshot: "tuple[int, MachineSnapshot] | None" = None
 
@@ -270,7 +272,6 @@ class SimState:
     records: dict[int, TaskRecord] = field(default_factory=dict)
     residency: list[tuple[int, int, float, float]] = field(default_factory=list)
     queue_series: list[tuple[float, int]] = field(default_factory=list)
-    fired: set[tuple[int, str]] = field(default_factory=set)
     overuse_events: list[OveruseEvent] = field(default_factory=list)
 
     @property
@@ -440,16 +441,18 @@ def _sample_slot(state: SimState, slot: int) -> list[tuple[int, str]]:
         return []
     fresh: list[tuple[int, str]] = []
     for machine in state.machines:
-        m, res = machine.spec.id, _residents(state, machine)
-        pending = [d for d in RESOURCES if (m, d) not in state.fired]
-        if res is _NO_RESIDENTS or not pending:
+        if not machine.unfired:
+            continue
+        res = _residents(state, machine)
+        if res is _NO_RESIDENTS:
             continue
         used = res.used_at(slot)
-        for d in pending:
-            if used[d] > 1.0:
-                state.fired.add((m, d))
-                fresh.append((m, d))
-    state.overuse_events.extend(OveruseEvent(m, d, float(slot)) for m, d in fresh)
+        over = [d for d in machine.unfired if used[d] > 1.0]
+        if over:
+            machine.unfired = tuple(d for d in machine.unfired if d not in over)
+            fresh.extend((machine.spec.id, d) for d in over)
+    if fresh:
+        state.overuse_events.extend(OveruseEvent(m, d, float(slot)) for m, d in fresh)
     return fresh
 
 
@@ -484,7 +487,9 @@ def _snapshot(state: SimState, new_overuse: Sequence[tuple[int, str]]) -> Reward
     slot = int(math.floor(state.clock))
     snaps = []
     for machine in state.machines:
-        res, in_use, last = _residents(state, machine), machine.in_use, machine.last_snapshot
+        res = _residents(state, machine) if machine.users_changed else machine.residents
+        in_use = machine.running is not None or len(machine.queue) > 0
+        last = machine.last_snapshot
         if last is not None:
             last_slot, snap = last
             if last_slot == slot and snap.resident_profiles is res and snap.in_use == in_use:

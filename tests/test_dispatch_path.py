@@ -6,7 +6,11 @@ the usage oracle's resource half counts each resident user once, as the
 overuse scan and the stepper do. So is the policy encoder's backlog walk,
 which now reads the service time each machine keeps beside every queued
 task and stops once the backlog covers the lookahead, and so are the
-resident users, which each machine now counts as tasks join and complete."""
+resident users, which each machine now counts as tasks join and complete.
+The online step's leaner bodies are pinned the same way: the overuse
+sampler with its per-machine tuples of unfired resources, the encoder's
+clamps by comparison, the unbuilt breakdown of total_reward, the copied
+action masks and the softmax that exponentiates only valid logits."""
 
 import math
 from collections import Counter
@@ -16,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudsched import rewards
+from cloudsched import policy, rewards, simulator
 from cloudsched.errors import ConfigurationError
-from cloudsched.policy import encode_state
+from cloudsched.policy import PolicyParams, encode_state, valid_actions
 from cloudsched.rewards import (
     RewardBreakdown,
     RewardConfig,
@@ -34,6 +38,7 @@ from cloudsched.rewards import (
 from cloudsched.simulator import (
     MachineSnapshot,
     OveruseEvent,
+    ResidentSet,
     RewardInputs,
     init_state,
     machine_usage_series,
@@ -123,6 +128,61 @@ def old_machine_features(state, lookahead):
             backlog += transfer + task.length / machine.spec.mips
         feats.extend(min(1.0, max(0.0, backlog - slot)) for slot in range(lookahead))
     return feats
+
+
+def old_sample_slot(state, slot, fired):
+    """The overuse sampler with one set of fired (machine, resource) pairs
+    per episode, which it read for every machine at every slot."""
+    if not state.pmap:
+        return []
+    fresh = []
+    for machine in state.machines:
+        m, res = machine.spec.id, simulator._residents(state, machine)
+        pending = [d for d in RESOURCES if (m, d) not in fired]
+        if res is simulator._NO_RESIDENTS or not pending:
+            continue
+        used = res.used_at(slot)
+        for d in pending:
+            if used[d] > 1.0:
+                fired.add((m, d))
+                fresh.append((m, d))
+    state.overuse_events.extend(OveruseEvent(m, d, float(slot)) for m, d in fresh)
+    return fresh
+
+
+def old_encode_state(state, lookahead=3, *, ready_slots=5):
+    """encode_state with min/max clamps and one append per feature."""
+    feats = []
+    for machine in state.machines:
+        backlog = max(0.0, machine.busy_until - state.clock) if machine.running is not None else 0.0
+        if backlog < lookahead:
+            for _, service in machine.queue:
+                backlog += service
+                if backlog >= lookahead:
+                    break
+        for slot in range(lookahead):
+            feats.append(min(1.0, max(0.0, backlog - slot)))
+    for slot in range(ready_slots):
+        if slot < len(state.ready):
+            task = state.tasks[state.ready[slot]]
+            feats.append(min(1.0, task.length / policy._LENGTH_SCALE))
+            feats.append(min(1.0, task.input_size / policy._SIZE_SCALE))
+            feats.append(min(1.0, task.output_size / policy._SIZE_SCALE))
+            waited = state.clock - state.ready_times[task.id]
+            feats.append(min(1.0, max(0.0, waited) / policy._WAIT_SCALE))
+        else:
+            feats.extend([0.0, 0.0, 0.0, 0.0])
+    feats.append(min(1.0, state.waiting_count() / policy._QUEUE_SCALE))
+    return np.asarray(feats)
+
+
+def old_forward(theta, s, valid):
+    """The forward pass that exponentiated every logit, masked ones too."""
+    hidden = np.tanh(s @ theta.w1 + theta.b1)
+    logits = hidden @ theta.w2 + theta.b2
+    shifted = logits - logits[valid].max()
+    expv = np.where(valid, np.exp(shifted), 0.0)
+    return hidden, expv / expv.sum()
 
 
 def old_usage_series(trace, workload):
@@ -257,6 +317,150 @@ def test_cached_snapshots_equal_the_per_step_snapshot():
                     assert total_reward(inputs, cfg) == old_breakdown(old, cfg).total
             steps += 1
     assert steps > 1000
+
+
+def test_overuse_sampler_equals_the_fired_set(monkeypatch):
+    # Two states of one workload take the same random actions, one stepped
+    # with the per-machine tuples of unfired resources, one with the old
+    # sampler and its fired set: every step reports the same fresh pairs
+    # and the same overuse events, and its snapshot equals the old one.
+    rng = np.random.default_rng(909)
+    fired_pairs = 0
+    for k in range(120):
+        wl = profiled_workload(rng)
+        if k % 2:
+            wl = WorkloadSet(wl.vms[:1], wl.dag, wl.profiles)  # everything on one machine
+        state, twin, fired = init_state(wl), init_state(wl), set()
+        while not state.done:
+            if state.ready and rng.random() < 0.6:
+                tid = state.ready[int(rng.integers(len(state.ready)))]
+                action = (tid, wl.vms[int(rng.integers(len(wl.vms)))].id)
+            else:
+                action = None
+            state, inputs = step(state, action)
+            with monkeypatch.context() as mp:
+                mp.setattr(simulator, "_sample_slot", lambda st, s: old_sample_slot(st, s, fired))
+                twin, old_inputs = step(twin, action)
+            assert inputs.new_overuse == old_inputs.new_overuse
+            assert state.overuse_events == twin.overuse_events
+            assert_same_inputs(inputs, old_snapshot(state, inputs.new_overuse))
+            for machine in state.machines:
+                left = tuple(d for d in RESOURCES if (machine.spec.id, d) not in fired)
+                assert machine.unfired == left
+        fired_pairs += len(fired)
+    assert fired_pairs > 60
+
+
+def test_encoded_states_equal_the_old_encoder_byte_for_byte():
+    rng = np.random.default_rng(910)
+    shapes = [(1, 1), (3, 3), (3, 5), (12, 2)]
+    full = crowded = 0
+    for _ in range(60):
+        wl = profiled_workload(rng)
+        for state, _ in random_episode(rng, wl):
+            encoded = {}
+            for lookahead, slots in shapes:
+                got = encoded[lookahead, slots] = encode_state(state, lookahead, ready_slots=slots)
+                assert got.tobytes() == old_encode_state(state, lookahead, ready_slots=slots).tobytes()
+                assert got.dtype == np.float64
+            # Machines whose backlog covers a lookahead of 3, and more
+            # ready tasks than three slots.
+            full += int((encoded[3, 3][2 : 3 * len(wl.vms) : 3] == 1.0).sum())
+            crowded += len(state.ready) > 3
+    assert full > 100 and crowded > 30
+    # A task of 1e-12 s started at t = 16384 ends at the clock, whose ulp is
+    # 3.6e-12: its machine runs it with busy_until == clock, a backlog of
+    # exactly zero, and the 5 s task queued behind it covers the lookahead.
+    tasks = [Task(id=0, user_id=0, length=1e-9, arrival_time=16384.0)]
+    tasks.append(Task(id=1, user_id=0, length=5000.0, arrival_time=16384.0))
+    state = init_state(WorkloadSet([vm(0), vm(1)], DagWorkflow(tasks, [])))
+    state, _ = step(state, None)
+    for action in [(0, 0), (1, 0)]:
+        state, _ = step(state, action)
+        machine = state.machines[0]
+        assert machine.running == 0 and machine.busy_until == state.clock == 16384.0
+        for lookahead in (1, 3, 5, 6):
+            got = encode_state(state, lookahead, ready_slots=2)
+            assert got.tobytes() == old_encode_state(state, lookahead, ready_slots=2).tobytes()
+    assert encode_state(state, 3, ready_slots=1)[:3].tolist() == [1.0, 1.0, 1.0]
+    assert encode_state(state, 6, ready_slots=1)[:6].tolist() == [1.0] * 5 + [0.0]
+
+
+def test_action_masks_are_fresh_copies():
+    wl = WorkloadSet([vm(0), vm(1)], DagWorkflow([Task(id=i, user_id=0) for i in range(2)], []))
+    state = init_state(wl)
+    first = valid_actions(state, ready_slots=3)
+    assert first.tolist() == [True] * 4 + [False, False, True]
+    first[:] = False
+    assert valid_actions(state, ready_slots=3).tolist() == [True] * 4 + [False, False, True]
+    state, _ = step(state, (0, 0))
+    second = valid_actions(state, ready_slots=3)
+    assert second.tolist() == [True] * 2 + [False] * 4 + [True]
+    assert second.flags.writeable and second is not valid_actions(state, ready_slots=3)
+
+
+def test_forward_pass_equals_the_full_softmax():
+    # Logit scales from 0.05 to 50, so some valid probabilities underflow
+    # to 0 and some masked logits would overflow exp.
+    rng = np.random.default_rng(911)
+    for _ in range(3000):
+        n_in, n_act = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+        scale = float(rng.choice([0.05, 1.0, 10.0, 50.0]))
+        theta = PolicyParams(
+            w1=rng.normal(0, scale, (n_in, 16)),
+            b1=rng.normal(0, scale, 16),
+            w2=rng.normal(0, scale, (16, n_act)),
+            b2=rng.normal(0, scale, n_act),
+        )
+        s = rng.normal(0, 1, n_in)
+        valid = rng.random(n_act) < float(rng.uniform(0.1, 1.0))
+        valid[-1] = True
+        with np.errstate(over="ignore"):
+            want = old_forward(theta, s, valid)
+        got = policy._forward(theta, s, valid)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def reward_cases(draw):
+    """(RewardInputs, RewardConfig) with up to 4 machines, whose residents
+    are ResidentSets or plain mappings of equal-length series."""
+    length = draw(st.integers(1, 6))
+    machines = []
+    for m in range(draw(st.integers(0, 4))):
+        n_users = draw(st.integers(0, 4))
+        residents = {
+            d: tuple(np.array(draw(st.lists(unit, min_size=length, max_size=length)))
+                     for _ in range(n_users))
+            for d in RESOURCES
+        }
+        if draw(st.booleans()):
+            residents = ResidentSet.of(residents)
+        used = {d: draw(st.floats(0.0, 3.0)) for d in RESOURCES}
+        machines.append(MachineSnapshot(m, draw(st.booleans()), used, residents))
+    overuse = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(RESOURCES)), max_size=4))
+    inputs = RewardInputs(
+        draw(st.floats(0.0, 100.0)), draw(st.integers(0, 60)), tuple(machines), tuple(overuse)
+    )
+    config = RewardConfig(
+        k_c=draw(st.floats(0.0, 10.0)),
+        k_u=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
+        k_o=draw(st.floats(0.0, 10.0)),
+        k_w=draw(st.floats(0.0, 10.0)),
+        resources=draw(st.lists(st.sampled_from(RESOURCES), unique=True, max_size=3)),
+    )
+    return inputs, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(reward_cases())
+def test_total_reward_equals_the_breakdown_total(case):
+    inputs, config = case
+    assert total_reward(inputs, config) == reward_breakdown(inputs, config).total
 
 
 def test_encoded_backlogs_equal_the_queue_walk():

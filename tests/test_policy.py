@@ -1,6 +1,7 @@
 """Policy network, REINFORCE update, encoding and the episodic environment."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,18 @@ def test_single_valid_action_takes_all_probability():
     probs = policy_forward(theta, np.ones(5) * 0.3, valid)
     assert probs[2] == 1.0
     assert probs.sum() == 1.0
+
+
+def test_a_large_masked_logit_does_not_overflow():
+    # The masked action's logit is 1000: exp of it overflows, but its
+    # probability is 0 whatever it is, so the pass must not compute it.
+    theta = zero_policy(3, 2, 4)
+    theta.b2[2] = 1000.0
+    valid = np.array([True, True, False, True])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = policy_forward(theta, np.ones(3), valid)
+    assert probs.tolist() == [1 / 3, 1 / 3, 0.0, 1 / 3]
 
 
 def test_probabilities_normalize_on_random_inputs():
@@ -437,6 +450,24 @@ def test_noop_decode_is_none():
     env = tiny_env()
     env.reset(seed=0)
     assert env.decode_action(env.n_actions - 1) is None
+
+
+def test_out_of_range_action_indices_are_rejected():
+    # 2 VMs, 2 ready slots and 8 tasks ready at t=0, so n_actions == 5.
+    # -1 and -3 used to wrap around to tasks 7 and 6, and 5 and 6 to reach
+    # past the observed slots to tasks 2 and 3.
+    wl = WorkloadSet.from_tasks([vm(0), vm(1)], [task(i) for i in range(8)])
+    env = SchedulingEnv(wl, lookahead=3, ready_slots=2)
+    env.reset()
+    assert env.n_actions == 5 and len(env.state.ready) == 8
+    for index in (-1, -3, 5, 6):
+        with pytest.raises(ConfigurationError, match=rf"^action {index} is outside \[0, 5\)$"):
+            env.decode_action(index)
+        with pytest.raises(ConfigurationError, match=rf"^action {index} is outside"):
+            env.step(index)
+    assert env.decode_action(3) == (1, 1)
+    assert env.decode_action(4) is None
+    assert len(env.state.ready) == 8
 
 
 def test_env_requires_reset_before_step():
