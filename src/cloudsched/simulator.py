@@ -483,7 +483,8 @@ def _absorb_events(state: SimState, now: float) -> None:
 def _snapshot(state: SimState, new_overuse: Sequence[tuple[int, str]]) -> RewardInputs:
     """Reward inputs at the clock, read from each machine's resident set. A
     machine's last snapshot is reused while its set, the slot and its in_use
-    are unchanged, so snapshots are read-only."""
+    are unchanged, so snapshots are read-only; a machine without residents
+    uses nothing at any slot, so its snapshot is reused across slots too."""
     slot = int(math.floor(state.clock))
     snaps = []
     for machine in state.machines:
@@ -492,7 +493,8 @@ def _snapshot(state: SimState, new_overuse: Sequence[tuple[int, str]]) -> Reward
         last = machine.last_snapshot
         if last is not None:
             last_slot, snap = last
-            if last_slot == slot and snap.resident_profiles is res and snap.in_use == in_use:
+            same_slot = last_slot == slot or res is _NO_RESIDENTS
+            if same_slot and snap.resident_profiles is res and snap.in_use == in_use:
                 snaps.append(snap)
                 continue
         snap = MachineSnapshot(machine.spec.id, in_use, res.used_at(slot), res)

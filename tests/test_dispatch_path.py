@@ -601,6 +601,23 @@ def test_shared_resident_sets_are_read_only():
     assert residents.pair_sum("cpu") == 0.2 * 0.2 + 0.4 * 0.4
 
 
+def test_an_idle_machine_keeps_its_snapshot_across_slots():
+    # Tasks of 0.5 s arrive at t = 0, 1, 2 and 3 and all go to machine 0.
+    # Machine 1 never has a resident, so it uses nothing at any slot and
+    # every step hands back its first snapshot; machine 0's follows its set
+    # and the slot.
+    tasks = [Task(id=i, user_id=0, length=500.0, arrival_time=float(i)) for i in range(4)]
+    wl = WorkloadSet([vm(0), vm(1)], DagWorkflow(tasks, []), [UsageProfile(0, "cpu", [0.2, 0.4])])
+    state, seen = init_state(wl), []
+    while not state.done:
+        state, inputs = step(state, (state.ready[0], 0) if state.ready else None)
+        assert_same_inputs(inputs, old_snapshot(state, inputs.new_overuse))
+        seen.append(inputs)
+    assert [i.clock for i in seen] == [0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.5, 3.0, 3.0, 3.5]
+    assert len({id(i.machines[1]) for i in seen}) == 1
+    assert len({id(i.machines[0]) for i in seen}) == 8
+
+
 def test_competition_on_plain_mappings_is_unchanged():
     rng = np.random.default_rng(902)
     for _ in range(200):
