@@ -97,11 +97,8 @@ class VmFleetConfig:
     """Homogeneous machine fleet; one VmSpec per id 0..count-1."""
 
     count: int = 10
-    cpu_count: int = 1
     mips: float = 1000.0
-    memory: float = 256.0
     bandwidth: float = 1000.0
-    storage: float = 10.0
     instr_cost_rate: float = 0.01
     bw_cost_rate: float = 0.01
 
@@ -160,6 +157,8 @@ class SchedulerSpec:
             )
         if self.algorithm == "policy" and not self.policy_file:
             raise ConfigurationError("policy scheduler needs a policy_file")
+        if self.algorithm != "policy" and self.policy_file is not None:
+            raise ConfigurationError(f"{self.algorithm!r} takes no policy_file")
         self.build_params()  # reject bad keys before any work happens
 
     def build_params(self):
@@ -205,10 +204,7 @@ class TrainSetup:
         self.build_vms()  # reject non-positive speeds when the config loads
 
     def build_vms(self) -> tuple[VmSpec, ...]:
-        return tuple(
-            VmSpec(id=i, mips=mips, instr_cost_rate=0.01, bw_cost_rate=0.01)
-            for i, mips in enumerate(self.machine_mips)
-        )
+        return tuple(VmSpec(id=i, mips=mips) for i, mips in enumerate(self.machine_mips))
 
     def workload_params(self) -> TaskGenParams:
         return TaskGenParams(

@@ -2,14 +2,16 @@
 
 Subcommands: run (sweep schedulers and emit the report), train (fit the
 dispatch policy on the toy problem), summarize (rebuild summary/deltas from
-an existing results.csv). `bench --show-params` prints every default
-scheduler parameter and exits.
+an existing results.csv). `bench run` prints the sha256 of the results.csv
+it wrote; reruns print the same digest, whatever --jobs is. `bench
+--show-params` prints every default scheduler parameter and exits.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -62,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="JSON experiment config (defaults when omitted)")
     p_run.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p_run.add_argument("--out", help="output directory (overrides the config)")
-    p_run.add_argument("--show-params", action="store_true", help="print defaults and exit")
 
     p_train = sub.add_parser("train", help="train the dispatch policy and save it")
     p_train.add_argument("--config", help="JSON experiment config (train section applies)")
@@ -79,9 +80,6 @@ def _load(config_path: str | None):
 
 
 def _cmd_run(args) -> int:
-    if args.show_params:
-        show_params()
-        return 0
     config = _load(args.config)
     if args.jobs < 1:
         raise ConfigurationError("--jobs must be >= 1")
@@ -89,6 +87,9 @@ def _cmd_run(args) -> int:
     rows = run_experiment(config, jobs=args.jobs, out_dir=out_dir)
     ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"{len(rows)} rows ({ok} ok) -> {out_dir}")
+    if out_dir:
+        digest = hashlib.sha256(Path(out_dir, "results.csv").read_bytes()).hexdigest()
+        print(f"results.csv sha256 {digest}")
     return 0 if ok == len(rows) else 2
 
 

@@ -515,8 +515,9 @@ def step(
 
     action is (task_id, machine_id) to dispatch a ready task, or None for a
     no-op. Dispatching leaves the clock unchanged; a no-op advances the clock
-    to the next event (or one slot if none is scheduled) and processes it.
-    The state is mutated in place and returned.
+    to the next event (or one slot if none is scheduled) and processes it,
+    and changes nothing once every task is done. The state is mutated in
+    place and returned.
     """
     fresh = _advance(state, action)
     return state, _snapshot(state, fresh)
@@ -537,15 +538,13 @@ def _advance(state: SimState, action: tuple[int, int] | None) -> list[tuple[int,
             return _sample_slot(state, int(state.clock))
         return []
 
-    # No-op: sample the settled queue, then advance.
+    # No-op: a finished episode stays as it is; otherwise sample the settled
+    # queue, then advance.
+    if state.done:
+        return []
     state.queue_series.append((state.clock, state.waiting_count()))
     fresh: list[tuple[int, str]] = []
-    if state.events:
-        target = state.events[0][0]
-    elif state.done:
-        return fresh
-    else:
-        target = state.clock + 1.0
+    target = state.events[0][0] if state.events else state.clock + 1.0
     # Visit integer slots crossed strictly before the target instant.
     s = math.floor(state.clock) + 1
     while s < target:

@@ -30,27 +30,20 @@ class VmSpec:
     """Static capacity and pricing of one virtual machine.
 
     mips is the instruction throughput (million instructions per second),
-    memory is in MB, bandwidth in MB/s, storage in GB. Cost rates are charged
-    per second of instruction execution and per second of data transfer.
-    The simulator runs each VM on one core, so cpu_count must be 1; memory
-    and storage are stored but not read by the simulator.
+    bandwidth is in MB/s. Cost rates are charged per second of instruction
+    execution and per second of data transfer.
     """
 
     id: int
-    cpu_count: int = 1
     mips: float = 1000.0
-    memory: float = 256.0
     bandwidth: float = 1000.0
-    storage: float = 10.0
     instr_cost_rate: float = 0.01
     bw_cost_rate: float = 0.01
 
     def __post_init__(self):
-        for name in ("mips", "memory", "bandwidth", "storage"):
+        for name in ("mips", "bandwidth"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"vm {self.id}: {name} must be positive and finite")
-        if self.cpu_count != 1:
-            raise ConfigurationError(f"vm {self.id}: cpu_count must be 1")
         for name in ("instr_cost_rate", "bw_cost_rate"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigurationError(f"vm {self.id}: {name} must be finite and >= 0")

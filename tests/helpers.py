@@ -116,10 +116,13 @@ def random_dag_workload(rng, max_nodes=10):
 def assert_trace_invariants(trace, workload):
     """Check what every complete SimTrace must hold, whichever driver made it:
     each task appears once, start >= ready_time >= arrival, no two tasks
-    overlap on a machine, and each machine serves its tasks in join order.
+    overlap on a machine, each machine serves its tasks in join order, and
+    sample-path Little's law holds: the area under queue_series equals the
+    summed waits start - ready_time, to 1e-12 relative.
 
     Join times come from the residency rows; on one machine a row is matched
-    to its task by completion time, which no two of its tasks share.
+    to its task by completion time, which no two of its tasks share. The
+    queue holds each sample's count until the next sample.
     """
     arrivals = {t.id: t.arrival_time for t in workload.tasks}
     assert sorted(trace.records) == sorted(arrivals)
@@ -142,3 +145,7 @@ def assert_trace_invariants(trace, workload):
         joins = [j for _, j in rows]
         assert joins == sorted(joins), f"machine {m} does not serve in join order"
         assert all(r.ready_time <= j <= r.start for r, j in zip(recs, joins))
+    series = trace.queue_series
+    area = sum(q * (t1 - t0) for (t0, q), (t1, _) in zip(series, series[1:]))
+    waits = sum(r.start - r.ready_time for r in trace.records.values())
+    assert abs(area - waits) <= 1e-12 * waits, f"queue area {area} != summed waits {waits}"

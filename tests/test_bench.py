@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -130,9 +131,15 @@ def test_unknown_keys_are_rejected_everywhere():
         ({"vms": {"mips": 10**400}}, "experiment config.vms.mips must be a finite number"),
         ({"weights": {"time": math.nan}}, "experiment config.weights.time must be a finite"),
         ({"workload": {"length_range": [1, math.inf]}}, "experiment config.workload.length_range[1]"),
-        ({"vms": {"cpu_count": 2}}, "experiment config.vms: vm 0: cpu_count must be 1"),
+        ({"vms": {"cpu_count": 1}}, "unknown key 'cpu_count' in experiment config.vms"),
         ({"train": {"machine_mips": [1000.0, 0]}}, "experiment config.train: vm 1: mips"),
         ({"output_dir": 5}, "experiment config.output_dir must be a string"),
+        (
+            {"schedulers": [{"name": "eft", "policy_file": "policy.txt"}]},
+            "experiment config.schedulers[0]: 'eft' takes no policy_file",
+        ),
+        ({"vms": {"memory": 256.0}}, "unknown key 'memory' in experiment config.vms"),
+        ({"vms": {"storage": 10.0}}, "unknown key 'storage' in experiment config.vms"),
     ],
 )
 def test_malformed_config_fails_naming_its_field(data, path):
@@ -204,6 +211,8 @@ def test_scheduler_spec_validation():
         SchedulerSpec("gaaco", params={"not_a_knob": 3})
     with pytest.raises(ConfigurationError, match="takes no params"):
         SchedulerSpec("eft", params={"x": 1})
+    with pytest.raises(ConfigurationError, match="'aco' takes no policy_file"):
+        SchedulerSpec("aco", policy_file="nowhere.txt")
     # Display name can differ from the algorithm it runs.
     spec = SchedulerSpec("sa-fast", algorithm="sa", params=dict(FAST_SA_PARAMS))
     assert spec.build_params().steps_per_temp == 10
@@ -495,8 +504,10 @@ def test_cli_run_with_config(tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
     assert rc == 0
-    assert (out_dir / "results.csv").exists()
-    assert "8 rows (8 ok)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "8 rows (8 ok)" in out
+    digest = hashlib.sha256((out_dir / "results.csv").read_bytes()).hexdigest()
+    assert out.splitlines()[-1] == f"results.csv sha256 {digest}"
 
 
 def test_cli_summarize_matches_the_run_report(tiny_run, tmp_path, capsys):

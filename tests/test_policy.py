@@ -446,6 +446,15 @@ def test_episode_runs_to_completion_under_noops_and_dispatches():
     assert env.state.done or steps >= _STEP_CAP_FACTOR * 4
 
 
+def test_zero_task_episode_ends_after_one_noop():
+    env = SchedulingEnv(WorkloadSet.from_tasks([vm(0)], []))
+    obs, mask = env.reset()
+    assert np.flatnonzero(mask).tolist() == [env.n_actions - 1]
+    _, _, reward, done = env.step(env.n_actions - 1)
+    assert done and reward == 0.0
+    assert env.trace().queue_series == []
+
+
 def test_noop_decode_is_none():
     env = tiny_env()
     env.reset(seed=0)

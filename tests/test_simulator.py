@@ -186,6 +186,22 @@ def test_step_dispatch_and_noop():
     assert state.records[1].wait == 1.0
 
 
+def test_stepping_a_finished_episode_changes_no_trace_field():
+    profiles = [UsageProfile(0, "cpu", np.array([0.8] * 4))]
+    wl = WorkloadSet.from_tasks([vm(0)], [task(0)], profiles)
+    state = init_state(wl)
+    state, _ = step(state, (0, 0))
+    while not state.done:
+        state, _ = step(state, None)
+    before, clock = state.trace(), state.clock
+    for _ in range(3):
+        state, inputs = step(state, None)
+        assert inputs.queue_len == 0 and inputs.new_overuse == ()
+    assert state.clock == clock
+    assert state.trace() == before
+    assert len(before.queue_series) == 1
+
+
 def test_noop_advances_one_slot_when_idle():
     wl = WorkloadSet.from_tasks([vm(0)], [task(0, arrival=2.5)])
     state = init_state(wl)

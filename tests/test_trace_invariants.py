@@ -1,6 +1,7 @@
 """Trace invariants on both simulator drivers, checked by one helper."""
 
 import numpy as np
+import pytest
 
 from cloudsched.simulator import init_state, replay_assignment, run_simulation, step
 
@@ -46,3 +47,18 @@ def test_hand_dispatched_episode_serves_in_join_order():
     assert_trace_invariants(trace, wl)
     assert [trace.records[t].start for t in (2, 1, 0)] == [0.0, 1.0, 2.0]
     assert [row[2] for row in trace.residency] == [0.0, 1.0, 1.0]
+
+
+def test_littles_law_fails_a_queue_sample_taken_before_an_instant_settles():
+    # Three tasks arrive at t=0 on one machine, so the settled queue reads
+    # 2, 1, 0, 0 at t = 0, 1, 3, 6 and tasks 1 and 2 wait 1 s and 3 s.
+    # Sampling each instant before its events land reads the previous
+    # instant's count: 0, 2, 1, 0.
+    wl = flat_workload([1000.0, 2000.0, 3000.0])
+    trace = run_simulation(wl, {0: 0, 1: 0, 2: 0})
+    assert trace.queue_series == [(0.0, 2), (1.0, 1), (3.0, 0), (6.0, 0)]
+    assert_trace_invariants(trace, wl)
+    counts = [0] + [q for _, q in trace.queue_series[:-1]]
+    trace.queue_series = [(t, q) for (t, _), q in zip(trace.queue_series, counts)]
+    with pytest.raises(AssertionError, match="queue area 7.0 != summed waits 4.0"):
+        assert_trace_invariants(trace, wl)

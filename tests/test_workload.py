@@ -132,7 +132,7 @@ NAN = float("nan")
     "cls, kwargs",
     [
         (VmSpec, {"id": 0, "mips": NAN}),
-        (VmSpec, {"id": 0, "storage": NAN}),
+        (VmSpec, {"id": 0, "bandwidth": NAN}),
         (VmSpec, {"id": 0, "instr_cost_rate": NAN}),
         (VmSpec, {"id": 0, "bw_cost_rate": NAN}),
         (Task, {"id": 0, "length": NAN}),
@@ -162,9 +162,7 @@ INF = math.inf
     "cls, kwargs",
     [
         (VmSpec, {"id": 0, "mips": INF}),
-        (VmSpec, {"id": 0, "memory": INF}),
         (VmSpec, {"id": 0, "bandwidth": INF}),
-        (VmSpec, {"id": 0, "storage": INF}),
         (VmSpec, {"id": 0, "instr_cost_rate": INF}),
         (VmSpec, {"id": 0, "bw_cost_rate": INF}),
         (Task, {"id": 0, "length": INF}),
@@ -387,7 +385,7 @@ _TASK = {"id": 0}
         ({"vms": [{"mips": 1}], "tasks": [_TASK]}, "workload file.vms[0].id is required"),
         ({"vms": [{"id": 0, "ram": 1}], "tasks": [_TASK]}, "unknown key 'ram' in workload file.vms[0]"),
         ({"vms": [{"id": 0, "mips": True}], "tasks": [_TASK]}, "workload file.vms[0].mips must be a number"),
-        ({"vms": [{"id": 0, "cpu_count": 4}], "tasks": [_TASK]}, "workload file.vms[0]: vm 0: cpu_count"),
+        ({"vms": [{"id": 0, "cpu_count": 1}], "tasks": [_TASK]}, "unknown key 'cpu_count' in workload file.vms[0]"),
         ({"vms": [_VM], "tasks": [{"id": 1.5}]}, "workload file.tasks[0].id must be an integer"),
         ({"vms": [_VM], "tasks": [{"id": 0, "length": "9"}]}, "workload file.tasks[0].length must be"),
         ({"vms": [_VM], "tasks": [{"id": 0, "deadline": "x"}]}, "workload file.tasks[0].deadline must"),
@@ -420,6 +418,8 @@ _TASK = {"id": 0}
                           {"user_id": 1, "resource": "cpu", "series": [0.5] * 48}]},
             "cpu profiles differ in length: [24, 48] slots",
         ),
+        ({"vms": [{"id": 0, "memory": 256.0}], "tasks": [_TASK]}, "unknown key 'memory' in workload file.vms[0]"),
+        ({"vms": [{"id": 0, "storage": 10.0}], "tasks": [_TASK]}, "unknown key 'storage' in workload file.vms[0]"),
     ],
 )
 def test_malformed_workload_fails_naming_its_field(tmp_path, doc, path):
