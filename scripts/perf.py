@@ -12,6 +12,9 @@ Each figure is the median of --repeats runs (at least 5):
 * `usage_series_100tasks_s`: machine_usage_series on one of those
   deployments with every task sent to one VM, as the benchmark's trained
   policies nearly do.
+* `noop_gap_1e6_s`: one online no-op, simulator.step(state, None), across
+  a 1e6 s idle gap on one VM that holds no resident, with a user's cpu
+  profile loaded.
 * `sa_n<n>_s`: one sa_schedule call on the default config's cell of n
   tasks, n = 10, 100, 1000, with cell seed 1 and that cell's scheduler seed
   (bench.scheduler_seed), as `bench run` calls it.
@@ -155,9 +158,7 @@ def colony_ants_per_s(bench, schedulers, ants: int, beta: float, colonies: int =
     """Ants per second built by _construct_colony on the default config's
     n = 200 cell (seed 1) with the pheromone fixed at 1."""
     config = bench.default_config()
-    ev = schedulers._Evaluator(
-        bench.build_cell_workload(config, 200, 1), config.weights, np.random.default_rng(0)
-    )
+    ev = schedulers._Evaluator(bench.build_cell_workload(config, 200, 1), config.weights)
     tau_pow = np.ones((len(ev.task_ids), len(ev.vm_ids)))
     rng = np.random.default_rng(1)
     schedulers._construct_colony(ev, tau_pow, beta, rng, ants)
@@ -243,7 +244,7 @@ def reinforce_update_us(pol, env, calls: int = 20) -> float:
 def scorer_us(sched, wl, name: str, calls: int = 2000) -> float:
     """Microseconds per call of the evaluator's scorer `name` over `calls`
     seeded random assignment vectors."""
-    ev = sched._Evaluator(wl, sched.QosWeights(), np.random.default_rng(0))
+    ev = sched._Evaluator(wl, sched.QosWeights())
     rng = np.random.default_rng(3)
     vecs = [tuple(row) for row in rng.integers(0, len(ev.vm_ids), (calls, len(ev.task_ids))).tolist()]
     score = getattr(ev, name)
@@ -251,6 +252,20 @@ def scorer_us(sched, wl, name: str, calls: int = 2000) -> float:
     for vec in vecs:
         score(vec)
     return (time.perf_counter() - t0) / calls * 1e6
+
+
+def noop_gap_s(sim, wk, gap: float = 1e6) -> float:
+    """Seconds of one no-op across an idle gap: one VM whose only task
+    finished at t = 1, and the next task arriving `gap` seconds later, with
+    the user's cpu profile loaded but no resident left on the machine."""
+    profiles = [wk.UsageProfile(0, "cpu", np.full(48, 0.8))]
+    tasks = [wk.Task(id=0, length=1000.0), wk.Task(id=1, length=1000.0, arrival_time=1.0 + gap)]
+    state = sim.init_state(wk.WorkloadSet.from_tasks([wk.VmSpec(id=0, mips=1000.0)], tasks, profiles))
+    sim.step(state, (0, 0))
+    sim.step(state, None)  # to task 0's completion at t = 1
+    t0 = time.perf_counter()
+    sim.step(state, None)
+    return time.perf_counter() - t0
 
 
 def measure(src: str) -> dict[str, float]:
@@ -280,6 +295,7 @@ def measure(src: str) -> dict[str, float]:
     t0 = time.perf_counter()
     sim.machine_usage_series(trace, wl)
     results["usage_series_100tasks_s"] = time.perf_counter() - t0
+    results["noop_gap_1e6_s"] = noop_gap_s(sim, wk)
     for n in (10, 100, 1000):
         results[f"sa_n{n}_s"] = cell_s(bench, sched, "sa", n)
     for name in ("gaaco", "aco"):

@@ -285,11 +285,13 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 
 

@@ -4,7 +4,9 @@ Subcommands: run (sweep schedulers and emit the report), train (fit the
 dispatch policy on the toy problem), summarize (rebuild summary/deltas from
 an existing results.csv). `bench run` prints the sha256 of the results.csv
 it wrote; reruns print the same digest, whatever --jobs is. `bench
---show-params` prints every default scheduler parameter and exits.
+--show-params` prints every default scheduler parameter and exits, without
+running a subcommand given with it. A file that cannot be read, like any
+bad input, ends the command with `error: ...` on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -105,8 +107,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    with open(args.results, newline="", encoding="utf-8") as fh:
-        raw = list(csv.DictReader(fh))
+    try:
+        with open(args.results, newline="", encoding="utf-8") as fh:
+            raw = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read results file {args.results}: {exc.strerror}") from exc
     if not raw:
         raise ConfigurationError(f"{args.results} holds no rows")
     rows = []
@@ -130,7 +135,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.show_params and args.command is None:
+        if args.show_params:
             show_params()
             return 0
         if args.command == "run":

@@ -3,16 +3,15 @@
 Every scheduler is a pure function of (inputs, seed). Each call builds its
 instance once, as one table object: the construction order, per-(task,
 machine) service times and money, and the earliest-finish-time (EFT) plan,
-the greedy baseline that also seeds the reference pool, annealing and the
-GA. A score blends mean flow time, mean money cost and deadline
-reliability, computed without simulating: by an event walk or, without
-precedence edges, a per-machine recurrence. Both add flows and charges left
-to right in (arrival, id) order, as metrics does, so every score equals
-raw_qos(run_simulation(...)) bit for bit, and so does annealing's re-walk
-of the two machine queues a move changes. Normalization bounds are frozen
-from a seeded reference pool (EFT plus random samples), so best-so-far
-comparisons are a fixed total order. The exhaustive oracle scores its
-"time", "cost" and "qos" objectives with the same event walk.
+the greedy baseline that seeds annealing and the GA. A score blends mean
+flow time, mean money cost and deadline reliability, computed without
+simulating: by an event walk or, without precedence edges, a per-machine
+recurrence. Both add flows and charges left to right in (arrival, id)
+order, as metrics does, so every score equals raw_qos(run_simulation(...))
+bit for bit, and so does annealing's re-walk of the two machine queues a
+move changes. Time and money are scaled by bounds read from the instance,
+so every search and seed on it minimizes one score. The exhaustive oracle
+scores its "time", "cost" and "qos" objectives with the same event walk.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .workload import WorkloadSet, validate_dag
 
 _TAU_FLOOR = 1e-3
 _TAU_CEIL = 1e3
-_REFERENCE_SAMPLES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +102,7 @@ DEFAULT_ACO_PARAMS = AcoParams()
 @dataclass(frozen=True)
 class SaParams:
     """Simulated annealing schedule. Temperatures live on the normalized
-    score scale, where neighbor deltas are typically around 1e-2."""
+    score scale, where a neighbor's delta depends on the instance's bounds."""
 
     initial_temp: float = 0.02
     cooling_rate: float = 0.97
@@ -255,9 +253,10 @@ class _Tables:
 
 
 class _Evaluator(_Tables):
-    """Caches candidate evaluations and scores them against frozen bounds."""
+    """Caches candidate evaluations and scores them against bounds read from
+    the instance (Marler and Arora, Struct. Multidisc. Optim. 2004)."""
 
-    def __init__(self, workload: WorkloadSet, weights: QosWeights, rng: np.random.Generator):
+    def __init__(self, workload: WorkloadSet, weights: QosWeights):
         super().__init__(workload)
         self.weights = weights
         self._cache: dict[tuple[int, ...], RawQos] = {}
@@ -269,16 +268,17 @@ class _Evaluator(_Tables):
         # sums in one pass; tasks with edges take the event walk. Both equal
         # the event simulation exactly.
         self._fast = not workload.dag.edges
-        # Reference pool: greedy assignment plus seeded random samples.
-        ref_vecs = [self.eft_vec]
         n, m = len(self.task_ids), len(self.vm_ids)
-        for _ in range(_REFERENCE_SAMPLES):
-            ref_vecs.append(tuple(int(v) for v in rng.integers(0, m, n)))
-        ref_raws = [self.raw(v) for v in ref_vecs]
-        times = [r.time_cost for r in ref_raws]
-        costs = [r.money_cost for r in ref_raws]
-        self._t_lo, t_hi = min(times), max(times)
-        self._c_lo, c_hi = min(costs), max(costs)
+        # Utopia and nadir bounds, each a mean added left to right in
+        # (arrival, id) order as metrics adds: money from each task's cheapest
+        # charge to its dearest, the exact range over all plans; time from each
+        # task's fastest service (no wait) to the worst one-machine plan.
+        money = np.array(self._money_tab)
+        ends = np.stack([self._srv.min(axis=1), money.min(axis=1), money.max(axis=1)])
+        self._t_lo, self._c_lo, c_hi = (
+            list(itertools.accumulate(col, initial=0.0))[-1] / n for col in ends[:, self._arrival_order].tolist()
+        )
+        t_hi = max(self.raw((j,) * n).time_cost for j in range(m))
         self._t_span = max(t_hi - self._t_lo, 1e-12)
         self._c_span = max(c_hi - self._c_lo, 1e-12)
 
@@ -319,7 +319,7 @@ class _Evaluator(_Tables):
         return self._blend(r.time_cost, r.money_cost, r.reliability)
 
     def _blend(self, time_cost: float, money_cost: float, reliability: float) -> float:
-        """The score of raw metrics against the frozen reference bounds."""
+        """The score of raw metrics against the instance's bounds."""
         t_hat = (time_cost - self._t_lo) / self._t_span
         c_hat = (money_cost - self._c_lo) / self._c_span
         return _qos_blend(self.weights, t_hat, c_hat, reliability)
@@ -425,7 +425,7 @@ def aco_schedule(
     """Max-min ant system: iteration-best deposits, pheromone clamped to
     [tau_min, tau_max] after every evaporation and deposit."""
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(workload, weights, rng)
+    ev = _Evaluator(workload, weights)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     tau = np.full((n, m), params.tau_max)
     best_vec: tuple[int, ...] | None = None
@@ -612,14 +612,14 @@ def sa_schedule(
     """Single-task reassignment neighborhood under a geometric cooling
     schedule; returns the best assignment visited.
 
-    The generator's draws, in stream order: the evaluator's reference pool,
-    then at each temperature one array each of steps_per_temp positions
-    (rng.integers(0, n, steps)), machine shifts (rng.integers(1, m, steps))
-    and acceptance uniforms (rng.random(steps)), used in order by the moves.
+    The generator's draws, in stream order: at each temperature one array
+    each of steps_per_temp positions (rng.integers(0, n, steps)), machine
+    shifts (rng.integers(1, m, steps)) and acceptance uniforms
+    (rng.random(steps)), used in order by the moves.
     A move that does not go uphill leaves its uniform unread. With one
     machine there is no move: the arrays are empty and draw nothing."""
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(workload, weights, rng)
+    ev = _Evaluator(workload, weights)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     # Anneal from the greedy earliest-finish placement, not from noise. With
     # no more tasks than machines, queues are too short for a walk to save
@@ -670,9 +670,8 @@ def gaaco_schedule(
     decays from pm to pm/4. The best assignment of the whole run is returned;
     elitism makes the per-generation best score nonincreasing.
 
-    The generator's draws, in stream order: the evaluator's reference pool
-    and pop_size - 1 random chromosomes (rng.integers(0, m, n) each). Then,
-    each generation, for its pop_size - 1 children:
+    The generator's draws, in stream order: pop_size - 1 random chromosomes
+    (rng.integers(0, m, n) each), then each generation, for its children:
     - the tournament pairs, rng.integers(0, pop_size, (pop_size - 1, 2, 2)):
       child c's parents are the winners of pairs [c, 0] and [c, 1], the first
       of a pair winning ties;
@@ -683,7 +682,7 @@ def gaaco_schedule(
       position order;
     - the colony's rng.random((ants, n)) (see _construct_colony)."""
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(workload, weights, rng)
+    ev = _Evaluator(workload, weights)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     pop_size = params.population
     # Seed the population with the greedy earliest-finish solution so the

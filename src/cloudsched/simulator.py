@@ -545,11 +545,18 @@ def _advance(state: SimState, action: tuple[int, int] | None) -> list[tuple[int,
     state.queue_series.append((state.clock, state.waiting_count()))
     fresh: list[tuple[int, str]] = []
     target = state.events[0][0] if state.events else state.clock + 1.0
-    # Visit integer slots crossed strictly before the target instant.
+    # Visit integer slots crossed strictly before the target instant. No
+    # event falls before the target, so the residents stay as they are; if
+    # no machine has both a resident and an unfired resource, no slot in
+    # between can fire and the walk is skipped.
     s = math.floor(state.clock) + 1
-    while s < target:
-        fresh.extend(_sample_slot(state, int(s)))
-        s += 1
+    if s < target and state.pmap and any(
+        machine.unfired and _residents(state, machine) is not _NO_RESIDENTS
+        for machine in state.machines
+    ):
+        while s < target:
+            fresh.extend(_sample_slot(state, int(s)))
+            s += 1
     state.clock = target
     _absorb_events(state, target)
     if target == math.floor(target):

@@ -498,6 +498,28 @@ def test_cli_show_params(capsys):
     assert "ants = 20" in out
 
 
+def test_cli_show_params_with_a_subcommand_prints_and_exits(tmp_path, capsys):
+    argv = ["--show-params", "summarize", "--results", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "evolution_num = 100" in captured.out and captured.err == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["run", "--config", "{missing}"], "config"),
+    (["train", "--config", "{missing}"], "config"),
+    (["summarize", "--results", "{missing}", "--out", "{out}"], "results"),
+])
+def test_cli_unreadable_input_file_is_an_error_naming_it(tmp_path, capsys, argv, kind):
+    missing = str(tmp_path / "nope")
+    argv = [a.format(missing=missing, out=tmp_path / "out") for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {kind} file {missing}: ")
+    assert "Traceback" not in err
+
+
 def test_cli_run_with_config(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(tiny_config_data(tmp_path / "ignored")))

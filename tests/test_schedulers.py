@@ -1,5 +1,6 @@
 """Greedy, annealing, ant colony, hybrid and exhaustive schedulers."""
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -26,7 +27,7 @@ from cloudsched.schedulers import (
     sa_accept,
     sa_schedule,
 )
-from cloudsched.simulator import run_simulation
+from cloudsched.simulator import _service_times, run_simulation
 from cloudsched.workload import (
     DagWorkflow,
     Task,
@@ -234,7 +235,7 @@ def independent_workloads(draw):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_colony_matches_sequential_reference_ants(wl, ants, beta, alpha, seed):
-    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    ev = _Evaluator(wl, QosWeights())
     rng = np.random.default_rng(seed)
     tau = rng.uniform(1e-3, 1e3, (len(ev.task_ids), len(ev.vm_ids)))
     tau_pow = np.power(tau, alpha)
@@ -262,7 +263,7 @@ def test_colony_falls_back_at_zero_and_infinite_pheromone_rows_only():
     # infinite one, at those tasks only: every ant falls back there and
     # takes the roulette everywhere else.
     wl = WorkloadSet.from_tasks([vm(j, mips=500.0 * (j + 1)) for j in range(4)], generate_tasks(40, 3))
-    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    ev = _Evaluator(wl, QosWeights())
     tau_pow = np.random.default_rng(1).uniform(0.1, 10.0, (40, 4))
     tau_pow[[3, 17, 18]] = 0.0
     tau_pow[25, 2] = math.inf
@@ -280,7 +281,7 @@ def test_colony_falls_back_exactly_when_only_some_ants_underflow(seed):
     vms = [vm(j, mips=mips) for j, mips in enumerate((500.0, 750.0, 1000.0, 1500.0))]
     params = TaskGenParams(length_range=(2000.0, 6000.0), mean_interarrival=0.0)
     wl = WorkloadSet.from_tasks(vms, generate_tasks(36, seed, params))
-    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    ev = _Evaluator(wl, QosWeights())
     tau_pow = np.random.default_rng(seed).uniform(0.5, 2.0, (36, 4))
     per_task = _colony_against_reference(ev, tau_pow, 200.0, 12, seed + 1).sum(axis=0)
     assert ((0 < per_task) & (per_task < 12)).any()
@@ -313,7 +314,7 @@ def test_colony_resolves_roulette_ties_on_the_exact_scalar_weights():
         task(i, length=float(rng.uniform(100.0, 5000.0)), arrival=1e4 * i)
         for i in range(n)
     ]
-    ev = _Evaluator(WorkloadSet.from_tasks(vms, tasks), QosWeights(), rng)
+    ev = _Evaluator(WorkloadSet.from_tasks(vms, tasks), QosWeights())
     tau_pow = rng.uniform(0.1, 10.0, (n, m))
     srv = ev._srv.tolist()
     draws = np.zeros((ants, n))
@@ -372,7 +373,7 @@ def simulated_raw(wl, assignment):
 def test_fast_evaluator_matches_the_event_simulator(wl, seed):
     # The fused recurrence adds flow and money in the simulator's (arrival,
     # id) order, so it equals the simulated metrics bit for bit.
-    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    ev = _Evaluator(wl, QosWeights())
     rng = np.random.default_rng(seed)
     for _ in range(5):
         vec = tuple(int(v) for v in rng.integers(0, len(ev.vm_ids), len(ev.task_ids)))
@@ -504,7 +505,7 @@ def test_each_scheduler_call_validates_its_dag_once(monkeypatch):
 def test_event_walk_equals_the_event_simulator_exactly(wl, seed):
     # Every scorer, the evaluator's choice, the event walk and (without
     # edges) the fused recurrence, equals the simulated metrics with ==.
-    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    ev = _Evaluator(wl, QosWeights())
     rng = np.random.default_rng(seed)
     for _ in range(5):
         vec = tuple(int(v) for v in rng.integers(0, len(ev.vm_ids), len(ev.task_ids)))
@@ -618,7 +619,7 @@ def test_annealing_moves_score_as_a_full_rescore(dag, data):
     # and score must equal, bit for bit, those of re-scoring the whole
     # neighbor, whichever earlier proposals were accepted.
     wl = WorkloadSet.from_tasks(dag.vms, dag.tasks)
-    ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+    ev = _Evaluator(wl, QosWeights())
     n, m = len(ev.task_ids), len(ev.vm_ids)
     raws = []
     blend = ev._blend
@@ -654,7 +655,7 @@ def full_rescore_sa(workload, params, seed, weights=QosWeights()):
     and acceptance uniforms as one array each, and one machine draws
     nothing. Returns (assignment, history)."""
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(workload, weights, rng)
+    ev = _Evaluator(workload, weights)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     current = ev.eft_vec
     current_score = ev.score(current)
@@ -754,7 +755,7 @@ def reference_gaaco(workload, params, seed, weights=QosWeights()):
     a mutation mask and its hit genes' machines; kept as its oracle.
     Returns (assignment, history)."""
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(workload, weights, rng)
+    ev = _Evaluator(workload, weights)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     size = params.population
     pop = [ev.eft_vec] + [tuple(int(v) for v in rng.integers(0, m, n)) for _ in range(size - 1)]
@@ -857,15 +858,91 @@ def test_gaaco_finds_the_optimum_often_and_never_beats_it():
 def test_searches_beat_eft_on_contested_cells():
     # On identical machines at one price, EFT is hard to beat and the
     # searches hand it back; on five speed/price tiers with deadlines, each
-    # must find a strictly better plan, all judged by one evaluator.
+    # must find a strictly better plan, judged by the score both searches
+    # minimize: the instance's, which no seed moves.
     for seed in (1, 2, 3):
         wl = contested_workload(20, seed)
-        ev = _Evaluator(wl, QosWeights(), np.random.default_rng(0))
+        ev = _Evaluator(wl, QosWeights())
         eft = ev.score(ev.eft_vec)
         for search in (sa_schedule, gaaco_schedule):
             assignment = search(wl, seed=seed)
             vec = tuple(ev.vm_ids.index(assignment[t]) for t in ev.task_ids)
             assert ev.score(vec) < eft, f"{search.__name__}, seed {seed}"
+
+
+def ids_reversed(wl):
+    """wl with task ids mirrored, so every edge runs from a higher id to a
+    lower one: the construction order is no longer (arrival, id) order."""
+    top = max(t.id for t in wl.tasks)
+    tasks = [dataclasses.replace(t, id=top - t.id) for t in wl.tasks]
+    return WorkloadSet(wl.vms, DagWorkflow(tasks, [(top - a, top - b) for a, b in wl.dag.edges]))
+
+
+@pytest.mark.parametrize("wl", [
+    contested_workload(20, 1),
+    contested_workload(50, 4),
+    layered_dag_workload(5),
+    ids_reversed(layered_dag_workload(5)),
+], ids=["contested-20-1", "contested-50-4", "layered-dag", "layered-dag-ids-reversed"])
+def test_evaluator_bounds_and_scores_come_from_the_instance(wl):
+    # Money runs from every task's cheapest charge to its dearest and time
+    # from every task's fastest service to the worst plan that puts all
+    # tasks on one machine, each a mean added in (arrival, id) order; a
+    # plan scores by the simulated metrics against them, bit for bit.
+    weights = QosWeights(time=0.4, cost=0.35, reliability=0.25)
+    ev = _Evaluator(wl, weights)
+    deadlines = {t.id: t.deadline for t in wl.tasks}
+    fastest = cheapest = dearest = 0.0
+    for t in sorted(wl.tasks, key=lambda t: (t.arrival_time, t.id)):
+        times = [_service_times(t, spec) for spec in wl.vms]
+        charges = [ex * spec.instr_cost_rate + tr * spec.bw_cost_rate for spec, (tr, ex) in zip(wl.vms, times)]
+        fastest += min(tr + ex for tr, ex in times)
+        cheapest += min(charges)
+        dearest += max(charges)
+    n = len(wl.tasks)
+
+    def simulated(assignment):
+        return raw_qos(run_simulation(wl, assignment), wl.vms, deadlines)
+
+    t_lo, c_lo = fastest / n, cheapest / n
+    t_hi = max(simulated({t.id: spec.id for t in wl.tasks}).time_cost for spec in wl.vms)
+    assert (ev._t_lo, ev._t_span) == (t_lo, t_hi - t_lo)
+    assert (ev._c_lo, ev._c_span) == (c_lo, dearest / n - c_lo)
+    rng = np.random.default_rng(7)
+    plans = [ev.eft_vec, *((j,) * n for j in range(len(wl.vms)))]
+    plans += [tuple(rng.integers(0, len(wl.vms), n).tolist()) for _ in range(5)]
+    for vec in plans:
+        raw = simulated(ev.assignment_of(vec))
+        expected = (
+            weights.time * ((raw.time_cost - t_lo) / (t_hi - t_lo))
+            + weights.cost * ((raw.money_cost - c_lo) / (dearest / n - c_lo))
+            + weights.reliability * (1.0 - raw.reliability)
+        )
+        assert ev.score(vec) == expected
+
+
+def test_a_plan_scores_the_same_in_every_search_and_seed(monkeypatch):
+    # A plan's score depends on the instance and the weights alone: every
+    # plan any search scores, under any seed, scores as a fresh evaluator
+    # scores it.
+    wl = contested_workload(20, 2)
+    fresh = _Evaluator(wl, QosWeights())
+    scored = []
+    score = _Evaluator.score
+
+    def recording_score(ev, vec):
+        s = score(ev, vec)
+        scored.append((vec, s))
+        return s
+
+    monkeypatch.setattr(_Evaluator, "score", recording_score)
+    for seed in (0, 1, 2):
+        aco_schedule(wl, params=FAST_ACO, seed=seed)
+        sa_schedule(wl, params=FAST_SA, seed=seed)
+        gaaco_schedule(wl, params=FAST_GAACO, seed=seed)
+    monkeypatch.undo()
+    assert len({vec for vec, _ in scored}) > 1000
+    assert all(s == fresh.score(vec) for vec, s in scored)
 
 
 # ---------------------------------------------------------------------------

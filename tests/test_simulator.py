@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from cloudsched import simulator
 from cloudsched.errors import DagValidationError, SimulationError
 from cloudsched.simulator import (
     TASK_CSV_COLUMNS,
@@ -208,6 +209,37 @@ def test_noop_advances_one_slot_when_idle():
     state, _ = step(state, None)
     assert state.clock == 2.5
     assert state.ready == [0]
+
+
+@pytest.mark.parametrize("profiled, length, arrival, expected_calls", [
+    (False, 1000.0, 1e6, 2),  # no profiles: no slot can fire
+    (True, 1000.0, 1e6, 2),  # task 0 is done at t = 1, leaving no resident
+    (True, 2e6, 1000.0, 1000),  # task 0 is resident throughout: every slot
+])
+def test_noop_walks_slots_only_while_a_resident_can_fire(
+    monkeypatch, profiled, length, arrival, expected_calls
+):
+    # No-ops from task 0's dispatch at t = 0 to task 1's arrival. Without a
+    # machine that has a resident and an unfired resource, only the slot at
+    # each no-op's target is sampled (t = 1, task 0's completion, and the
+    # arrival); otherwise every integer slot on the way is.
+    profiles = [UsageProfile(0, "cpu", np.array([0.8] * 4))] if profiled else []
+    tasks = [task(0, length=length, user_id=0), task(1, arrival=arrival, user_id=0)]
+    state = init_state(WorkloadSet.from_tasks([vm(0)], tasks, profiles))
+    state, _ = step(state, (0, 0))
+    calls = []
+
+    def counting(state, slot):
+        calls.append(slot)
+        return sample_slot(state, slot)
+
+    sample_slot = simulator._sample_slot
+    monkeypatch.setattr(simulator, "_sample_slot", counting)
+    while not state.ready:
+        state, _ = step(state, None)
+    assert state.clock == arrival and state.ready == [1]
+    assert len(calls) == expected_calls and calls[-1] == int(arrival)
+    assert state.overuse_events == []
 
 
 # ---------------------------------------------------------------------------
