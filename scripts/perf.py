@@ -53,6 +53,11 @@ Each figure is the median of --repeats runs (at least 5):
   workload of that seed), with the full RewardConfig(), lookahead 3 and 3
   ready slots, three times over. Only finished episodes count, as in the
   benchmark.
+* `forced_decision_us`: the same median over the steps of those episodes
+  whose mask admits one action (only the no-op: no task is ready), which
+  policy_forward answers without the network.
+* `forced_step_share`: the share of those episodes' steps that admit one
+  action.
 
 Usage, from the root of a checkout:
 
@@ -209,11 +214,12 @@ def train_s(pol, env, seed: int):
     return time.perf_counter() - t0, theta
 
 
-def greedy_decision_us(pol, rw, deployments, passes: int = 3) -> float:
+def greedy_decisions(pol, rw, deployments, passes: int = 3) -> dict[str, float]:
     """Median microseconds of policy_forward plus SchedulingEnv.step per
-    greedy step, over `passes` episodes of each (policy, workload); stalled
-    episodes are left out."""
-    latencies = []
+    greedy step, over `passes` episodes of each (policy, workload), and over
+    the steps among them whose mask admits one action, with the share of
+    those steps; stalled episodes are left out."""
+    latencies, forced = [], []
     for _ in range(passes):
         for theta, wl in deployments:
             env = pol.SchedulingEnv(wl, rw.RewardConfig(), lookahead=3, ready_slots=3)
@@ -221,13 +227,19 @@ def greedy_decision_us(pol, rw, deployments, passes: int = 3) -> float:
             done = env.state.done
             steps = []
             while not done:
+                one = np.count_nonzero(mask) == 1
                 t0 = time.perf_counter()
                 probs = pol.policy_forward(theta, obs, mask)
                 obs, mask, _, done = env.step(int(np.argmax(probs)))
-                steps.append(time.perf_counter() - t0)
+                steps.append((one, time.perf_counter() - t0))
             if env.state.done:
-                latencies.extend(steps)
-    return statistics.median(latencies) * 1e6
+                latencies.extend(spent for _, spent in steps)
+                forced.extend(spent for one, spent in steps if one)
+    return {
+        "greedy_decision_us": statistics.median(latencies) * 1e6,
+        "forced_decision_us": statistics.median(forced) * 1e6,
+        "forced_step_share": len(forced) / len(latencies),
+    }
 
 
 def reinforce_update_us(pol, env, calls: int = 20) -> float:
@@ -286,9 +298,9 @@ def measure(src: str) -> dict[str, float]:
     results["env_step_per_s"] = steps_per_s(pol, rw, workloads)
     trained = {seed: train_s(pol, train_env(pol, rw, wk, profiles, seed), seed) for seed in (1, 2, 3)}
     results["train_10x15_s"] = statistics.median(spent for spent, _ in trained.values())
-    results["greedy_decision_us"] = greedy_decision_us(
+    results.update(greedy_decisions(
         pol, rw, [(theta, workloads[seed - 1]) for seed, (_, theta) in trained.items()]
-    )
+    ))
     results["reinforce_update_us"] = reinforce_update_us(pol, train_env(pol, rw, wk, profiles))
     wl = workloads[0]
     trace = sim.run_simulation(wl, {t.id: wl.vms[0].id for t in wl.tasks})

@@ -290,6 +290,10 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"cannot read config file {path}: not UTF-8 (byte {exc.start})"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
@@ -329,7 +333,7 @@ def _check_policy_fit(config: ExperimentConfig) -> None:
 
     A policy reads observations sized by the machine count, so one trained
     on another fleet would fail every cell of the sweep; so would a policy
-    file that cannot be opened.
+    file that cannot be opened or that load_policy rejects.
     """
     expected = observation_size(
         config.vms.count, config.train.lookahead, config.train.ready_slots
@@ -343,6 +347,8 @@ def _check_policy_fit(config: ExperimentConfig) -> None:
             raise ConfigurationError(
                 f"schedulers[{i}].policy_file {spec.policy_file!r} cannot be read: {exc}"
             ) from exc
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"schedulers[{i}].policy_file: {exc}") from exc
         if theta.n_inputs != expected:
             raise ConfigurationError(
                 f"schedulers[{i}].policy_file {spec.policy_file!r} takes "

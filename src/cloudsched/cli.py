@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .bench import (
     DELTA_COLUMNS,
+    RESULT_COLUMNS,
     SUMMARY_COLUMNS,
     compute_deltas,
     default_config,
@@ -106,22 +107,45 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_summarize(args) -> int:
+def _read_results(path: str) -> list[dict]:
+    """results.csv rows with their numbers parsed. A file that cannot be
+    read, lacks a column or holds a non-number in a numeric column is a
+    ConfigurationError naming it (and the line and column)."""
+
+    def bad(reason: str) -> ConfigurationError:
+        return ConfigurationError(f"cannot read results file {path}: {reason}")
+
     try:
-        with open(args.results, newline="", encoding="utf-8") as fh:
-            raw = list(csv.DictReader(fh))
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            raw = [(reader.line_num, entry) for entry in reader]
     except OSError as exc:
-        raise ConfigurationError(f"cannot read results file {args.results}: {exc.strerror}") from exc
+        raise bad(exc.strerror) from exc
+    except UnicodeDecodeError as exc:
+        raise bad(f"not UTF-8 (byte {exc.start})") from exc
+    except csv.Error as exc:
+        raise bad(str(exc)) from exc
     if not raw:
-        raise ConfigurationError(f"{args.results} holds no rows")
+        raise ConfigurationError(f"{path} holds no rows")
+    for column in RESULT_COLUMNS:
+        if column not in reader.fieldnames:
+            raise bad(f"no {column} column")
+    numeric = {"task_count": int, "seed": int}
+    numeric.update(dict.fromkeys(("avg_time_cost", "avg_money_cost", "multi_qos", "load_rate"), float))
     rows = []
-    for entry in raw:
+    for line, entry in raw:
         row = dict(entry)
-        row["task_count"] = int(row["task_count"])
-        row["seed"] = int(row["seed"])
-        for col in ("avg_time_cost", "avg_money_cost", "multi_qos", "load_rate"):
-            row[col] = float(row[col])
+        for column, kind in numeric.items():
+            try:
+                row[column] = kind(row[column])
+            except (TypeError, ValueError):
+                raise bad(f"line {line}: {column} {row[column]!r} is not a number") from None
         rows.append(row)
+    return rows
+
+
+def _cmd_summarize(args) -> int:
+    rows = _read_results(args.results)
     summary = summarize(rows)
     target = Path(args.out)
     target.mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,14 @@ masked to probability exactly zero before normalization. Updates follow
 with v_t the discounted suffix return and an optional mean-return baseline.
 Gradients are computed analytically and verified against finite differences
 in the test suite.
+
+A step whose mask admits one action is not a decision, and the network is
+not evaluated for it. Its probability is exactly 1: for any finite logit the
+masked softmax gives that one-hot too, since the shifted logit is 0 and
+exp(0) / 1 == 1.0. Its gradient is exactly 0 (log 1), so the update skips
+it; its terms would all be +-0, which leave every bit of the summed
+gradients as they are. A sampled rollout still draws the one uniform that
+sampling from the one-hot would draw, so the generator stays in step.
 """
 
 from __future__ import annotations
@@ -99,25 +107,54 @@ def init_policy(n_inputs: int, n_hidden: int, n_actions: int, seed: int = 0) -> 
 def policy_forward(
     theta: PolicyParams, state_vec: np.ndarray, valid: np.ndarray | None = None
 ) -> np.ndarray:
-    """Action distribution for one encoded state; masked entries are exactly 0."""
-    return _forward(theta, state_vec, valid)[1]
+    """Action distribution for one encoded state; masked entries are exactly 0.
+
+    A mask with one valid action holds no decision: after the input checks
+    the exact one-hot is returned without evaluating the network.
+    """
+    s, valid = _checked(theta, state_vec, valid)
+    only = _only_action(valid)
+    if only is None:
+        return _pass(theta, s, valid)[1]
+    probs = np.zeros(theta.n_actions)
+    probs[only] = 1.0
+    return probs
 
 
 def _forward(
     theta: PolicyParams, state_vec: np.ndarray, valid: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """policy_forward's checks and pass, returning (hidden layer, probs)."""
+    """policy_forward's checks and the full pass, returning (hidden layer,
+    probs), whatever the mask."""
+    return _pass(theta, *_checked(theta, state_vec, valid))
+
+
+def _checked(
+    theta: PolicyParams, state_vec: np.ndarray, valid: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The state and the mask as arrays, once their sizes fit theta."""
     s = np.asarray(state_vec, dtype=float)
     if s.shape != (theta.n_inputs,):
         raise ConfigurationError(
             f"state dimension {s.shape} does not match policy input {theta.n_inputs}"
         )
     if valid is None:
-        valid = np.ones(theta.n_actions, dtype=bool)
-    else:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != (theta.n_actions,):
-            raise ConfigurationError("valid mask length does not match action count")
+        return s, np.ones(theta.n_actions, dtype=bool)
+    valid = np.asarray(valid, dtype=bool)
+    if valid.shape != (theta.n_actions,):
+        raise ConfigurationError("valid mask length does not match action count")
+    return s, valid
+
+
+def _only_action(valid: np.ndarray) -> int | None:
+    """The index of a mask's one valid action; None when it has several or none."""
+    return int(valid.argmax()) if np.count_nonzero(valid) == 1 else None
+
+
+def _pass(
+    theta: PolicyParams, s: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The network on checked inputs, returning (hidden layer, probs)."""
     hidden = np.tanh(s @ theta.w1 + theta.b1)
     logits = hidden @ theta.w2 + theta.b2
     live = logits[valid]
@@ -157,17 +194,18 @@ class Trajectory:
     """One episode rollout: aligned (state, action, reward) plus masks.
 
     A rollout under a policy also keeps each step's forward pass, (hidden
-    layer, probs), in `passes`, and the PolicyParams it ran under in
-    `theta`. reinforce_update reads the passes in place of a second forward
-    pass only when it updates that same theta object, which must not have
-    been changed in place since; any other trajectory is recomputed.
+    layer, probs), in `passes`, None for a step with one valid action,
+    and the PolicyParams it ran under in `theta`. reinforce_update reads
+    the passes in place of a second forward pass only when it updates that
+    same theta object, which must not have been changed in place since; any
+    other trajectory is recomputed.
     """
 
     states: list[np.ndarray]
     actions: list[int]
     rewards: list[float]
     valid_masks: list[np.ndarray] = field(default_factory=list)
-    passes: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    passes: list[tuple[np.ndarray, np.ndarray] | None] = field(default_factory=list)
     theta: PolicyParams | None = None
 
     def __post_init__(self):
@@ -238,18 +276,29 @@ def _step_grads(
     all_returns: Sequence[np.ndarray],
     baseline: float,
 ):
-    """(step, advantage, grad log pi) of each step with a nonzero advantage,
-    in batch order. A trajectory rolled out under this theta object lends
-    its stored forward passes."""
+    """(step, advantage, grad log pi) of each step with a nonzero advantage
+    and a choice, in batch order. A step that takes its mask's one valid
+    action has pi = 1 and a zero gradient, so it is skipped. A trajectory
+    rolled out under this theta object lends its stored forward passes."""
     for tr, returns in zip(trajectories, all_returns):
         masks = tr.valid_masks if tr.valid_masks else [None] * len(tr)
-        passes = tr.passes if tr.passes and tr.theta is theta else [None] * len(tr)
+        stored = bool(tr.passes) and tr.theta is theta
         for t in range(len(tr)):
             advantage = returns[t] - baseline
-            if advantage != 0.0:
-                yield t, advantage, _log_policy_grad(
-                    theta, tr.states[t], tr.actions[t], masks[t], passes[t]
-                )
+            if advantage == 0.0:
+                continue
+            if stored:
+                forward = tr.passes[t]
+                if forward is None:  # _rollout took the one valid action
+                    continue
+            else:
+                forward = None
+                _, valid = _checked(theta, tr.states[t], masks[t])
+                if _only_action(valid) == tr.actions[t]:
+                    continue
+            yield t, advantage, _log_policy_grad(
+                theta, tr.states[t], tr.actions[t], masks[t], forward
+            )
 
 
 def reinforce_update(
@@ -489,13 +538,19 @@ def _rollout(
             choices = np.flatnonzero(mask)
             a = int(choices[rng.integers(0, len(choices))])
         else:
-            forward = _forward(theta, obs, mask)
-            passes.append(forward)
-            probs = forward[1]
-            if greedy:
-                a = int(np.argmax(probs))
+            s, valid = _checked(theta, obs, mask)
+            only = _only_action(valid)
+            if only is None:
+                forward = _pass(theta, s, valid)
+                probs = forward[1]
+                a = int(np.argmax(probs)) if greedy else _sample(probs, rng)
             else:
-                a = _sample(probs, rng)
+                # pi is the one-hot, so _sample would take `only` whatever it
+                # drew; the draw keeps the generator in step.
+                forward, a = None, only
+                if not greedy:
+                    rng.random()
+            passes.append(forward)
         states.append(obs)
         actions.append(a)
         masks.append(mask)
@@ -571,22 +626,46 @@ def save_policy(theta: PolicyParams, path: str) -> None:
 
 
 def load_policy(path: str) -> PolicyParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh.readlines() if ln.strip()]
+    """Read a save_policy file. Anything else is a ConfigurationError that
+    names the file, and the line of a number that does not parse; a file
+    that cannot be opened raises OSError."""
+
+    def bad(reason: str) -> ConfigurationError:
+        return ConfigurationError(f"cannot read policy file {path}: {reason}")
+
+    def numbers(line: tuple[int, list[str]], kind: type) -> list:
+        number, words = line
+        out = []
+        for word in words:
+            try:
+                out.append(kind(word))
+            except ValueError:
+                raise bad(f"line {number}: {word!r} is not a number") from None
+        return out
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(n, ln.split()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise bad(f"not UTF-8 (byte {exc.start})") from exc
     if len(lines) != 6:
-        raise ConfigurationError("policy file must hold header, dims and 4 tensor lines")
-    magic = lines[0].split()
-    if magic[0] != _POLICY_MAGIC or int(magic[1]) != _POLICY_VERSION:
-        raise ConfigurationError(f"unsupported policy file header: {lines[0]!r}")
-    n_in, n_hid, n_act = (int(x) for x in lines[1].split())
+        raise bad(f"{len(lines)} nonblank lines, not 6 (header, dims and 4 tensors)")
+    magic = lines[0][1]
+    if magic != [_POLICY_MAGIC, str(_POLICY_VERSION)]:
+        raise bad(f"unsupported header {' '.join(magic)!r}")
+    dims = numbers(lines[1], int)
+    if len(dims) != 3 or min(dims) < 1:
+        raise bad(f"line {lines[1][0]}: dims must be three positive integers")
+    n_in, n_hid, n_act = dims
     shapes = [(n_in, n_hid), (n_hid,), (n_hid, n_act), (n_act,)]
     tensors = []
     for line, shape in zip(lines[2:], shapes):
-        vals = np.array([float(x) for x in line.split()])
+        vals = np.array(numbers(line, float))
         expect = int(np.prod(shape))
         if vals.size != expect:
-            raise ConfigurationError(
-                f"policy tensor holds {vals.size} values, expected {expect}"
-            )
+            raise bad(f"line {line[0]}: tensor holds {vals.size} values, expected {expect}")
         tensors.append(vals.reshape(shape))
-    return PolicyParams(*tensors)
+    try:
+        return PolicyParams(*tensors)
+    except ConfigurationError as exc:
+        raise bad(str(exc)) from exc

@@ -506,17 +506,78 @@ def test_cli_show_params_with_a_subcommand_prints_and_exits(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv, kind", [
-    (["run", "--config", "{missing}"], "config"),
-    (["train", "--config", "{missing}"], "config"),
-    (["summarize", "--results", "{missing}", "--out", "{out}"], "results"),
+HEADER = "algorithm,task_count,seed,avg_time_cost,avg_money_cost,multi_qos,load_rate,status\n"
+
+
+def bad_input_files(tmp_path):
+    """{placeholder: (path, bytes)} of the files the unreadable-input cases
+    name; a missing file has no bytes."""
+    policy = tmp_path / "policy.txt"
+    config = tiny_config_data(tmp_path / "out")
+    config["schedulers"].append({"name": "policy", "policy_file": str(policy)})
+    return {
+        "missing": (tmp_path / "nope", None),
+        "latin1": (tmp_path / "latin1.json", '{"seeds": [1], "note": "café"}'.encode("latin-1")),
+        "no_count": (
+            tmp_path / "no_count.csv",
+            (HEADER.replace("task_count,", "") + "eft,1,1.0,2.0,0.5,0.1,ok\n").encode(),
+        ),
+        "bad_seed": (
+            tmp_path / "bad_seed.csv",
+            (HEADER + "eft,3,1,1.0,2.0,0.5,0.1,ok\neft,3,x,1.0,2.0,0.5,0.1,ok\n").encode(),
+        ),
+        "huge_field": (tmp_path / "huge.csv", (HEADER + "eft,3,1,1.0,2.0,0.5,0.1," + "x" * 200_000).encode()),
+        "bad_dims": (policy, b"cloudsched-policy 1\n2 2 x\n1 2 3 4\n1 2\n1 2 3 4\n1 2\n"),
+        "policy_config": (tmp_path / "policy.json", json.dumps(config).encode()),
+    }
+
+
+@pytest.mark.parametrize("argv, kind, detail", [
+    pytest.param(["run", "--config", "{missing}"], "config", "", id="argv0-config"),
+    pytest.param(["train", "--config", "{missing}"], "config", "", id="argv1-config"),
+    pytest.param(
+        ["summarize", "--results", "{missing}", "--out", "{out}"], "results", "", id="argv2-results"
+    ),
+    pytest.param(["run", "--config", "{latin1}"], "config", "not UTF-8 (byte 27)", id="not-utf8-config"),
+    pytest.param(
+        ["summarize", "--results", "{no_count}", "--out", "{out}"],
+        "results",
+        "no task_count column",
+        id="results-without-a-column",
+    ),
+    pytest.param(
+        ["summarize", "--results", "{bad_seed}", "--out", "{out}"],
+        "results",
+        "line 3: seed 'x' is not a number",
+        id="results-with-a-non-number",
+    ),
+    pytest.param(
+        ["summarize", "--results", "{huge_field}", "--out", "{out}"],
+        "results",
+        "field larger than field limit",
+        id="results-with-a-huge-field",
+    ),
+    pytest.param(
+        ["run", "--config", "{policy_config}"],
+        "policy",
+        "line 2: 'x' is not a number",
+        id="policy-with-a-non-number",
+    ),
 ])
-def test_cli_unreadable_input_file_is_an_error_naming_it(tmp_path, capsys, argv, kind):
-    missing = str(tmp_path / "nope")
-    argv = [a.format(missing=missing, out=tmp_path / "out") for a in argv]
+def test_cli_unreadable_input_file_is_an_error_naming_it(tmp_path, capsys, argv, kind, detail):
+    files = bad_input_files(tmp_path)
+    for path, data in files.values():
+        if data is not None:
+            path.write_bytes(data)
+    # The policy case names the policy file its config points at, and the
+    # config field that holds it.
+    named, field = files[argv[2][1:-1]][0], ""
+    if kind == "policy":
+        named, field = files["bad_dims"][0], "schedulers[2].policy_file: "
+    argv = [a.format(out=tmp_path / "out", **{k: p for k, (p, _) in files.items()}) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {kind} file {missing}: ")
+    assert err.startswith(f"error: {field}cannot read {kind} file {named}: {detail}")
     assert "Traceback" not in err
 
 

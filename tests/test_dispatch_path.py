@@ -10,7 +10,9 @@ resident users, which each machine now counts as tasks join and complete.
 The online step's leaner bodies are pinned the same way: the overuse
 sampler with its per-machine tuples of unfired resources, the encoder's
 clamps by comparison, the unbuilt breakdown of total_reward, the copied
-action masks and the softmax that exponentiates only valid logits."""
+action masks and the softmax that exponentiates only valid logits. The
+one-hot that policy_forward returns, without the network, for a mask with
+one valid action is pinned to the full pass, and so are its errors."""
 
 import math
 from collections import Counter
@@ -420,6 +422,48 @@ def test_forward_pass_equals_the_full_softmax():
         got = policy._forward(theta, s, valid)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_a_one_action_mask_gives_the_full_pass_one_hot():
+    # The same logit scales, 0.05 to 50; each position in turn is the one
+    # valid action, the no-op's included.
+    rng = np.random.default_rng(912)
+    for _ in range(300):
+        n_in, n_act = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+        scale = float(rng.choice([0.05, 1.0, 10.0, 50.0]))
+        theta = PolicyParams(
+            w1=rng.normal(0, scale, (n_in, 16)),
+            b1=rng.normal(0, scale, 16),
+            w2=rng.normal(0, scale, (16, n_act)),
+            b2=rng.normal(0, scale, n_act),
+        )
+        s = rng.normal(0, 1, n_in)
+        for only in range(n_act):
+            valid = np.zeros(n_act, dtype=bool)
+            valid[only] = True
+            got = policy.policy_forward(theta, s, valid)
+            assert got.tobytes() == policy._forward(theta, s, valid)[1].tobytes()
+            assert got[only] == 1.0
+
+
+@pytest.mark.parametrize(
+    "n_state, valid, message",
+    [
+        (5, [True, False, False], "state dimension (5,) does not match policy input 4"),
+        (5, [True, True, False], "state dimension (5,) does not match policy input 4"),
+        (4, [True, False], "valid mask length does not match action count"),
+        (4, [True, True, True, True], "valid mask length does not match action count"),
+        (4, [False, False, False], "at least one action must be valid"),
+    ],
+    ids=["state-size-one-valid", "state-size", "mask-length-one-valid", "mask-length", "none-valid"],
+)
+def test_a_one_action_mask_keeps_the_input_errors(n_state, valid, message):
+    theta = policy.init_policy(4, 3, 3, seed=0)
+    s, valid = np.zeros(n_state), np.array(valid)
+    for forward in (policy.policy_forward, lambda *args: policy._forward(*args)[1]):
+        with pytest.raises(ConfigurationError) as err:
+            forward(theta, s, valid)
+        assert str(err.value) == message
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)

@@ -294,6 +294,11 @@ def counting_forward(monkeypatch):
     return calls
 
 
+def choice_steps(batch):
+    """Steps with two or more valid actions: the only ones passed forward."""
+    return sum(int(np.count_nonzero(m) > 1) for tr in batch for m in tr.valid_masks)
+
+
 def rollouts(env, theta, seeds):
     rng = np.random.default_rng(11)
     return [policy._rollout(env, theta, rng, episode_seed=s) for s in seeds]
@@ -309,7 +314,7 @@ def test_update_reads_the_rollout_passes_to_the_same_bits(monkeypatch):
     stored = reinforce_update(theta, batch, config)
     assert calls == []  # no second forward pass
     recomputed = reinforce_update(theta, [without_passes(tr) for tr in batch], config)
-    assert len(calls) == sum(len(tr) for tr in batch)
+    assert 0 < len(calls) == choice_steps(batch) < sum(len(tr) for tr in batch)
     assert tensors_bytes(stored) == tensors_bytes(recomputed)
     assert tensors_bytes(stored) != tensors_bytes(theta)
 
@@ -325,9 +330,58 @@ def test_update_under_another_theta_recomputes_the_passes(monkeypatch):
     for theta in (init_policy(env.observation_dim, 8, env.n_actions, seed=5), rolled.copy()):
         calls = counting_forward(monkeypatch)
         updated = reinforce_update(theta, batch, config)
-        assert len(calls) == sum(len(tr) for tr in batch)
+        assert 0 < len(calls) == choice_steps(batch) < sum(len(tr) for tr in batch)
         assert tensors_bytes(updated) == tensors_bytes(reinforce_update(theta, bare, config))
         monkeypatch.undo()
+
+
+def reference_train(env, config):
+    """train as it ran before one-action steps were skipped: a full forward
+    pass and a sample at every step, and every step's gradient summed."""
+    theta = init_policy(env.observation_dim, config.hidden, env.n_actions, seed=config.seed)
+    rng = np.random.default_rng(config.seed)
+    batch, forced = [], 0
+    for episode in range(config.episodes):
+        obs, mask = env.reset(seed=episode)
+        steps, rewards, done = [], [], False
+        while not done:
+            a = policy._sample(policy._forward(theta, obs, mask)[1], rng)
+            forced += int(np.count_nonzero(mask) == 1)
+            steps.append((obs, a, mask))
+            obs, mask, reward, done = env.step(a)
+            rewards.append(reward)
+        batch.append((steps, compute_returns(rewards, config.gamma)))
+        if len(batch) == config.batch_size or episode == config.episodes - 1:
+            baseline = float(np.concatenate([v for _, v in batch]).mean())
+            tensors = (theta.w1, theta.b1, theta.w2, theta.b2)
+            sums = [np.zeros_like(x) for x in tensors]
+            for steps, returns in batch:
+                for (s, a, mask), v in zip(steps, returns):
+                    for total, g in zip(sums, policy._log_policy_grad(theta, s, a, mask)):
+                        total += (v - baseline) * g
+            theta = PolicyParams(*(x + config.alpha * g for x, g in zip(tensors, sums)))
+            batch = []
+    return theta, rng, forced
+
+
+def test_training_equals_the_every_step_reference(monkeypatch):
+    # Episodes with waits in which only the no-op is valid: train skips
+    # their network and gradient, the reference runs both.
+    rngs = []
+    rollout = policy._rollout
+
+    def recording(env, theta, rng, *args, **kwargs):
+        rngs.append(rng)
+        return rollout(env, theta, rng, *args, **kwargs)
+
+    monkeypatch.setattr(policy, "_rollout", recording)
+    env = tiny_env(n_tasks=6, reward=RewardConfig(k_w=0.1, k_u=0.0, resources=()))
+    config = TrainConfig(episodes=12, batch_size=4, hidden=8, alpha=0.05, gamma=0.9, seed=7)
+    theta, _ = train(env, config)
+    want, want_rng, forced = reference_train(env, config)
+    assert forced > 0
+    assert tensors_bytes(theta) == tensors_bytes(want)
+    assert rngs[0].bit_generator.state == want_rng.bit_generator.state
 
 
 def test_a_non_finite_step_gradient_is_named():
@@ -576,4 +630,22 @@ def test_corrupt_policy_files_rejected(tmp_path):
         load_policy(str(path))
     path.write_text("other-format 9\n")
     with pytest.raises(ConfigurationError):
+        load_policy(str(path))
+    # Each fault names the file, and a bad number its line.
+    good = "cloudsched-policy 1\n1 1 1\n0.5\n0.5\n0.5\n0.5\n"
+    for text, reason in [
+        (good.replace("1 1 1", "1 1 x"), "line 2: 'x' is not a number"),
+        (good.replace("1 1 1", "1 1"), "line 2: dims must be three positive integers"),
+        (good.replace("1 1 1", "-1 -1 1"), "line 2: dims must be three positive integers"),
+        (good.replace("\n0.5\n0.5\n0.5\n", "\n\n0.5\n0.5\n0,5\n"), "line 6: '0,5' is not a number"),
+        (good.replace("\n0.5\n0.5\n0.5\n", "\n0.5\n0.5 0.5\n0.5\n"), "line 4: tensor holds 2 values, expected 1"),
+        (good.replace("0.5\n0.5\n0.5\n0.5", "0.5\nnan\n0.5\n0.5"), "policy parameters must be finite"),
+        (good.replace("policy 1", "policy 2"), "unsupported header 'cloudsched-policy 2'"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as err:
+            load_policy(str(path))
+        assert str(err.value) == f"cannot read policy file {path}: {reason}"
+    path.write_bytes(good.replace("0.5", "\u00e9", 1).encode("latin-1"))
+    with pytest.raises(ConfigurationError, match=r"policy file .*broken.txt: not UTF-8 \(byte 26\)"):
         load_policy(str(path))

@@ -19,7 +19,13 @@ from cloudsched.simulator import (
     write_task_csv,
     write_usage_csv,
 )
-from cloudsched.workload import DagWorkflow, UsageProfile, WorkloadSet
+from cloudsched.workload import (
+    DagWorkflow,
+    TaskGenParams,
+    UsageProfile,
+    WorkloadSet,
+    generate_tasks,
+)
 
 from helpers import flat_workload, random_dag_workload, task, vm
 
@@ -313,3 +319,40 @@ def test_usage_series_covers_the_horizon():
     assert set(series) == {0, 1}
     for per_machine in series.values():
         assert len(per_machine["busy"]) == horizon
+
+
+@pytest.mark.parametrize("machines, rho", [(1, 0.5), (1, 0.7), (4, 0.5), (4, 0.7)])
+def test_mean_flow_matches_pollaczek_khinchine(machines, rho):
+    # Poisson arrivals, service = transfer (~0.2 s) + uniform exec (1-5 s),
+    # and a uniform random static assignment: thinning keeps each machine
+    # an M/G/1 queue, whose mean flow (wait + service) is
+    #     E[S] + lam * E[S^2] / (2 * (1 - lam * E[S]))
+    # (Pollaczek 1930, Khinchine 1932; Kleinrock 1975, vol. 1). Each
+    # machine's rate is its task count over the arrival span, and its
+    # moments come from _service_times over its tasks.
+    # Tolerance: at 20,000 tasks the relative error over seeds 1-30 had a
+    # mean within 0.2% of zero and a standard deviation of 1.0-1.1% at
+    # rho = 0.5 and 2.0-2.5% at rho = 0.7; the bound is four of those. Counting
+    # the transfer time twice in the event core moved it to +11% to +14% and
+    # +20% to +28% (seeds 1-3).
+    n, tolerance = 20_000, {0.5: 0.045, 0.7: 0.10}[rho]
+    params = TaskGenParams(
+        length_range=(1000.0, 5000.0),
+        mean_interarrival=3.2 / (rho * machines),  # E[S] = 0.2 + 3.0 s
+        arrival_pattern="poisson",
+    )
+    tasks = generate_tasks(n, seed=1, params=params)
+    vms = [vm(j) for j in range(machines)]
+    placed = np.random.default_rng(1001).integers(0, machines, n)
+    trace = run_simulation(
+        WorkloadSet.from_tasks(vms, tasks), {t.id: int(j) for t, j in zip(tasks, placed)}
+    )
+    flow = sum(r.completion - tasks[tid].arrival_time for tid, r in trace.records.items()) / n
+    service = np.array([sum(simulator._service_times(t, vms[0])) for t in tasks])
+    span = tasks[-1].arrival_time
+    predicted = 0.0
+    for j in range(machines):
+        s = service[placed == j]
+        lam = len(s) / span
+        predicted += len(s) * (s.mean() + lam * (s**2).mean() / (2 * (1 - lam * s.mean())))
+    assert abs(flow / (predicted / n) - 1) <= tolerance
