@@ -58,6 +58,14 @@ Each figure is the median of --repeats runs (at least 5):
   policy_forward answers without the network.
 * `forced_step_share`: the share of those episodes' steps that admit one
   action.
+* `build_step_decision_us`: the same median over the steps of those
+  episodes that build at least one resident set: after the step, some
+  machine holds a set with residents that it did not hold before it.
+* `build_step_share`: the share of those episodes' steps that build one.
+* `resident_set_build_us`: the median microseconds of one such build as
+  the step ran it: the machine's set is built again from its users (the
+  resident users' series, the totals that used_at reads and the pair sums
+  of every resource), then the set the step built is put back.
 
 Usage, from the root of a checkout:
 
@@ -214,31 +222,60 @@ def train_s(pol, env, seed: int):
     return time.perf_counter() - t0, theta
 
 
-def greedy_decisions(pol, rw, deployments, passes: int = 3) -> dict[str, float]:
+def rebuild_s(sim, state, machine, resources) -> float:
+    """Seconds of one build of the machine's resident set from its users:
+    the set, its totals at the clock's slot and its pair sums. The set that
+    was there before is put back, so the episode goes on unchanged."""
+    kept = machine.residents
+    machine.residents, machine.users_changed = None, True
+    t0 = time.perf_counter()
+    residents = sim._residents(state, machine)
+    residents.used_at(int(state.clock))
+    residents.pair_sums(resources)
+    spent = time.perf_counter() - t0
+    machine.residents = kept
+    return spent
+
+
+def greedy_decisions(pol, rw, sim, deployments, passes: int = 3) -> dict[str, float]:
     """Median microseconds of policy_forward plus SchedulingEnv.step per
-    greedy step, over `passes` episodes of each (policy, workload), and over
-    the steps among them whose mask admits one action, with the share of
-    those steps; stalled episodes are left out."""
-    latencies, forced = [], []
+    greedy step, over `passes` episodes of each (policy, workload); over the
+    steps among them whose mask admits one action, and over those that
+    build a resident set, with the share of each; and of one such build.
+    Stalled episodes are left out."""
+    latencies, forced, building, builds = [], [], [], []
+    resources = rw.RewardConfig().resources
     for _ in range(passes):
         for theta, wl in deployments:
             env = pol.SchedulingEnv(wl, rw.RewardConfig(), lookahead=3, ready_slots=3)
             obs, mask = env.reset()
             done = env.state.done
-            steps = []
+            steps, episode_builds = [], []
             while not done:
                 one = np.count_nonzero(mask) == 1
+                before = [m.residents for m in env.state.machines]
                 t0 = time.perf_counter()
                 probs = pol.policy_forward(theta, obs, mask)
                 obs, mask, _, done = env.step(int(np.argmax(probs)))
-                steps.append((one, time.perf_counter() - t0))
+                spent = time.perf_counter() - t0
+                built = [
+                    m for m, kept in zip(env.state.machines, before)
+                    if m.residents is not kept and m.residents is not sim._NO_RESIDENTS
+                ]
+                steps.append((one, bool(built), spent))
+                episode_builds.extend(rebuild_s(sim, env.state, m, resources) for m in built)
             if env.state.done:
-                latencies.extend(spent for _, spent in steps)
-                forced.extend(spent for one, spent in steps if one)
+                latencies.extend(spent for _, _, spent in steps)
+                forced.extend(spent for one, _, spent in steps if one)
+                building.extend(spent for _, built, spent in steps if built)
+                builds.extend(episode_builds)
     return {
         "greedy_decision_us": statistics.median(latencies) * 1e6,
         "forced_decision_us": statistics.median(forced) * 1e6,
         "forced_step_share": len(forced) / len(latencies),
+        "build_step_decision_us": statistics.median(building) * 1e6,
+        "build_step_share": len(building) / len(latencies),
+        "resident_set_build_us": statistics.median(builds) * 1e6,
     }
 
 
@@ -299,7 +336,7 @@ def measure(src: str) -> dict[str, float]:
     trained = {seed: train_s(pol, train_env(pol, rw, wk, profiles, seed), seed) for seed in (1, 2, 3)}
     results["train_10x15_s"] = statistics.median(spent for spent, _ in trained.values())
     results.update(greedy_decisions(
-        pol, rw, [(theta, workloads[seed - 1]) for seed, (_, theta) in trained.items()]
+        pol, rw, sim, [(theta, workloads[seed - 1]) for seed, (_, theta) in trained.items()]
     ))
     results["reinforce_update_us"] = reinforce_update_us(pol, train_env(pol, rw, wk, profiles))
     wl = workloads[0]

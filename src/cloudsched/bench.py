@@ -201,6 +201,10 @@ class TrainSetup:
             raise ConfigurationError("train setup needs at least one machine")
         if self.n_tasks < 1:
             raise ConfigurationError("train setup needs at least one task")
+        # Each builds an environment or evaluates a policy that would refuse it.
+        for name in ("lookahead", "ready_slots", "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"train setup needs {name} >= 1")
         self.build_vms()  # reject non-positive speeds when the config loads
 
     def build_vms(self) -> tuple[VmSpec, ...]:

@@ -436,6 +436,9 @@ class SchedulingEnv:
         lookahead: int = 3,
         ready_slots: int = 5,
     ):
+        for name, value in (("lookahead", lookahead), ("ready_slots", ready_slots)):
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
         self._source = workload_source
         self.reward_config = reward_config
         self.lookahead = lookahead
@@ -598,12 +601,14 @@ def evaluate_policy(
     greedy: bool = True,
 ) -> float:
     """Mean episode return; theta=None plays uniformly over valid actions."""
+    if episodes < 1:
+        raise ConfigurationError(f"episodes must be >= 1, got {episodes}")
     rng = np.random.default_rng(seed)
     totals = []
     for e in range(episodes):
         traj = _rollout(env, theta, rng, episode_seed=seed + e, greedy=greedy)
         totals.append(_episode_return(traj.rewards))
-    return float(np.mean(totals)) if totals else 0.0
+    return float(np.mean(totals))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,10 @@ class RewardConfig:
         bad = [d for d in self.resources if d not in RESOURCES]
         if bad:
             raise ConfigurationError(f"unknown resources: {bad}")
+        repeated = sorted({d for d in self.resources if self.resources.count(d) > 1})
+        if repeated:
+            # Each per-resource term would charge a repeated resource again.
+            raise ConfigurationError(f"resources lists {repeated} more than once")
 
 
 def competition_penalty(
@@ -291,6 +295,8 @@ def kmeans_cluster(
     n = len(profiles)
     if k < 1 or k > n:
         raise ConfigurationError(f"k={k} must satisfy 1 <= k <= {n} (number of users)")
+    if max_iter < 1:
+        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
     users = [p.user_id for p in profiles]
     if len(set(users)) != n:
         raise ConfigurationError("profiles must be unique per user for clustering")

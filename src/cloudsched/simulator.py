@@ -31,7 +31,12 @@ demand and the stepper's reward inputs are read from each machine's
 ResidentSet. Each machine counts its users' running and queued tasks as
 they join and complete, and its set is rebuilt only when its resident users
 change; a machine's reward snapshot is reused while the set, the slot and
-its in_use stay the same. After a run, scan_overuse and
+its in_use stay the same. A set reads its users' series from an index by
+resource and user that the state builds once per episode, and stacks the
+series of all resources of one shape into one array, whose sum over the
+users gives both the summed demand and the competition aggregates. numpy
+adds a stack's users in the order sum() adds them, so these sums keep the
+bits of one sum per resource (see ResidentSet). After a run, scan_overuse and
 machine_usage_series read the same per-slot resident demand, built from the
 trace's residency rows, which equals the stepper's slot by slot.
 """
@@ -49,7 +54,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import SimulationError
-from .workload import RESOURCES, Task, UsageProfile, VmSpec, WorkloadSet
+from .workload import RESOURCES, Task, VmSpec, WorkloadSet
 
 # Event ranks: completions are processed before ready events at equal times so
 # successors observe predecessor completions, then ties break on task id.
@@ -141,10 +146,25 @@ class ResidentSet(Mapping):
 
     A machine keeps its set, and every snapshot shares it, until its
     resident users change, so the set is read-only, as profile series are.
-    On first use each resource's series are summed over one period, user by
-    user from +0.0 as sum() adds at one slot. The demand dict of the last
-    slot read, each resource's competition pair sum and the pair sums of
-    each tuple of resources are kept once computed.
+
+    On first use the set is built in one pass. The resources whose series
+    share a count k >= 2 and a length L are stacked into one (g, k, L)
+    array, and its sum over the users gives each resource's totals, the
+    demand per slot that used_at reads. Reducing a stack over its middle
+    axis, numpy adds the k rows one after another, slot by slot, which is
+    how sum() adds them from np.zeros; whether numpy starts from +0.0 or
+    from the first row makes no difference, as UsageProfile stores -0.0 as
+    +0.0. So the totals keep their bits. Along one run of contiguous values
+    numpy adds pairwise instead, so one-slot series are summed by sum()
+    itself. A resource with one series totals that series plus 0.0.
+
+    The same sums over the users are the aggregates whose squares pair_sum
+    takes, and each resource's squares are summed over its own k x L block
+    of the stack, as over a stack of its series alone, so every pair sum
+    keeps its bits too. The pair sums are computed for a whole stack on
+    first request, so a set whose reward reads no resource never computes
+    them. The demand dict of the last slot read and the pair sums of each
+    tuple of resources are kept once computed; nothing is kept across sets.
     """
 
     def __init__(self, series: Mapping[str, Sequence[np.ndarray]], users: tuple[int, ...] = ()):
@@ -156,12 +176,13 @@ class ResidentSet(Mapping):
 
     @classmethod
     def of_users(
-        cls, users: tuple[int, ...], pmap: Mapping[tuple[int, str], UsageProfile]
+        cls, users: tuple[int, ...], series: Mapping[str, Mapping[int, np.ndarray]]
     ) -> "ResidentSet":
-        """The set of the given users' profiles, in user order; a set with
-        no series is the shared _NO_RESIDENTS."""
-        series = {d: [pmap[(u, d)].series for u in users if (u, d) in pmap] for d in RESOURCES}
-        return cls(series, users) if any(series.values()) else _NO_RESIDENTS
+        """The set of the given users' series, in user order, read from an
+        index of series by resource and user; a set with no series is the
+        shared _NO_RESIDENTS."""
+        rows = {d: [by_user[u] for u in users if u in by_user] for d, by_user in series.items()}
+        return cls(rows, users) if any(rows.values()) else _NO_RESIDENTS
 
     @classmethod
     def of(cls, residents: Mapping[str, Sequence[Sequence[float]]]) -> "ResidentSet":
@@ -183,12 +204,44 @@ class ResidentSet(Mapping):
         return self._series.get(resource, default)
 
     @cached_property
+    def _stacks(self) -> dict[str, tuple[int, tuple[str, ...], np.ndarray, np.ndarray]]:
+        """Each resource with two or more series of one length, mapped to
+        its row in the (g, k, L) stack of its shape group: (row, the group's
+        resources, the stack, its sums over the users)."""
+        shapes: dict[tuple[int, int], list[str]] = {}
+        for d, rows in self._series.items():
+            if len(rows) >= 2 and len({len(s) for s in rows}) == 1:
+                shapes.setdefault((len(rows), len(rows[0])), []).append(d)
+        stacks = {}
+        for names in shapes.values():
+            stack = np.array([self._series[d] for d in names])
+            group = (tuple(names), stack, stack.sum(axis=1))
+            for i, d in enumerate(names):
+                stacks[d] = (i, *group)
+        return stacks
+
+    def _ragged(self, resource: str) -> ValueError:
+        lengths = sorted({len(s) for s in self._series[resource]})
+        return ValueError(
+            f"resident series for resource {resource!r} differ in length: {lengths}"
+        )
+
+    @cached_property
     def _totals(self) -> dict[str, np.ndarray]:
-        # A WorkloadSet gives one resource's profiles one length.
-        return {
-            d: sum(series, np.zeros(len(series[0]) if series else 1))
-            for d, series in self._series.items()
-        }
+        # A WorkloadSet gives one resource's profiles one length; a plain
+        # mapping that does not has no totals.
+        totals = {}
+        for d, rows in self._series.items():
+            if len(rows) < 2:
+                totals[d] = rows[0] + 0.0 if rows else np.zeros(1)
+            elif d not in self._stacks:
+                raise self._ragged(d)
+            elif len(rows[0]) == 1:
+                totals[d] = sum(rows, np.zeros(1))
+            else:
+                i, _, _, sums = self._stacks[d]
+                totals[d] = sums[i]
+        return totals
 
     def used_at(self, slot: int) -> dict[str, float]:
         """Each resource's summed demand at a slot, in user order. The dict
@@ -200,20 +253,19 @@ class ResidentSet(Mapping):
 
     def pair_sum(self, resource: str) -> float:
         """Sum over unordered pairs of the resource's series inner products,
-        via the square-of-sum identity. The series must share a length."""
+        via the square-of-sum identity. The series must share a length. The
+        pair sums of every resource in its stack are computed with it."""
         if resource not in self._pair_sums:
-            rows = self._series.get(resource, ())
-            lengths = {len(s) for s in rows}
-            if len(lengths) > 1:
-                raise ValueError(
-                    f"resident series for resource {resource!r} differ in length: {sorted(lengths)}"
-                )
-            pair_sum = 0.0
-            if len(rows) >= 2:
-                stacked = np.array(rows)  # np.stack's array, built faster
-                agg = stacked.sum(axis=0)
-                pair_sum = (float(agg @ agg) - float((stacked * stacked).sum())) / 2.0
-            self._pair_sums[resource] = pair_sum
+            if len(self._series.get(resource, ())) < 2:
+                self._pair_sums[resource] = 0.0
+            elif resource not in self._stacks:
+                raise self._ragged(resource)
+            else:
+                _, names, stack, sums = self._stacks[resource]
+                squares = (stack * stack).reshape(len(names), -1).sum(axis=1)
+                for i, d in enumerate(names):
+                    agg = sums[i]
+                    self._pair_sums[d] = (float(agg @ agg) - float(squares[i])) / 2.0
         return self._pair_sums[resource]
 
     def pair_sums(self, resources: tuple[str, ...]) -> tuple[float, ...]:
@@ -260,7 +312,7 @@ class SimState:
     events: list[tuple[float, int, int]]
     machines: list[Machine]
     vm_index: dict[int, int]
-    pmap: dict[tuple[int, str], UsageProfile]
+    series: dict[str, dict[int, np.ndarray]]  # resource -> user -> profile series
     clock: float = 0.0
     queued: int = 0  # tasks waiting in machine queues, not running
     # Ready tasks not yet dispatched, in (ready time, id) order.
@@ -309,7 +361,10 @@ def _new_state(workload: WorkloadSet) -> SimState:
         events=events,
         machines=[Machine(spec=v) for v in workload.vms],
         vm_index={v.id: i for i, v in enumerate(workload.vms)},
-        pmap=workload.profile_map(),
+        series={
+            d: {p.user_id: p.series for p in workload.profiles if p.resource == d}
+            for d in RESOURCES
+        },
     )
 
 
@@ -429,7 +484,7 @@ def _residents(state: SimState, machine: Machine) -> ResidentSet:
     if machine.users_changed:
         users = tuple(sorted(machine.user_tasks))
         if machine.residents is None or users != machine.residents.users:
-            machine.residents = ResidentSet.of_users(users, state.pmap)
+            machine.residents = ResidentSet.of_users(users, state.series)
         machine.users_changed = False
     return machine.residents
 
@@ -437,7 +492,7 @@ def _residents(state: SimState, machine: Machine) -> ResidentSet:
 def _sample_slot(state: SimState, slot: int) -> list[tuple[int, str]]:
     """Fire each (machine, resource) pair whose summed resident demand first
     exceeds capacity at this slot."""
-    if not state.pmap:
+    if not state.workload.profiles:
         return []
     fresh: list[tuple[int, str]] = []
     for machine in state.machines:
@@ -550,7 +605,7 @@ def _advance(state: SimState, action: tuple[int, int] | None) -> list[tuple[int,
     # no machine has both a resident and an unfired resource, no slot in
     # between can fire and the walk is skipped.
     s = math.floor(state.clock) + 1
-    if s < target and state.pmap and any(
+    if s < target and state.workload.profiles and any(
         machine.unfired and _residents(state, machine) is not _NO_RESIDENTS
         for machine in state.machines
     ):

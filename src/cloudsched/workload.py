@@ -93,7 +93,9 @@ class UsageProfile:
             raise ConfigurationError("profile series must be a non-empty 1-d sequence")
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ConfigurationError("profile entries must lie in [0, 1]")
-        series = arr.view()
+        # Adding 0.0 stores -0.0 as +0.0, so a sum over users is the same in
+        # every slot whether it starts from +0.0 or from the first series.
+        series = arr + 0.0
         series.flags.writeable = False  # read-only, like the profile itself
         object.__setattr__(self, "series", series)
 

@@ -140,6 +140,9 @@ def test_unknown_keys_are_rejected_everywhere():
         ),
         ({"vms": {"memory": 256.0}}, "unknown key 'memory' in experiment config.vms"),
         ({"vms": {"storage": 10.0}}, "unknown key 'storage' in experiment config.vms"),
+        ({"train": {"eval_episodes": 0}}, "experiment config.train: train setup needs eval_episodes"),
+        ({"train": {"lookahead": 0}}, "experiment config.train: train setup needs lookahead >= 1"),
+        ({"train": {"ready_slots": -1}}, "experiment config.train: train setup needs ready_slots"),
     ],
 )
 def test_malformed_config_fails_naming_its_field(data, path):

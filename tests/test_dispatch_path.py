@@ -12,7 +12,9 @@ sampler with its per-machine tuples of unfired resources, the encoder's
 clamps by comparison, the unbuilt breakdown of total_reward, the copied
 action masks and the softmax that exponentiates only valid logits. The
 one-hot that policy_forward returns, without the network, for a mask with
-one valid action is pinned to the full pass, and so are its errors."""
+one valid action is pinned to the full pass, and so are its errors. Each
+resident set's one-pass build is pinned by its bytes to the per-resource
+sums it replaced: the totals that used_at reads and the pair sums."""
 
 import math
 from collections import Counter
@@ -49,7 +51,14 @@ from cloudsched.simulator import (
     scan_overuse,
     step,
 )
-from cloudsched.workload import RESOURCES, DagWorkflow, Task, UsageProfile, WorkloadSet
+from cloudsched.workload import (
+    RESOURCES,
+    DagWorkflow,
+    Task,
+    UsageProfile,
+    WorkloadSet,
+    generate_profiles,
+)
 
 from helpers import vm
 
@@ -81,7 +90,7 @@ def old_resident_users(state, machine):
 
 
 def old_snapshot(state, new_overuse):
-    pmap = state.pmap
+    pmap = state.workload.profile_map()
     slot = int(math.floor(state.clock))
     snaps = []
     for machine in state.machines:
@@ -107,6 +116,22 @@ def old_competition_penalty(machine_profiles, config):
             pair_sum = (float(agg @ agg) - float((stacked * stacked).sum())) / 2.0
             total += config.k_c * pair_sum
     return -total
+
+
+def old_totals(residents):
+    """ResidentSet's totals as they were built per resource: the series
+    added user by user from np.zeros, as sum() adds them."""
+    return {d: sum(rows, np.zeros(len(rows[0]) if rows else 1)) for d, rows in residents.items()}
+
+
+def old_pair_sum(rows):
+    """ResidentSet.pair_sum as it was computed per resource, from a stack
+    of that resource's series alone, which share a length."""
+    if len(rows) < 2:
+        return 0.0
+    stacked = np.array(rows)
+    agg = stacked.sum(axis=0)
+    return (float(agg @ agg) - float((stacked * stacked).sum())) / 2.0
 
 
 def old_breakdown(inputs, config):
@@ -135,7 +160,7 @@ def old_machine_features(state, lookahead):
 def old_sample_slot(state, slot, fired):
     """The overuse sampler with one set of fired (machine, resource) pairs
     per episode, which it read for every machine at every slot."""
-    if not state.pmap:
+    if not state.workload.profiles:
         return []
     fresh = []
     for machine in state.machines:
@@ -672,6 +697,91 @@ def test_competition_on_plain_mappings_is_unchanged():
         ]
         cfg = RewardConfig(k_c=float(rng.uniform(0.0, 3.0)))
         assert competition_penalty(entries, cfg) == old_competition_penalty(entries, cfg)
+
+
+def assert_same_build(residents, series):
+    """The one-pass build of residents against the per-resource formulas
+    on series (resource -> rows), compared by their bytes so that signed
+    zeros count: totals, used_at at every slot, each pair sum and
+    pair_sums of several resource tuples."""
+    expected = old_totals(series)
+    assert list(residents._totals) == list(expected)
+    for d, total in expected.items():
+        assert residents._totals[d].tobytes() == total.tobytes(), d
+    period = max(len(t) for t in expected.values())
+    for slot in range(period + 1):
+        used = residents.used_at(slot)
+        assert {d: v.hex() for d, v in used.items()} == {
+            d: float(t[slot % len(t)]).hex() for d, t in expected.items()
+        }
+    pairs = {d: old_pair_sum(rows) for d, rows in series.items()}
+    for order in (RESOURCES, RESOURCES[::-1], ("memory",), ()):
+        assert [v.hex() for v in residents.pair_sums(order)] == [
+            pairs[d].hex() for d in order if len(series[d]) >= 2
+        ]
+    assert {d: residents.pair_sum(d).hex() for d in series} == {d: v.hex() for d, v in pairs.items()}
+
+
+def test_one_pass_resident_sets_equal_the_per_resource_formulas():
+    # Sets of 0-30 generated users, drawn in user order from 90 users of
+    # three shapes, through the per-episode index the stepper reads, with
+    # some users missing a resource so that stacks of one length have
+    # different user counts; memory series are half as long as the others.
+    rng = np.random.default_rng(2020)
+    profiles = []
+    for k, shape in enumerate(("flat", "diurnal", "spike")):
+        for p in generate_profiles(30, 48, 7 + k, shape, noise=0.05):
+            series = p.series if p.resource != "memory" else p.series[:24]
+            profiles.append(UsageProfile(p.user_id + 30 * k, p.resource, series))
+    dropped = {(u, d) for u in range(90) for d in RESOURCES if rng.random() < 0.1}
+    profiles = [p for p in profiles if (p.user_id, p.resource) not in dropped]
+    tasks = [Task(id=u, user_id=u) for u in range(90)]
+    index = init_state(WorkloadSet([vm(0)], DagWorkflow(tasks, []), profiles)).series
+    pmap = {(p.user_id, p.resource): p.series for p in profiles}
+    for _ in range(300):
+        users = tuple(sorted(rng.choice(90, int(rng.integers(0, 31)), replace=False).tolist()))
+        series = {d: [pmap[(u, d)] for u in users if (u, d) in pmap] for d in RESOURCES}
+        residents = ResidentSet.of_users(users, index)
+        if not any(series.values()):
+            assert residents is simulator._NO_RESIDENTS
+        assert_same_build(residents, series)
+    # Random series with exact zeros, and -0.0 entries that a profile stores
+    # as +0.0: 2-20 users, one length per resource, one slot included (where
+    # numpy's sum of a stack runs pairwise, and the totals must not).
+    for _ in range(400):
+        lengths = {d: int(rng.choice([1, 2, 24, 47, 48, 96, 100])) for d in RESOURCES}
+        if rng.random() < 0.5:
+            lengths = dict.fromkeys(RESOURCES, lengths["cpu"])  # one shared stack
+        series = {}
+        for d in RESOURCES:
+            rows = []
+            for _ in range(int(rng.integers(0, 21))):
+                row = rng.uniform(0.0, 1.0, lengths[d]) ** 3
+                row[rng.random(lengths[d]) < 0.3] = rng.choice([0.0, -0.0])
+                rows.append(UsageProfile(0, d, row).series)
+            series[d] = rows
+        assert_same_build(ResidentSet(series), series)
+
+
+def test_plain_mappings_build_as_resident_sets():
+    rng = np.random.default_rng(2021)
+    for _ in range(200):
+        series = {
+            d: [rng.uniform(0.0, 1.0, 6) for _ in range(int(rng.integers(0, 5)))]
+            for d in RESOURCES
+        }
+        lists = {d: [row.tolist() for row in rows] for d, rows in series.items()}
+        assert_same_build(ResidentSet.of(lists), series)
+    # Ragged lengths: only the resource that has them is refused, naming it,
+    # and totals are refused with it.
+    ragged = ResidentSet.of({"cpu": [[0.1, 0.2], [0.3]], "memory": [[0.5, 0.5], [0.25, 1.0]]})
+    message = r"^resident series for resource 'cpu' differ in length: \[1, 2\]$"
+    with pytest.raises(ValueError, match=message):
+        ragged.pair_sum("cpu")
+    with pytest.raises(ValueError, match=message):
+        ragged.used_at(0)
+    assert ragged.pair_sum("memory") == 0.5 * 0.25 + 0.5 * 1.0
+    assert ragged.pair_sums(("memory",)) == (0.625,)
 
 
 def test_overuse_scan_equals_the_slot_filter():

@@ -539,6 +539,22 @@ def test_env_requires_reset_before_step():
         env.step(0)
 
 
+@pytest.mark.parametrize("name", ["lookahead", "ready_slots"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_env_rejects_empty_windows_when_built(name, value):
+    # Such an environment used to build and fail at its first reset().
+    wl = WorkloadSet.from_tasks([vm(0)], [task(0)])
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be >= 1, got {value}$"):
+        SchedulingEnv(wl, **{name: value})
+
+
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_evaluation_needs_an_episode(episodes):
+    # A mean over no episodes used to read 0.0.
+    with pytest.raises(ConfigurationError, match=rf"^episodes must be >= 1, got {episodes}$"):
+        evaluate_policy(tiny_env(), None, episodes=episodes)
+
+
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------

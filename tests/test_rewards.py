@@ -195,6 +195,9 @@ def test_negative_weights_rejected():
         RewardConfig(k_c=-1.0)
     with pytest.raises(ConfigurationError):
         RewardConfig(resources=("disk",))
+    # A repeated resource would be charged twice by every per-resource term.
+    with pytest.raises(ConfigurationError, match=r"^resources lists \['cpu'\] more than once$"):
+        RewardConfig(resources=("cpu", "memory", "cpu"))
 
 
 def test_all_penalties_are_nonpositive_on_random_inputs():
@@ -343,6 +346,13 @@ def test_inertia_history_is_nonincreasing():
 def test_k_larger_than_n_rejected():
     with pytest.raises(ConfigurationError):
         kmeans_cluster(_flat_profiles([0.1, 0.2]), k=3)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_no_iterations_rejected(max_iter):
+    # Without a sweep there is no assignment to return; it used to end in IndexError.
+    with pytest.raises(ConfigurationError, match=rf"^max_iter must be >= 1, got {max_iter}$"):
+        kmeans_cluster(_flat_profiles([0.1, 0.2]), k=1, max_iter=max_iter)
 
 
 def test_duplicate_users_rejected():

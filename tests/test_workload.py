@@ -319,13 +319,31 @@ def test_noisy_profiles_remain_within_unit_interval():
         assert np.all(p.series >= 0.0) and np.all(p.series <= 1.0)
 
 
-def test_profile_entry_validation():
+def test_profile_entry_validation(tmp_path):
     with pytest.raises(ConfigurationError):
         UsageProfile(0, "cpu", np.array([0.5, 1.2]))
     with pytest.raises(ConfigurationError):
         UsageProfile(0, "cpu", np.array([]))
     with pytest.raises(ConfigurationError):
         UsageProfile(0, "gpu", np.array([0.5]))
+    # -0.0 is kept as +0.0, from Python and from JSON alike, so summed
+    # demand never depends on where a sum starts; the file is rewritten with 0.0.
+    signed = np.array([-0.0, 0.2, -0.0])
+    assert [float(v).hex() for v in UsageProfile(0, "cpu", signed).series] == [
+        "0x0.0p+0", (0.2).hex(), "0x0.0p+0"
+    ]
+    assert np.signbit(signed).tolist() == [True, False, True]  # the input is not changed
+    path = tmp_path / "wl.json"
+    path.write_text(json.dumps({
+        "vms": [{"id": 0}],
+        "tasks": [{"id": 0}],
+        "profiles": [{"user_id": 0, "resource": "cpu", "series": [-0.0, 0.5]}],
+    }))
+    assert "-0.0" in path.read_text()
+    series = load_workload(str(path)).profiles[0].series
+    assert not np.signbit(series).any() and series.tolist() == [0.0, 0.5]
+    save_workload(load_workload(str(path)), str(path))
+    assert "-0.0" not in path.read_text()
 
 
 def test_demand_lookup_wraps_past_the_horizon():
