@@ -10,8 +10,8 @@ recurrence. Both add flows and charges left to right in (arrival, id)
 order, as metrics does, so every score equals raw_qos(run_simulation(...))
 bit for bit, and so does annealing's re-walk of the two machine queues a
 move changes. Time and money are scaled by bounds read from the instance,
-so every search and seed on it minimizes one score. The exhaustive oracle
-scores its "time", "cost" and "qos" objectives with the same event walk.
+so every search and seed on it minimizes one score, and the exhaustive
+oracle returns that score's exact minimizer.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InstanceTooLargeError
-from .metrics import QosWeights, RawQos, _qos_blend, _task_charge, qos_scores, raw_qos  # noqa: F401 (perfbench traces raw_qos here)
-from .simulator import SimTrace, run_simulation, _service_times
+from .metrics import QosWeights, RawQos, _qos_blend, _task_charge, qos_scores, raw_qos  # noqa: F401 (perfbench's tracer wraps qos_scores and raw_qos here)
+from .simulator import run_simulation, _service_times  # noqa: F401 (perfbench's tracer wraps run_simulation here)
 from .workload import WorkloadSet, validate_dag
 
 _TAU_FLOOR = 1e-3
@@ -305,11 +305,15 @@ class _Evaluator(_Tables):
         rel = dl_met / dl_total if dl_total else 1.0
         return RawQos(total_time / n, money / n, rel)
 
+    def _raw_walk(self, vec: tuple[int, ...]) -> RawQos:
+        """The plan's raw metrics, uncached."""
+        return self._raw_fast(vec) if self._fast else self._raw_dag(vec)
+
     def raw(self, vec: tuple[int, ...]) -> RawQos:
         hit = self._cache.get(vec)
         if hit is not None:
             return hit
-        r = self._raw_fast(vec) if self._fast else self._raw_dag(vec)
+        r = self._raw_walk(vec)
         self._cache[vec] = r
         self.evaluations += 1
         return r
@@ -584,7 +588,7 @@ class _QueueMoves:
 class _RescoredMoves:
     """Annealing state that scores each proposal by a full evaluation
     through the evaluator's cache: the path for instances with precedence
-    edges, and for those with no more tasks than machines."""
+    edges."""
 
     def __init__(self, ev: _Evaluator):
         self._ev = ev
@@ -621,11 +625,8 @@ def sa_schedule(
     rng = np.random.default_rng(seed)
     ev = _Evaluator(workload, weights)
     n, m = len(ev.task_ids), len(ev.vm_ids)
-    # Anneal from the greedy earliest-finish placement, not from noise. With
-    # no more tasks than machines, queues are too short for a walk to save
-    # work, and the evaluator's cache answers most proposals faster (about
-    # 60% are revisits at the default sweep's 10 tasks on 10 machines).
-    moves = _QueueMoves(ev) if ev._fast and n > m else _RescoredMoves(ev)
+    # Anneal from the greedy earliest-finish placement, not from noise.
+    moves = _QueueMoves(ev) if ev._fast else _RescoredMoves(ev)
     current_score = ev.score(ev.eft_vec)
     best, best_score = ev.eft_vec, current_score
     temp = params.initial_temp
@@ -752,16 +753,13 @@ def gaaco_schedule(
 def brute_force_schedule(
     workload: WorkloadSet,
     *,
-    objective: str | Callable[[SimTrace, WorkloadSet], float] = "makespan",
     weights: QosWeights = QosWeights(),
     limit: int = 1_000_000,
 ) -> dict[int, int]:
-    """Enumerate every assignment and return the optimum.
-
-    objective: "makespan", "time" (mean flow), "cost" (mean money), "qos"
-    (pool-normalized blend over the full enumeration) or a callable
-    (trace, workload) -> float. Ties keep the lexicographically smallest
-    assignment vector. Refuses instances with more than `limit` combinations.
+    """Enumerate every assignment and return the one with the lowest
+    _Evaluator score, the score aco, sa and gaaco minimize, bit for bit.
+    Ties keep the lexicographically smallest assignment vector. Refuses
+    instances with more than `limit` combinations.
     """
     n, m = len(workload.tasks), len(workload.vms)
     combos = m ** n
@@ -769,23 +767,12 @@ def brute_force_schedule(
         raise InstanceTooLargeError(
             f"{m}^{n} = {combos} assignments exceeds the limit of {limit}"
         )
-    tables = _Tables(workload)
-    vecs = itertools.product(range(m), repeat=n)
-    if callable(objective) or objective == "makespan":
-        score_fn = objective if callable(objective) else lambda trace, _wl: trace.makespan
-        scored = ((v, score_fn(run_simulation(workload, tables.assignment_of(v)), workload)) for v in vecs)
-    elif objective in ("time", "cost"):
-        field = "time_cost" if objective == "time" else "money_cost"
-        scored = ((v, getattr(tables._raw_dag(v), field)) for v in vecs)
-    elif objective == "qos":
-        # Pool objective: normalization sees every candidate before any is ranked.
-        vecs = list(vecs)
-        scored = zip(vecs, qos_scores([tables._raw_dag(v) for v in vecs], weights))
-    else:
-        raise ConfigurationError(f"unknown objective {objective!r}")
+    ev = _Evaluator(workload, weights)
 
-    best_vec, best_score = None, math.inf
-    for vec, s in scored:
-        if s < best_score:  # strict: first optimum wins, lexicographic order
-            best_vec, best_score = vec, s
-    return tables.assignment_of(best_vec)
+    # Each plan is walked and blended past the evaluator's cache, which
+    # would otherwise hold all m ** n plans.
+    def score(vec: tuple[int, ...]) -> float:
+        r = ev._raw_walk(vec)
+        return ev._blend(r.time_cost, r.money_cost, r.reliability)
+
+    return ev.assignment_of(min(itertools.product(range(m), repeat=n), key=score))

@@ -7,8 +7,10 @@ Each test prints one PASS/FAIL line; pytest -v adds its own verdict per test.
 """
 
 import csv
+import hashlib
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,9 @@ from helpers import full_enumeration_raws, random_dag_workload, random_instance,
 METAHEURISTICS = ("gaaco", "aco", "sa")
 COUNTS = tuple(range(10, 101, 10))
 HIGH_COUNTS = tuple(c for c in COUNTS if c >= 50)
+# The default sweep's results.csv digest. A change that moves any byte of it
+# must change this file too.
+PINNED_SWEEP_SHA256 = Path(__file__).parent / "data" / "default_sweep.sha256"
 
 
 def _report(num, name, ok, detail):
@@ -60,7 +65,8 @@ def _report(num, name, ok, detail):
 
 
 # ---------------------------------------------------------------------------
-# Default sweep fixture (runs the real CLI twice; second run feeds #13)
+# Default sweep fixture (runs the real CLI twice; the second run, on two
+# worker processes, feeds #13)
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -76,7 +82,7 @@ def sweep(tmp_path_factory):
 @pytest.fixture(scope="module")
 def sweep_again(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance") / "run2"
-    rc = cli_main(["run", "--out", str(out)])
+    rc = cli_main(["run", "--out", str(out), "--jobs", "2"])
     assert rc == 0
     return out
 
@@ -376,10 +382,13 @@ def test_criterion_13_bench_run_is_reproducible(sweep, sweep_again):
     first = (out1 / "results.csv").read_bytes()
     second = (sweep_again / "results.csv").read_bytes()
     rows = first.decode("utf-8").strip().splitlines()
-    ok = first == second and len(rows) == 1 + 10 * 5 * 4 and wall < 300.0
-    _report(13, "two default bench runs emit identical results.csv",
-            ok, f"identical {first == second}, {len(rows) - 1} data rows, "
-                f"first run took {wall:.0f}s (budget 300s)")
+    digest = hashlib.sha256(first).hexdigest()
+    pinned = PINNED_SWEEP_SHA256.read_text(encoding="utf-8").strip()
+    ok = first == second and digest == pinned and len(rows) == 1 + 10 * 5 * 4 and wall < 300.0
+    _report(13, "default bench runs at --jobs 1 and 2 emit the pinned results.csv",
+            ok, f"identical {first == second}, sha256 {digest}"
+                + ("" if digest == pinned else f" but pinned {pinned}")
+                + f", {len(rows) - 1} data rows, first run took {wall:.0f}s (budget 300s)")
 
 
 # ---------------------------------------------------------------------------

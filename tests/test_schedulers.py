@@ -1,10 +1,12 @@
 """Greedy, annealing, ant colony, hybrid and exhaustive schedulers."""
 
 import dataclasses
+import gc
 import heapq
 import itertools
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from cloudsched import schedulers
 from cloudsched.errors import ConfigurationError, DagValidationError, InstanceTooLargeError
-from cloudsched.metrics import QosWeights, RawQos, qos_scores, raw_qos
+from cloudsched.metrics import QosWeights, RawQos, raw_qos
 from cloudsched.schedulers import (
     AcoParams,
     GaacoParams,
@@ -40,9 +42,7 @@ from cloudsched.workload import (
 from helpers import (
     contested_workload,
     flat_workload,
-    full_enumeration_raws,
     random_dag_workload,
-    score_with_pool,
     task,
     vm,
 )
@@ -61,6 +61,12 @@ ORACLE_WL = WorkloadSet.from_tasks(
         Task(id=3, length=1500.0, input_size=80.0, output_size=20.0, arrival_time=1.5),
     ],
 )
+
+
+def plan_score(ev, assignment):
+    """ev's score of an assignment given as task id -> machine id."""
+    return ev.score(tuple(ev.vm_ids.index(assignment[t]) for t in ev.task_ids))
+
 
 FAST_GAACO = GaacoParams(evolution_num=30, population=8, m=12)
 FAST_ACO = AcoParams(ants=10, iterations=20)
@@ -132,15 +138,11 @@ def test_aco_pheromone_stays_within_bounds():
 
 
 def test_aco_finds_the_optimum_often_and_never_beats_it():
-    raws = full_enumeration_raws(ORACLE_WL)
-    matches = 0
-    for seed in range(20):
-        assignment = aco_schedule(ORACLE_WL, seed=seed)
-        score, best = score_with_pool(raws, ORACLE_WL, assignment)
-        assert score >= best - 1e-9
-        if abs(score - best) <= 1e-9:
-            matches += 1
-    assert matches >= 12  # 60% of 20 seeds
+    ev = _Evaluator(ORACLE_WL, QosWeights())
+    best = plan_score(ev, brute_force_schedule(ORACLE_WL))
+    scores = [plan_score(ev, aco_schedule(ORACLE_WL, seed=seed)) for seed in range(20)]
+    assert min(scores) >= best
+    assert scores.count(best) >= 12  # 60% of 20 seeds
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +607,10 @@ def test_sa_is_deterministic_per_seed():
 
 
 def test_sa_never_beats_the_enumeration():
-    raws = full_enumeration_raws(ORACLE_WL)
+    ev = _Evaluator(ORACLE_WL, QosWeights())
+    best = plan_score(ev, brute_force_schedule(ORACLE_WL))
     for seed in range(10):
-        assignment = sa_schedule(ORACLE_WL, seed=seed)
-        score, best = score_with_pool(raws, ORACLE_WL, assignment)
-        assert score >= best - 1e-9
+        assert plan_score(ev, sa_schedule(ORACLE_WL, seed=seed)) >= best
 
 
 @settings(max_examples=200, deadline=None)
@@ -844,15 +845,11 @@ def test_gaaco_finds_the_optimum_often_and_never_beats_it():
             Task(id=4, length=1200.0, input_size=50.0, output_size=50.0, arrival_time=1.7),
         ],
     )
-    raws = full_enumeration_raws(wl)  # 3^5 = 243 assignments
-    matches = 0
-    for seed in range(20):
-        assignment = gaaco_schedule(wl, seed=seed)
-        score, best = score_with_pool(raws, wl, assignment)
-        assert score >= best - 1e-9
-        if abs(score - best) <= 1e-9:
-            matches += 1
-    assert matches >= 16  # 80% of 20 seeds
+    ev = _Evaluator(wl, QosWeights())
+    best = plan_score(ev, brute_force_schedule(wl))  # 3^5 = 243 assignments
+    scores = [plan_score(ev, gaaco_schedule(wl, seed=seed)) for seed in range(20)]
+    assert min(scores) >= best
+    assert scores.count(best) >= 16  # 80% of 20 seeds
 
 
 def test_searches_beat_eft_on_contested_cells():
@@ -865,9 +862,7 @@ def test_searches_beat_eft_on_contested_cells():
         ev = _Evaluator(wl, QosWeights())
         eft = ev.score(ev.eft_vec)
         for search in (sa_schedule, gaaco_schedule):
-            assignment = search(wl, seed=seed)
-            vec = tuple(ev.vm_ids.index(assignment[t]) for t in ev.task_ids)
-            assert ev.score(vec) < eft, f"{search.__name__}, seed {seed}"
+            assert plan_score(ev, search(wl, seed=seed)) < eft, f"{search.__name__}, seed {seed}"
 
 
 def ids_reversed(wl):
@@ -921,6 +916,22 @@ def test_evaluator_bounds_and_scores_come_from_the_instance(wl):
         assert ev.score(vec) == expected
 
 
+@pytest.mark.parametrize("wl", [ORACLE_WL, layered_dag_workload(5)], ids=["independent", "dag"])
+def test_an_evaluator_is_freed_when_its_search_drops_it(wl):
+    # An evaluator holds every plan its search scored. A reference cycle
+    # through it would keep that cache alive after the search returns, until
+    # the cycle collector runs, and raise the peak memory of a sweep.
+    ev = _Evaluator(wl, QosWeights())
+    ev.score(ev.eft_vec)
+    freed = weakref.ref(ev)
+    gc.disable()
+    try:
+        del ev
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_a_plan_scores_the_same_in_every_search_and_seed(monkeypatch):
     # A plan's score depends on the instance and the weights alone: every
     # plan any search scores, under any seed, scores as a fresh evaluator
@@ -949,67 +960,52 @@ def test_a_plan_scores_the_same_in_every_search_and_seed(monkeypatch):
 # Brute force
 # ---------------------------------------------------------------------------
 
-def test_brute_force_minimum_makespan():
-    wl = WorkloadSet.from_tasks(
-        [VmSpec(id=0, mips=1.0), VmSpec(id=1, mips=1.0)],
-        [task(0, length=1.0), task(1, length=2.0), task(2, length=3.0)],
-    )
-    assignment = brute_force_schedule(wl, objective="makespan")
-    assert run_simulation(wl, assignment).makespan == 3.0
+def test_brute_force_returns_the_first_minimizer_of_the_search_score(monkeypatch):
+    # The oracle must return the first plan, in lexicographic vector order,
+    # of those whose simulated metrics score lowest against the instance's
+    # bounds. It scores every plan past the evaluator's cache, which then
+    # holds only the one-machine plans that set the time bound.
+    tiers = [VmSpec(id=j, mips=500.0 + 250.0 * j, instr_cost_rate=0.004 * (1 + j)) for j in range(4)]
+    params = TaskGenParams(arrival_pattern="poisson", deadline_slack_range=(4.0, 12.0))
+    instances = [
+        (WorkloadSet.from_tasks(tiers[:m], generate_tasks(n, seed, params)), weights)
+        for (n, m, seed), weights in zip(
+            [(5, 4, 1), (4, 4, 2), (5, 3, 3), (6, 2, 4), (3, 4, 5), (4, 3, 6)],
+            itertools.cycle([QosWeights(), QosWeights(time=0.4, cost=0.35, reliability=0.25)]),
+        )
+    ]
+    rng = np.random.default_rng(17)
+    instances += [(random_dag_workload(rng, max_nodes=6)[0], QosWeights()) for _ in range(8)]
+    # Tasks that never queue, on identical machines: every plan ties.
+    tie = WorkloadSet.from_tasks([vm(0), vm(1)], [task(i, arrival=10.0 * i) for i in range(3)])
+    instances.append((tie, QosWeights()))
+    cached = []
+    raw = _Evaluator.raw
 
+    def recording_raw(ev, vec):
+        cached.append(vec)
+        return raw(ev, vec)
 
-def test_brute_force_cost_tie_keeps_lexicographic_order():
-    wl = flat_workload([1000.0, 1000.0], n_vms=2)
-    assignment = brute_force_schedule(wl, objective="cost")
-    assert assignment == {0: 0, 1: 0}
+    monkeypatch.setattr(_Evaluator, "raw", recording_raw)
+    for wl, weights in instances:
+        ev = _Evaluator(wl, weights)
+        n, m = len(wl.tasks), len(wl.vms)
+        vecs = list(itertools.product(range(m), repeat=n))
+        scores = []
+        for vec in vecs:
+            r = simulated_raw(wl, ev.assignment_of(vec))
+            scores.append(ev._blend(r.time_cost, r.money_cost, r.reliability))
+        cached.clear()
+        assert brute_force_schedule(wl, weights=weights) == ev.assignment_of(vecs[scores.index(min(scores))])
+        assert set(cached) <= {(j,) * n for j in range(m)}
+    assert min(scores) == max(scores)
+    assert brute_force_schedule(tie) == {0: 0, 1: 0, 2: 0}
 
 
 def test_brute_force_respects_the_enumeration_limit():
     wl = flat_workload([1000.0] * 4, n_vms=3)
     with pytest.raises(InstanceTooLargeError):
         brute_force_schedule(wl, limit=80)  # 3^4 = 81
-
-
-def test_brute_force_callable_objective():
-    wl = flat_workload([1000.0, 2000.0], n_vms=2)
-    # Maximize load concentration by minimizing negative imbalance.
-    assignment = brute_force_schedule(
-        wl, objective=lambda trace, _wl: -abs(trace.machine_busy[0] - trace.machine_busy[1])
-    )
-    assert len(set(assignment.values())) == 1
-
-
-def test_brute_force_unknown_objective_rejected():
-    wl = flat_workload([1000.0])
-    with pytest.raises(ConfigurationError):
-        brute_force_schedule(wl, objective="latency")
-
-
-def test_brute_force_kernel_objectives_match_simulated_enumeration():
-    # On DAGs over identical machines many assignments tie; the event walk's
-    # exact scores must keep the simulated enumeration's first optimum.
-    rng = np.random.default_rng(17)
-    for _ in range(12):
-        wl, _ = random_dag_workload(rng, max_nodes=6)
-        order = schedulers._Tables(wl).task_ids
-        vecs = list(itertools.product(range(len(wl.vms)), repeat=len(order)))
-        assignments = [{t: v[i] for i, t in enumerate(order)} for v in vecs]
-        raws = [raw_qos(run_simulation(wl, a), wl.vms, None) for a in assignments]
-        scores = qos_scores(raws, QosWeights())
-        for objective, values in (
-            ("time", [r.time_cost for r in raws]),
-            ("cost", [r.money_cost for r in raws]),
-            ("qos", scores),
-        ):
-            expected = assignments[values.index(min(values))]
-            assert brute_force_schedule(wl, objective=objective) == expected
-
-
-def test_brute_force_qos_agrees_with_pool_scoring():
-    assignment = brute_force_schedule(ORACLE_WL, objective="qos")
-    raws = full_enumeration_raws(ORACLE_WL)
-    score, best = score_with_pool(raws, ORACLE_WL, assignment)
-    assert score == pytest.approx(best, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
