@@ -65,7 +65,16 @@ Each figure is the median of --repeats runs (at least 5):
 * `resident_set_build_us`: the median microseconds of one such build as
   the step ran it: the machine's set is built again from its users (the
   resident users' series, the totals that used_at reads and the pair sums
-  of every resource), then the set the step built is put back.
+  of every resource), then the set the step built is put back. The
+  episode's series index, built once per episode where the package has
+  one, is built before the timed build.
+* `replay_100k_batch_tasks_per_s`, `replay_100k_poisson_tasks_per_s`:
+  tasks per second of simulator.replay_assignment, the online stepper
+  driven by a static plan, on 100,000 generated tasks (seed 1) on the
+  default fleet, with the plan eft_schedule returns. Batch submits every
+  task at t = 0; Poisson draws arrivals at the generator's default mean
+  gap. Only the replay is timed: this is the cost of the ready list and
+  the event core at scale.
 
 Usage, from the root of a checkout:
 
@@ -228,6 +237,8 @@ def rebuild_s(sim, state, machine, resources) -> float:
     was there before is put back, so the episode goes on unchanged."""
     kept = machine.residents
     machine.residents, machine.users_changed = None, True
+    if hasattr(state, "series_index"):
+        state.series_index()  # built once per episode, not per set
     t0 = time.perf_counter()
     residents = sim._residents(state, machine)
     residents.used_at(int(state.clock))
@@ -277,6 +288,20 @@ def greedy_decisions(pol, rw, sim, deployments, passes: int = 3) -> dict[str, fl
         "build_step_share": len(building) / len(latencies),
         "resident_set_build_us": statistics.median(builds) * 1e6,
     }
+
+
+def replay_tasks_per_s(bench, sched, sim, wk, arrivals: str, n: int = 100_000) -> float:
+    """Tasks per second of replay_assignment on n tasks on the default fleet,
+    with the EFT plan; arrivals is "batch" or "poisson"."""
+    if arrivals == "batch":
+        params = wk.TaskGenParams(mean_interarrival=0.0)
+    else:
+        params = wk.TaskGenParams(arrival_pattern="poisson")
+    wl = wk.WorkloadSet.from_tasks(bench.VmFleetConfig().build(), wk.generate_tasks(n, 1, params))
+    plan = sched.eft_schedule(wl)
+    t0 = time.perf_counter()
+    sim.replay_assignment(wl, plan)
+    return n / (time.perf_counter() - t0)
 
 
 def reinforce_update_us(pol, env, calls: int = 20) -> float:
@@ -345,6 +370,8 @@ def measure(src: str) -> dict[str, float]:
     sim.machine_usage_series(trace, wl)
     results["usage_series_100tasks_s"] = time.perf_counter() - t0
     results["noop_gap_1e6_s"] = noop_gap_s(sim, wk)
+    for arrivals in ("batch", "poisson"):
+        results[f"replay_100k_{arrivals}_tasks_per_s"] = replay_tasks_per_s(bench, sched, sim, wk, arrivals)
     for n in (10, 100, 1000):
         results[f"sa_n{n}_s"] = cell_s(bench, sched, "sa", n)
     for name in ("gaaco", "aco"):

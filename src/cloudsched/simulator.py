@@ -31,14 +31,18 @@ demand and the stepper's reward inputs are read from each machine's
 ResidentSet. Each machine counts its users' running and queued tasks as
 they join and complete, and its set is rebuilt only when its resident users
 change; a machine's reward snapshot is reused while the set, the slot and
-its in_use stay the same. A set reads its users' series from an index by
-resource and user that the state builds once per episode, and stacks the
-series of all resources of one shape into one array, whose sum over the
-users gives both the summed demand and the competition aggregates. numpy
-adds a stack's users in the order sum() adds them, so these sums keep the
-bits of one sum per resource (see ResidentSet). After a run, scan_overuse and
-machine_usage_series read the same per-slot resident demand, built from the
-trace's residency rows, which equals the stepper's slot by slot.
+its in_use stay the same. A set gathers its users' series from the
+episode's SeriesIndex, which the state builds at the episode's first set and
+drops when its last task completes. The index holds one read-only (g, U, L)
+matrix for each group of resources whose profiles cover the same users and
+share a length; one take of the set's users' rows gives the group's
+(g, k, L) stack, whose sum over the users gives both the summed demand and
+the competition aggregates. numpy adds a stack's users in the order sum()
+adds them, so these sums keep the bits of one sum per resource (see
+ResidentSet). run_simulation builds neither sets nor an index. After a run,
+scan_overuse and machine_usage_series read the same per-slot resident
+demand, built from the trace's residency rows, which equals the stepper's
+slot by slot.
 """
 
 from __future__ import annotations
@@ -141,58 +145,115 @@ class Machine:
         return self.running is not None or len(self.queue) > 0
 
 
+class SeriesIndex:
+    """One episode's demand series, by resource and user, laid out for the
+    gathers that build its resident sets.
+
+    The resources whose series cover the same users and share one length
+    form a group: (the group's resources, a read-only (g, U, L) matrix of
+    their series, a map from user to row of U). A resource whose series
+    differ in length, which only a plain mapping can give, is in no group;
+    it is ragged. series keeps the series themselves, by resource and user,
+    for the mapping view of each set.
+    """
+
+    def __init__(self, series: Mapping[str, Mapping[int, np.ndarray]]):
+        self.series = series
+        ragged: list[str] = []
+        shapes: dict[tuple[frozenset[int], int], list[str]] = {}
+        for d, by_user in series.items():
+            lengths = {len(s) for s in by_user.values()}
+            if len(lengths) > 1:
+                ragged.append(d)
+            elif lengths:
+                shapes.setdefault((frozenset(by_user), lengths.pop()), []).append(d)
+        self.ragged = tuple(ragged)
+        self.groups: list[tuple[tuple[str, ...], np.ndarray, dict[int, int]]] = []
+        for names in shapes.values():
+            users = list(series[names[0]])
+            matrix = np.array([[series[d][u] for u in users] for d in names])
+            matrix.flags.writeable = False
+            self.groups.append((tuple(names), matrix, {u: i for i, u in enumerate(users)}))
+
+
 class ResidentSet(Mapping):
     """The demand series of one machine's co-resident users, by resource.
 
     A machine keeps its set, and every snapshot shares it, until its
     resident users change, so the set is read-only, as profile series are.
 
-    On first use the set is built in one pass. The resources whose series
-    share a count k >= 2 and a length L are stacked into one (g, k, L)
-    array, and its sum over the users gives each resource's totals, the
-    demand per slot that used_at reads. Reducing a stack over its middle
-    axis, numpy adds the k rows one after another, slot by slot, which is
-    how sum() adds them from np.zeros; whether numpy starts from +0.0 or
-    from the first row makes no difference, as UsageProfile stores -0.0 as
-    +0.0. So the totals keep their bits. Along one run of contiguous values
-    numpy adds pairwise instead, so one-slot series are summed by sum()
-    itself. A resource with one series totals that series plus 0.0.
+    A set is built from a SeriesIndex with one take per group: the rows
+    of the set's users, in user order, make a C-contiguous (g, k, L) stack,
+    and its sum over the users gives each resource's totals, the demand per
+    slot that used_at reads. Reducing a stack over its middle axis, numpy
+    adds the k rows one after another, slot by slot, which is how sum()
+    adds them from np.zeros; whether numpy starts from +0.0 or from the
+    first row makes no difference, as UsageProfile stores -0.0 as +0.0. So
+    the totals keep their bits. Along one run of contiguous values numpy
+    adds pairwise instead, so one-slot series are summed by sum() itself. A
+    resource with one series totals that series plus 0.0.
 
     The same sums over the users are the aggregates whose squares pair_sum
     takes, and each resource's squares are summed over its own k x L block
     of the stack, as over a stack of its series alone, so every pair sum
     keeps its bits too. The pair sums are computed for a whole stack on
     first request, so a set whose reward reads no resource never computes
-    them. The demand dict of the last slot read and the pair sums of each
-    tuple of resources are kept once computed; nothing is kept across sets.
+    them. The mapping view, each resource's series themselves, is built
+    when it is first read. The demand dict of the last slot read and the
+    pair sums of each tuple of resources are kept once computed; nothing is
+    kept across sets.
     """
 
-    def __init__(self, series: Mapping[str, Sequence[np.ndarray]], users: tuple[int, ...] = ()):
-        self._series = {d: tuple(rows) for d, rows in series.items()}
+    def __init__(self, index: SeriesIndex, users: tuple[int, ...]):
         self.users = users
+        self._series = index.series
+        self._ragged = index.ragged
         self._pair_sums: dict[str, float] = {}
         self._pair_sums_of: dict[tuple[str, ...], tuple[float, ...]] = {}
         self._used: tuple[int, dict[str, float]] | None = None
+        # (the group's resources, its stack, the stack's sums over the
+        # users, or None for one user) of each group with users in the set,
+        # and each of their resources mapped to (its row, the group).
+        self._groups: list[tuple[tuple[str, ...], np.ndarray, np.ndarray | None]] = []
+        self._stacks: dict[str, tuple[int, tuple[str, ...], np.ndarray, np.ndarray | None]] = {}
+        for names, matrix, rows in index.groups:
+            take = [rows[u] for u in users if u in rows]
+            if take:
+                stack = matrix.take(take, axis=1)
+                group = (names, stack, stack.sum(axis=1) if len(take) > 1 else None)
+                self._groups.append(group)
+                for i, d in enumerate(names):
+                    self._stacks[d] = (i, *group)
 
     @classmethod
-    def of_users(
-        cls, users: tuple[int, ...], series: Mapping[str, Mapping[int, np.ndarray]]
-    ) -> "ResidentSet":
-        """The set of the given users' series, in user order, read from an
-        index of series by resource and user; a set with no series is the
-        shared _NO_RESIDENTS."""
-        rows = {d: [by_user[u] for u in users if u in by_user] for d, by_user in series.items()}
-        return cls(rows, users) if any(rows.values()) else _NO_RESIDENTS
+    def of_users(cls, users: tuple[int, ...], index: SeriesIndex) -> "ResidentSet":
+        """The set of the given users' series, in user order, gathered from
+        the index; a set with no series is the shared _NO_RESIDENTS."""
+        residents = cls(index, users)
+        return residents if residents._stacks else _NO_RESIDENTS
 
     @classmethod
     def of(cls, residents: Mapping[str, Sequence[Sequence[float]]]) -> "ResidentSet":
-        """residents itself if it is a ResidentSet, else a set built from it."""
+        """residents itself if it is a ResidentSet, else a set gathered from
+        a one-off index of it, each resource's rows as users 0, 1, ..."""
         if isinstance(residents, cls):
             return residents
-        return cls({d: [np.asarray(s, dtype=float) for s in rows] for d, rows in residents.items()})
+        series = {
+            d: {u: np.asarray(s, dtype=float) for u, s in enumerate(rows)}
+            for d, rows in residents.items()
+        }
+        users = tuple(range(max(map(len, series.values()), default=0)))
+        return cls(SeriesIndex(series), users)
+
+    @cached_property
+    def _rows(self) -> dict[str, tuple[np.ndarray, ...]]:
+        users = self.users
+        return {
+            d: tuple(by_user[u] for u in users if u in by_user) for d, by_user in self._series.items()
+        }
 
     def __getitem__(self, resource: str) -> tuple[np.ndarray, ...]:
-        return self._series[resource]
+        return self._rows[resource]
 
     def __iter__(self):
         return iter(self._series)
@@ -201,27 +262,18 @@ class ResidentSet(Mapping):
         return len(self._series)
 
     def get(self, resource: str, default=None):
-        return self._series.get(resource, default)
+        return self._rows.get(resource, default)
 
-    @cached_property
-    def _stacks(self) -> dict[str, tuple[int, tuple[str, ...], np.ndarray, np.ndarray]]:
-        """Each resource with two or more series of one length, mapped to
-        its row in the (g, k, L) stack of its shape group: (row, the group's
-        resources, the stack, its sums over the users)."""
-        shapes: dict[tuple[int, int], list[str]] = {}
-        for d, rows in self._series.items():
-            if len(rows) >= 2 and len({len(s) for s in rows}) == 1:
-                shapes.setdefault((len(rows), len(rows[0])), []).append(d)
-        stacks = {}
-        for names in shapes.values():
-            stack = np.array([self._series[d] for d in names])
-            group = (tuple(names), stack, stack.sum(axis=1))
-            for i, d in enumerate(names):
-                stacks[d] = (i, *group)
-        return stacks
+    def _count(self, resource: str) -> int:
+        """The number of the resource's series in the set."""
+        entry = self._stacks.get(resource)
+        if entry is not None:
+            return entry[2].shape[1]
+        # Only ResidentSet.of gives a ragged resource, with all its series.
+        return len(self._series[resource]) if resource in self._ragged else 0
 
-    def _ragged(self, resource: str) -> ValueError:
-        lengths = sorted({len(s) for s in self._series[resource]})
+    def _ragged_error(self, resource: str) -> ValueError:
+        lengths = sorted({len(s) for s in self[resource]})
         return ValueError(
             f"resident series for resource {resource!r} differ in length: {lengths}"
         )
@@ -230,18 +282,17 @@ class ResidentSet(Mapping):
     def _totals(self) -> dict[str, np.ndarray]:
         # A WorkloadSet gives one resource's profiles one length; a plain
         # mapping that does not has no totals.
+        for d in self._ragged:
+            raise self._ragged_error(d)
         totals = {}
-        for d, rows in self._series.items():
-            if len(rows) < 2:
-                totals[d] = rows[0] + 0.0 if rows else np.zeros(1)
-            elif d not in self._stacks:
-                raise self._ragged(d)
-            elif len(rows[0]) == 1:
-                totals[d] = sum(rows, np.zeros(1))
+        for names, stack, sums in self._groups:
+            if sums is None:
+                totals.update(zip(names, stack[:, 0] + 0.0))
+            elif stack.shape[2] == 1:
+                totals.update((d, sum(rows, np.zeros(1))) for d, rows in zip(names, stack))
             else:
-                i, _, _, sums = self._stacks[d]
-                totals[d] = sums[i]
-        return totals
+                totals.update(zip(names, sums))
+        return {d: totals[d] if d in totals else np.zeros(1) for d in self._series}
 
     def used_at(self, slot: int) -> dict[str, float]:
         """Each resource's summed demand at a slot, in user order. The dict
@@ -256,10 +307,10 @@ class ResidentSet(Mapping):
         via the square-of-sum identity. The series must share a length. The
         pair sums of every resource in its stack are computed with it."""
         if resource not in self._pair_sums:
-            if len(self._series.get(resource, ())) < 2:
+            if self._count(resource) < 2:
                 self._pair_sums[resource] = 0.0
             elif resource not in self._stacks:
-                raise self._ragged(resource)
+                raise self._ragged_error(resource)
             else:
                 _, names, stack, sums = self._stacks[resource]
                 squares = (stack * stack).reshape(len(names), -1).sum(axis=1)
@@ -273,12 +324,12 @@ class ResidentSet(Mapping):
         order given."""
         sums = self._pair_sums_of.get(resources)
         if sums is None:
-            sums = tuple(self.pair_sum(d) for d in resources if len(self.get(d, ())) >= 2)
+            sums = tuple(self.pair_sum(d) for d in resources if self._count(d) >= 2)
             self._pair_sums_of[resources] = sums
         return sums
 
 
-_NO_RESIDENTS = ResidentSet({d: () for d in RESOURCES})
+_NO_RESIDENTS = ResidentSet(SeriesIndex({d: {} for d in RESOURCES}), ())
 
 
 @dataclass(frozen=True)
@@ -312,7 +363,6 @@ class SimState:
     events: list[tuple[float, int, int]]
     machines: list[Machine]
     vm_index: dict[int, int]
-    series: dict[str, dict[int, np.ndarray]]  # resource -> user -> profile series
     clock: float = 0.0
     queued: int = 0  # tasks waiting in machine queues, not running
     # Ready tasks not yet dispatched, in (ready time, id) order.
@@ -325,10 +375,23 @@ class SimState:
     residency: list[tuple[int, int, float, float]] = field(default_factory=list)
     queue_series: list[tuple[float, int]] = field(default_factory=list)
     overuse_events: list[OveruseEvent] = field(default_factory=list)
+    # The profiles' SeriesIndex while resident sets are built; see series_index.
+    index: SeriesIndex | None = None
 
     @property
     def done(self) -> bool:
         return len(self.records) == len(self.tasks)
+
+    def series_index(self) -> SeriesIndex:
+        """The index that the episode's resident sets gather from, built at
+        the first build. _complete_task drops it with the last task, and a
+        later build builds it again."""
+        if self.index is None:
+            profiles = self.workload.profiles
+            self.index = SeriesIndex(
+                {d: {p.user_id: p.series for p in profiles if p.resource == d} for d in RESOURCES}
+            )
+        return self.index
 
     def waiting_count(self) -> int:
         return len(self.ready) + self.queued
@@ -361,10 +424,6 @@ def _new_state(workload: WorkloadSet) -> SimState:
         events=events,
         machines=[Machine(spec=v) for v in workload.vms],
         vm_index={v.id: i for i, v in enumerate(workload.vms)},
-        series={
-            d: {p.user_id: p.series for p in workload.profiles if p.resource == d}
-            for d in RESOURCES
-        },
     )
 
 
@@ -414,6 +473,8 @@ def _complete_task(state: SimState, tid: int, now: float) -> None:
         exec_time=exec_time,
     )
     state.residency.append((vm_id, task.user_id, state.join_times[tid], now))
+    if len(state.records) == len(state.tasks):
+        state.index = None  # free the matrices; a set built after this builds it again
     machine.running = None
     count = machine.user_tasks[task.user_id] - 1
     if count:
@@ -480,11 +541,14 @@ def _residents(state: SimState, machine: Machine) -> ResidentSet:
     """The machine's resident set, rebuilt only when its resident users
     changed: _join and _complete_task count each user's tasks on the machine
     and flag it when a count crosses 0 <-> 1. A user who left and came back
-    between two reads keeps the set."""
+    between two reads keeps the set. A machine without resident users gets
+    _NO_RESIDENTS without reading the index."""
     if machine.users_changed:
         users = tuple(sorted(machine.user_tasks))
         if machine.residents is None or users != machine.residents.users:
-            machine.residents = ResidentSet.of_users(users, state.series)
+            machine.residents = (
+                ResidentSet.of_users(users, state.series_index()) if users else _NO_RESIDENTS
+            )
         machine.users_changed = False
     return machine.residents
 

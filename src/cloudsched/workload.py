@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -177,6 +178,8 @@ class WorkloadSet:
 
     Its DAG is checked by validate_dag when the set is built, so duplicate
     task ids, dangling edges and cycles are rejected then, not when it runs.
+    So are profiles of users without tasks, a second profile of one user
+    and resource, and profiles of one resource that differ in length.
     """
 
     vms: list[VmSpec]
@@ -194,6 +197,12 @@ class WorkloadSet:
             raise ConfigurationError(
                 f"profiles reference users with no tasks: {orphan}"
             )
+        # profile_map and the simulator's series index keep one series per
+        # (user, resource), so a second profile would be dropped silently.
+        counts = Counter((p.user_id, p.resource) for p in self.profiles)
+        for (user, d), count in counts.items():
+            if count > 1:
+                raise ConfigurationError(f"user {user} has {count} {d} profiles")
         # Co-resident series are summed slot by slot, so one resource's
         # profiles must share one length.
         for d in RESOURCES:

@@ -13,8 +13,10 @@ clamps by comparison, the unbuilt breakdown of total_reward, the copied
 action masks and the softmax that exponentiates only valid logits. The
 one-hot that policy_forward returns, without the network, for a mask with
 one valid action is pinned to the full pass, and so are its errors. Each
-resident set's one-pass build is pinned by its bytes to the per-resource
-sums it replaced: the totals that used_at reads and the pair sums."""
+resident set's one-pass build, gathered from the episode's series index, is
+pinned by its bytes to the per-resource sums it replaced: the totals that
+used_at reads and the pair sums, for single sets and through whole
+episodes."""
 
 import math
 from collections import Counter
@@ -736,7 +738,7 @@ def test_one_pass_resident_sets_equal_the_per_resource_formulas():
     dropped = {(u, d) for u in range(90) for d in RESOURCES if rng.random() < 0.1}
     profiles = [p for p in profiles if (p.user_id, p.resource) not in dropped]
     tasks = [Task(id=u, user_id=u) for u in range(90)]
-    index = init_state(WorkloadSet([vm(0)], DagWorkflow(tasks, []), profiles)).series
+    index = init_state(WorkloadSet([vm(0)], DagWorkflow(tasks, []), profiles)).series_index()
     pmap = {(p.user_id, p.resource): p.series for p in profiles}
     for _ in range(300):
         users = tuple(sorted(rng.choice(90, int(rng.integers(0, 31)), replace=False).tolist()))
@@ -760,7 +762,66 @@ def test_one_pass_resident_sets_equal_the_per_resource_formulas():
                 row[rng.random(lengths[d]) < 0.3] = rng.choice([0.0, -0.0])
                 rows.append(UsageProfile(0, d, row).series)
             series[d] = rows
-        assert_same_build(ResidentSet(series), series)
+        assert_same_build(ResidentSet.of(series), series)
+
+
+def profile_cases(rng):
+    """(name, profiles of users 0-19) for each kind of profile set that
+    groups the series index differently."""
+    users = range(20)
+    shared = generate_profiles(20, 48, 11, "diurnal", noise=0.05)
+    one_slot = [0.5] + [2.0 ** -54] * 19
+    return [
+        ("shared", shared),  # one group of three resources
+        ("missing", [p for p in shared if rng.random() < 0.7]),  # several groups
+        ("lengths", [UsageProfile(p.user_id, p.resource, p.series[:24]) if p.resource == "memory"
+                     else p for p in shared]),
+        ("one slot", [UsageProfile(u, "cpu", [one_slot[u]]) for u in users]
+         + [UsageProfile(u, "memory", [0.06]) for u in users]),
+        ("single", [p for p in shared if p.user_id == 0]),
+    ]
+
+
+def test_gathered_sets_equal_the_per_resource_formulas_through_episodes():
+    # Whole episodes of 40 tasks on one or two machines, stepped at random to
+    # the end, for each kind of profile set. Every set a machine builds is
+    # compared by bytes with the per-resource formulas on its users' series,
+    # its rows are the profiles' own read-only series, and a finished
+    # episode holds no series index.
+    rng = np.random.default_rng(2023)
+    for name, profiles in profile_cases(rng):
+        pmap = {(p.user_id, p.resource): p.series for p in profiles}
+        users = sorted({p.user_id for p in profiles})
+        largest = checked = 0
+        for episode in range(6):
+            tasks = [
+                Task(id=i, user_id=int(rng.choice(users)), length=float(rng.uniform(500.0, 4000.0)),
+                     arrival_time=float(rng.uniform(0.0, 6.0)))
+                for i in range(40)
+            ]
+            present = [p for p in profiles if p.user_id in {t.user_id for t in tasks}]
+            wl = WorkloadSet([vm(j) for j in range(1 + episode % 2)], DagWorkflow(tasks, []), present)
+            seen = {id(simulator._NO_RESIDENTS): simulator._NO_RESIDENTS}  # kept, so no id is reused
+            for state, _ in random_episode(rng, wl):
+                for machine in state.machines:
+                    residents = machine.residents
+                    if id(residents) in seen:
+                        continue
+                    seen[id(residents)] = residents
+                    series = {d: [pmap[(u, d)] for u in residents.users if (u, d) in pmap]
+                              for d in RESOURCES}
+                    assert_same_build(residents, series)
+                    for d, rows in series.items():
+                        assert len(residents[d]) == len(rows)
+                        assert all(x is y for x, y in zip(residents[d], rows))
+                    row = next(rows[0] for rows in residents.values() if rows)
+                    with pytest.raises(ValueError):
+                        row[0] = 1.0
+                    largest = max(largest, max(len(rows) for rows in series.values()))
+                    checked += 1
+            assert state.done and state.index is None, name
+        assert checked >= (5 if name == "single" else 50), name
+        assert largest >= {"one slot": 16, "single": 1}.get(name, 8), name
 
 
 def test_plain_mappings_build_as_resident_sets():

@@ -367,6 +367,26 @@ def test_profiles_for_unknown_users_rejected():
         WorkloadSet.from_tasks([vm(0)], [task(0, user_id=0)], [orphan])
 
 
+def test_duplicate_profiles_rejected():
+    # A second cpu profile for user 0 would replace the first in
+    # profile_map and in the stepper's series index, so it is refused,
+    # naming the user, the count and the resource. Other resources of the
+    # same user, and the same resource of another user, are fine.
+    tasks = [task(0, user_id=0), task(1, user_id=1)]
+    cpu = [UsageProfile(0, "cpu", [0.2, 0.4]), UsageProfile(1, "cpu", [0.1, 0.3])]
+    memory = UsageProfile(0, "memory", [0.5])
+    wl = WorkloadSet.from_tasks([vm(0)], tasks, cpu + [memory])
+    assert set(wl.profile_map()) == {(0, "cpu"), (1, "cpu"), (0, "memory")}
+    for extra, message in [
+        ([UsageProfile(0, "cpu", [0.9, 0.9])], "user 0 has 2 cpu profiles"),
+        ([memory, memory], "user 0 has 3 memory profiles"),
+        ([UsageProfile(1, "cpu", [0.1, 0.3])], "user 1 has 2 cpu profiles"),
+    ]:
+        with pytest.raises(ConfigurationError) as err:
+            WorkloadSet.from_tasks([vm(0)], tasks, cpu + [memory] + extra)
+        assert str(err.value) == message
+
+
 def test_save_load_roundtrip(tmp_path):
     tasks = [task(i, length=1000.0 + i / 3, user_id=i % 2, deadline=50.0 + i) for i in range(4)]
     tasks[1] = task(1, length=0.1 + 0.2, user_id=1)
@@ -438,6 +458,13 @@ _TASK = {"id": 0}
         ),
         ({"vms": [{"id": 0, "memory": 256.0}], "tasks": [_TASK]}, "unknown key 'memory' in workload file.vms[0]"),
         ({"vms": [{"id": 0, "storage": 10.0}], "tasks": [_TASK]}, "unknown key 'storage' in workload file.vms[0]"),
+        (
+            {"vms": [_VM], "tasks": [_TASK],
+             "profiles": [{"user_id": 0, "resource": "cpu", "series": [0.5] * 24},
+                          {"user_id": 0, "resource": "memory", "series": [0.5]},
+                          {"user_id": 0, "resource": "cpu", "series": [0.25] * 24}]},
+            "user 0 has 2 cpu profiles",
+        ),
     ],
 )
 def test_malformed_workload_fails_naming_its_field(tmp_path, doc, path):
