@@ -25,6 +25,11 @@ Each figure is the median of --repeats runs (at least 5):
   gaaco_schedule call, with seed 1 and the default weights as the benchmark's
   search-dag workload calls them, on the layered DAG instance of
   `raw_dag_4x10_us` below, where every candidate is scored by the event walk.
+* `sa_dag_moves_per_s`, `sa_n100_moves_per_s`: one-task proposals per
+  second of annealing: steps_per_temp times the number of temperatures of
+  the default schedule, over the seconds of the very call that
+  `sa_dag_4x10_s` or `sa_n100_s` times (ROADMAP's "SA moves/s"). Both
+  instances have more than one machine, so every step proposes a move.
 * `colony_ants_per_s_<k>`: ants built per second by _construct_colony on
   the n = 200 cell (cell seed 1), over 10 colonies of k ants after one
   unmeasured colony, with the pheromone fixed at 1: k = 31 with beta 2 (the
@@ -174,6 +179,17 @@ def search_s(schedulers, name: str, wl, **kwargs) -> float:
     t0 = time.perf_counter()
     search(wl, **kwargs)
     return time.perf_counter() - t0
+
+
+def sa_moves(schedulers) -> int:
+    """Proposals of one sa_schedule call with the default parameters on an
+    instance of more than one machine: steps_per_temp per temperature."""
+    params = schedulers.DEFAULT_SA_PARAMS
+    temps, temp = 0, params.initial_temp
+    while temp > params.min_temp:
+        temps += 1
+        temp *= params.cooling_rate
+    return params.steps_per_temp * temps
 
 
 def colony_ants_per_s(bench, schedulers, ants: int, beta: float, colonies: int = 10) -> float:
@@ -385,6 +401,9 @@ def measure(src: str) -> dict[str, float]:
     results["raw_dag_4x10_us"] = scorer_us(sched, dag, "_raw_dag")
     for name in ("sa", "gaaco"):
         results[f"{name}_dag_4x10_s"] = search_s(sched, name, dag, seed=1)
+    moves = sa_moves(sched)
+    results["sa_dag_moves_per_s"] = moves / results["sa_dag_4x10_s"]
+    results["sa_n100_moves_per_s"] = moves / results["sa_n100_s"]
     return results
 
 

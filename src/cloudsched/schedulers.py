@@ -9,9 +9,11 @@ simulating: by an event walk or, without precedence edges, a per-machine
 recurrence. Both add flows and charges left to right in (arrival, id)
 order, as metrics does, so every score equals raw_qos(run_simulation(...))
 bit for bit, and so does annealing's re-walk of the two machine queues a
-move changes. Time and money are scaled by bounds read from the instance,
-so every search and seed on it minimizes one score, and the exhaustive
-oracle returns that score's exact minimizer.
+move changes. With edges, annealing walks each proposal in place on its
+plan, uncached; the other searches score through the evaluator's cache.
+Time and money are scaled by bounds read from the instance, so every search
+and seed on it minimizes one score, and the exhaustive oracle returns that
+score's exact minimizer.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InstanceTooLargeError
 from .metrics import QosWeights, RawQos, _qos_blend, _task_charge, qos_scores, raw_qos  # noqa: F401 (perfbench's tracer wraps qos_scores and raw_qos here)
-from .simulator import run_simulation, _service_times  # noqa: F401 (perfbench's tracer wraps run_simulation here)
+from .simulator import run_simulation, _service_times  # noqa: F401 (read here by perfbench: its tracer wraps run_simulation, and search-dag's probing_simulation swaps it)
 from .workload import WorkloadSet, validate_dag
 
 _TAU_FLOOR = 1e-3
@@ -173,6 +175,19 @@ class _Tables:
         keyed = sorted(zip(self._arrivals, self.task_ids, range(len(order))))
         self._arrival_order = [pos for _, _, pos in keyed]
         self._roots = [key for key in keyed if not self._indeg[key[2]]]
+        # The event walk's rows, built once: per position its transfer row,
+        # exec row and successors as (position, id) pairs; and in (arrival,
+        # id) order, the order of the sums, each position with its arrival,
+        # money row and deadline.
+        self._walk_rows = [
+            (tr_row, ex_row, [(s, self.task_ids[s]) for s in succs])
+            for tr_row, ex_row, succs in zip(self._transfer_tab, self._exec_tab, self._succ_pos)
+        ]
+        self._sum_rows = [
+            (pos, self._arrivals[pos], self._money_tab[pos], self._task_deadlines[pos])
+            for pos in self._arrival_order
+        ]
+        self._dl_total = len(ordered) - self._task_deadlines.count(None)
         self.eft_vec = self._plan_eft()
 
     def _plan_eft(self) -> tuple[int, ...]:
@@ -201,7 +216,7 @@ class _Tables:
     def assignment_of(self, vec: Sequence[int]) -> dict[int, int]:
         return {t: self.vm_ids[vec[i]] for i, t in enumerate(self.task_ids)}
 
-    def _raw_dag(self, vec: tuple[int, ...]) -> RawQos:
+    def _raw_dag(self, vec: Sequence[int]) -> RawQos:
         """raw_qos(run_simulation(...)) of the assignment, bit for bit, with
         or without edges, from an event walk instead of a simulation.
 
@@ -215,39 +230,37 @@ class _Tables:
         and money are then added left to right in (arrival, id) order, as
         metrics adds them, and reliability comes from exact counts.
         """
-        arrivals = self._arrivals
-        transfer, exec_tab = self._transfer_tab, self._exec_tab
-        succ_pos, task_ids = self._succ_pos, self.task_ids
+        walk_rows = self._walk_rows
+        pop, push = heapq.heappop, heapq.heappush
         free = [0.0] * len(self.vm_ids)
         remaining = self._indeg.copy()
-        ready = arrivals.copy()
+        ready = self._arrivals.copy()
         comps = [0.0] * len(vec)
         heap = self._roots.copy()
         while heap:
-            r, _, pos = heapq.heappop(heap)
+            r, _, pos = pop(heap)
             j = vec[pos]
             f = free[j]
-            start = r if r > f else f
-            comp = (start + transfer[pos][j]) + exec_tab[pos][j]
+            transfer, exec_row, succs = walk_rows[pos]
+            comp = ((r if r > f else f) + transfer[j]) + exec_row[j]
             free[j] = comps[pos] = comp
-            for s in succ_pos[pos]:
+            for s, tid in succs:
                 if comp > ready[s]:
                     ready[s] = comp
-                remaining[s] -= 1
-                if not remaining[s]:
-                    heapq.heappush(heap, (ready[s], task_ids[s], s))
+                left = remaining[s] - 1
+                remaining[s] = left
+                if not left:
+                    push(heap, (ready[s], tid, s))
         total_time = money = 0.0
-        dl_total = dl_met = 0
-        for pos in self._arrival_order:
+        dl_met = 0
+        for pos, a, money_row, d in self._sum_rows:
             comp = comps[pos]
-            total_time += comp - arrivals[pos]
-            money += self._money_tab[pos][vec[pos]]
-            d = self._task_deadlines[pos]
-            if d is not None:
-                dl_total += 1
-                if comp <= d:
-                    dl_met += 1
+            total_time += comp - a
+            money += money_row[vec[pos]]
+            if d is not None and comp <= d:
+                dl_met += 1
         n = len(vec)
+        dl_total = self._dl_total
         rel = dl_met / dl_total if dl_total else 1.0
         return RawQos(total_time / n, money / n, rel)
 
@@ -260,7 +273,6 @@ class _Evaluator(_Tables):
         super().__init__(workload)
         self.weights = weights
         self._cache: dict[tuple[int, ...], RawQos] = {}
-        self.evaluations = 0
         # Service times for ant construction, as a plain attribute: a
         # cached_property would slow every attribute load in the scoring loops.
         self._srv = np.array(self._transfer_tab) + np.array(self._exec_tab)
@@ -282,7 +294,7 @@ class _Evaluator(_Tables):
         self._t_span = max(t_hi - self._t_lo, 1e-12)
         self._c_span = max(c_hi - self._c_lo, 1e-12)
 
-    def _raw_fast(self, vec: tuple[int, ...]) -> RawQos:
+    def _raw_fast(self, vec: Sequence[int]) -> RawQos:
         """Per-machine FIFO recurrence; valid only without precedence edges."""
         free = [0.0] * len(self.vm_ids)
         total_time = 0.0
@@ -305,8 +317,8 @@ class _Evaluator(_Tables):
         rel = dl_met / dl_total if dl_total else 1.0
         return RawQos(total_time / n, money / n, rel)
 
-    def _raw_walk(self, vec: tuple[int, ...]) -> RawQos:
-        """The plan's raw metrics, uncached."""
+    def _raw_walk(self, vec: Sequence[int]) -> RawQos:
+        """The plan's raw metrics, uncached; vec may be a tuple or a list."""
         return self._raw_fast(vec) if self._fast else self._raw_dag(vec)
 
     def raw(self, vec: tuple[int, ...]) -> RawQos:
@@ -315,7 +327,6 @@ class _Evaluator(_Tables):
             return hit
         r = self._raw_walk(vec)
         self._cache[vec] = r
-        self.evaluations += 1
         return r
 
     def score(self, vec: tuple[int, ...]) -> float:
@@ -506,7 +517,7 @@ class _QueueMoves:
         self._money = [self._money_tab[pos][j] for pos, j in enumerate(self.vec)]
         self._flow_sums = list(itertools.accumulate(self._flows, initial=0.0))
         self._money_sums = list(itertools.accumulate(self._money, initial=0.0))
-        self._dl_total = n - self._due.count(None)
+        self._dl_total = ev._dl_total
         self._pending: tuple = ()
 
     def _walk(self, j, positions, before, f, flows, base):
@@ -586,23 +597,31 @@ class _QueueMoves:
 
 
 class _RescoredMoves:
-    """Annealing state that scores each proposal by a full evaluation
-    through the evaluator's cache: the path for instances with precedence
-    edges."""
+    """Annealing state on an instance with precedence edges, the plan kept
+    as a list. A proposal is scored in place: the move is written into the
+    plan, the plan is walked by the evaluator's event walk past its cache,
+    and the old machine is put back. Almost every proposal is a plan not
+    seen before, so caching them would store thousands of plans for a few
+    hits."""
 
     def __init__(self, ev: _Evaluator):
-        self._ev = ev
-        self.vec = ev.eft_vec
-        self._pending = ev.eft_vec
+        self._walk, self._blend = ev._raw_walk, ev._blend
+        self.vec = list(ev.eft_vec)
+        self._pending = (0, self.vec[0])
 
     def propose(self, pos: int, j1: int) -> float:
-        neighbor = list(self.vec)
-        neighbor[pos] = j1
-        self._pending = tuple(neighbor)
-        return self._ev.score(self._pending)
+        vec = self.vec
+        j0 = vec[pos]
+        vec[pos] = j1
+        r = self._walk(vec)
+        vec[pos] = j0
+        self._pending = (pos, j1)
+        return self._blend(r.time_cost, r.money_cost, r.reliability)
 
     def accept(self) -> None:
-        self.vec = self._pending
+        """Make the last proposal the current assignment."""
+        pos, j1 = self._pending
+        self.vec[pos] = j1
 
 
 def sa_schedule(

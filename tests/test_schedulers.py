@@ -513,6 +513,8 @@ def test_event_walk_equals_the_event_simulator_exactly(wl, seed):
         vec = tuple(int(v) for v in rng.integers(0, len(ev.vm_ids), len(ev.task_ids)))
         sim = simulated_raw(wl, ev.assignment_of(vec))
         assert ev.raw(vec) == ev._raw_dag(vec) == sim
+        # Annealing walks its plan in place, as a list.
+        assert ev._raw_dag(list(vec)) == ev._raw_walk(list(vec)) == sim
         if not wl.dag.edges:
             assert ev._raw_fast(vec) == sim
 
@@ -564,6 +566,45 @@ def test_searches_on_dags_choose_as_with_simulated_scoring(monkeypatch):
 # ---------------------------------------------------------------------------
 # SA
 # ---------------------------------------------------------------------------
+
+def test_dag_proposals_are_walked_in_place():
+    # A proposal writes its move into the plan, walks it and puts the old
+    # machine back; only accept keeps the move. Each score equals the
+    # evaluator's score of the moved plan.
+    wl = layered_dag_workload(5)
+    ev = _Evaluator(wl, QosWeights())
+    moves = schedulers._RescoredMoves(ev)
+    n, m = len(ev.task_ids), len(ev.vm_ids)
+    rng = np.random.default_rng(5)
+    plan = list(ev.eft_vec)
+    assert moves.vec == plan
+    for pos, shift, take in zip(
+        rng.integers(0, n, 200).tolist(), rng.integers(1, m, 200).tolist(), (rng.random(200) < 0.3).tolist()
+    ):
+        moved = plan.copy()
+        moved[pos] = (plan[pos] + shift) % m
+        assert moves.propose(pos, moved[pos]) == ev.score(tuple(moved))
+        assert moves.vec == plan
+        if take:
+            moves.accept()
+            plan = moved
+            assert moves.vec == plan
+
+
+def test_sa_on_a_dag_walks_its_proposals_past_the_cache(monkeypatch):
+    # The evaluator's cached raw() sees only the m one-machine plans of the
+    # bounds and the EFT seed; the proposals go straight to the walk.
+    raw = _Evaluator.raw
+    calls = []
+
+    def counting(ev, vec):
+        calls.append(vec)
+        return raw(ev, vec)
+
+    monkeypatch.setattr(_Evaluator, "raw", counting)
+    wl = layered_dag_workload(5)
+    sa_schedule(wl, params=FAST_SA, seed=3)
+    assert 0 < len(calls) <= len(wl.vms) + 1
 
 def test_downhill_moves_always_accepted():
     rng = np.random.default_rng(0)
