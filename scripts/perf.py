@@ -30,6 +30,12 @@ Each figure is the median of --repeats runs (at least 5):
   the default schedule, over the seconds of the very call that
   `sa_dag_4x10_s` or `sa_n100_s` times (ROADMAP's "SA moves/s"). Both
   instances have more than one machine, so every step proposes a move.
+* `gaaco_n200_walks`, `aco_n200_walks`, `gaaco_dag_4x10_walks`: the plans
+  one call of `gaaco_n200_s`, `aco_n200_s` or `gaaco_dag_4x10_s` walked,
+  counted as calls of _Evaluator._raw_fast and _Evaluator._raw_dag (the
+  bounds' one-machine plans included) in a call of its own, untimed. The
+  counts show that a change to the evaluator or to a search's bookkeeping
+  leaves the work done as it was.
 * `colony_ants_per_s_<k>`: ants built per second by _construct_colony on
   the n = 200 cell (cell seed 1), over 10 colonies of k ants after one
   unmeasured colony, with the pheromone fixed at 1: k = 31 with beta 2 (the
@@ -166,11 +172,19 @@ def steps_per_s(pol, rw, workloads) -> float:
     return steps / spent
 
 
+def default_cell(bench, name: str, n: int) -> tuple:
+    """The default config's cell (n, seed 1) and the keyword arguments with
+    which `bench run` calls <name>_schedule on it."""
+    config = bench.default_config()
+    return bench.build_cell_workload(config, n, 1), {
+        "seed": bench.scheduler_seed(n, 1, name), "weights": config.weights,
+    }
+
+
 def cell_s(bench, schedulers, name: str, n: int) -> float:
     """One <name>_schedule call on the default config's cell (n, seed 1)."""
-    config = bench.default_config()
-    wl = bench.build_cell_workload(config, n, 1)
-    return search_s(schedulers, name, wl, seed=bench.scheduler_seed(n, 1, name), weights=config.weights)
+    wl, kwargs = default_cell(bench, name, n)
+    return search_s(schedulers, name, wl, **kwargs)
 
 
 def search_s(schedulers, name: str, wl, **kwargs) -> float:
@@ -179,6 +193,30 @@ def search_s(schedulers, name: str, wl, **kwargs) -> float:
     t0 = time.perf_counter()
     search(wl, **kwargs)
     return time.perf_counter() - t0
+
+
+def walks(schedulers, name: str, wl, **kwargs) -> int:
+    """Calls of _Evaluator._raw_fast and _Evaluator._raw_dag in one
+    <name>_schedule call on wl; the scorers are put back afterwards."""
+    ev_class = schedulers._Evaluator
+    kept = {attr: getattr(ev_class, attr) for attr in ("_raw_fast", "_raw_dag")}
+    calls = 0
+
+    def counting(walk):
+        def counted(ev, vec):
+            nonlocal calls
+            calls += 1
+            return walk(ev, vec)
+        return counted
+
+    for attr, walk in kept.items():
+        setattr(ev_class, attr, counting(walk))
+    try:
+        getattr(schedulers, f"{name}_schedule")(wl, **kwargs)
+    finally:
+        for attr, walk in kept.items():
+            setattr(ev_class, attr, walk)
+    return calls
 
 
 def sa_moves(schedulers) -> int:
@@ -404,6 +442,10 @@ def measure(src: str) -> dict[str, float]:
     moves = sa_moves(sched)
     results["sa_dag_moves_per_s"] = moves / results["sa_dag_4x10_s"]
     results["sa_n100_moves_per_s"] = moves / results["sa_n100_s"]
+    for name in ("gaaco", "aco"):
+        wl, kwargs = default_cell(bench, name, 200)
+        results[f"{name}_n200_walks"] = walks(sched, name, wl, **kwargs)
+    results["gaaco_dag_4x10_walks"] = walks(sched, "gaaco", dag, seed=1)
     return results
 
 

@@ -28,10 +28,10 @@ from .metrics import QosWeights, load_rate, machine_usage_totals, qos_scores, ra
 from .policy import (
     SchedulingEnv,
     TrainConfig,
+    _rollout,
     evaluate_policy,
     load_policy,
     observation_size,
-    policy_forward,
     save_policy,
     train,
 )
@@ -362,18 +362,14 @@ def _check_policy_fit(config: ExperimentConfig) -> None:
 
 
 def _policy_trace(spec: SchedulerSpec, config: ExperimentConfig, workload: WorkloadSet):
-    theta = load_policy(spec.policy_file)
     env = SchedulingEnv(
         workload,
         RewardConfig(k_u=0.0, resources=()),
         lookahead=config.train.lookahead,
         ready_slots=config.train.ready_slots,
     )
-    obs, mask = env.reset()
-    done = env.state.done
-    while not done:
-        probs = policy_forward(theta, obs, mask)
-        obs, mask, _, done = env.step(int(np.argmax(probs)))
+    # A greedy rollout never reads its generator.
+    _rollout(env, load_policy(spec.policy_file), np.random.default_rng(0), episode_seed=0, greedy=True)
     if not env.state.done:  # stopped at the step cap
         raise SimulationError(f"incomplete {len(env.state.records)}/{len(workload.tasks)}")
     return env.trace()
@@ -390,9 +386,8 @@ def _cell_trace(spec: SchedulerSpec, config: ExperimentConfig, workload: Workloa
         return run_simulation(
             workload, search(workload, params=params, seed=seed, weights=config.weights)
         )
-    if spec.algorithm == "policy":
-        return _policy_trace(spec, config, workload)
-    raise ConfigurationError(f"unknown algorithm {spec.algorithm!r}")
+    # SchedulerSpec admits no other algorithm.
+    return _policy_trace(spec, config, workload)
 
 
 def run_cell_group(config: ExperimentConfig, task_count: int, seed: int) -> list[dict[str, Any]]:

@@ -10,10 +10,11 @@ recurrence. Both add flows and charges left to right in (arrival, id)
 order, as metrics does, so every score equals raw_qos(run_simulation(...))
 bit for bit, and so does annealing's re-walk of the two machine queues a
 move changes. With edges, annealing walks each proposal in place on its
-plan, uncached; the other searches score through the evaluator's cache.
-Time and money are scaled by bounds read from the instance, so every search
-and seed on it minimizes one score, and the exhaustive oracle returns that
-score's exact minimizer.
+plan. The evaluator keeps no plans: each search keeps the scores it
+computed, and gaaco, whose candidates repeat across generations, scores
+each distinct plan once. Time and money are scaled by bounds read from the
+instance, so every search and seed on it minimizes one score, and the
+exhaustive oracle returns that score's exact minimizer.
 """
 
 from __future__ import annotations
@@ -266,13 +267,13 @@ class _Tables:
 
 
 class _Evaluator(_Tables):
-    """Caches candidate evaluations and scores them against bounds read from
-    the instance (Marler and Arora, Struct. Multidisc. Optim. 2004)."""
+    """Scores plans against bounds read from the instance (Marler and Arora,
+    Struct. Multidisc. Optim. 2004). It holds no per-plan state: every
+    score is a fresh walk."""
 
     def __init__(self, workload: WorkloadSet, weights: QosWeights):
         super().__init__(workload)
         self.weights = weights
-        self._cache: dict[tuple[int, ...], RawQos] = {}
         # Service times for ant construction, as a plain attribute: a
         # cached_property would slow every attribute load in the scoring loops.
         self._srv = np.array(self._transfer_tab) + np.array(self._exec_tab)
@@ -317,19 +318,11 @@ class _Evaluator(_Tables):
         rel = dl_met / dl_total if dl_total else 1.0
         return RawQos(total_time / n, money / n, rel)
 
-    def _raw_walk(self, vec: Sequence[int]) -> RawQos:
-        """The plan's raw metrics, uncached; vec may be a tuple or a list."""
+    def raw(self, vec: Sequence[int]) -> RawQos:
+        """The plan's raw metrics; vec may be a tuple or a list."""
         return self._raw_fast(vec) if self._fast else self._raw_dag(vec)
 
-    def raw(self, vec: tuple[int, ...]) -> RawQos:
-        hit = self._cache.get(vec)
-        if hit is not None:
-            return hit
-        r = self._raw_walk(vec)
-        self._cache[vec] = r
-        return r
-
-    def score(self, vec: tuple[int, ...]) -> float:
+    def score(self, vec: Sequence[int]) -> float:
         r = self.raw(vec)
         return self._blend(r.time_cost, r.money_cost, r.reliability)
 
@@ -449,8 +442,9 @@ def aco_schedule(
     for _ in range(params.iterations):
         tau_pow = np.float_power(tau, params.alpha)
         colony = _construct_colony(ev, tau_pow, params.beta, rng, params.ants)
-        iter_best_vec = min(colony, key=ev.score)
-        iter_best_score = ev.score(iter_best_vec)
+        scores = [ev.score(vec) for vec in colony]
+        i = min(range(len(colony)), key=scores.__getitem__)
+        iter_best_vec, iter_best_score = colony[i], scores[i]
         if iter_best_score < best_score:
             best_vec, best_score = iter_best_vec, iter_best_score
         tau *= 1.0 - params.rho
@@ -599,13 +593,10 @@ class _QueueMoves:
 class _RescoredMoves:
     """Annealing state on an instance with precedence edges, the plan kept
     as a list. A proposal is scored in place: the move is written into the
-    plan, the plan is walked by the evaluator's event walk past its cache,
-    and the old machine is put back. Almost every proposal is a plan not
-    seen before, so caching them would store thousands of plans for a few
-    hits."""
+    plan, the evaluator scores the plan, and the old machine is put back."""
 
     def __init__(self, ev: _Evaluator):
-        self._walk, self._blend = ev._raw_walk, ev._blend
+        self._score = ev.score
         self.vec = list(ev.eft_vec)
         self._pending = (0, self.vec[0])
 
@@ -613,10 +604,10 @@ class _RescoredMoves:
         vec = self.vec
         j0 = vec[pos]
         vec[pos] = j1
-        r = self._walk(vec)
+        score = self._score(vec)
         vec[pos] = j0
         self._pending = (pos, j1)
-        return self._blend(r.time_cost, r.money_cost, r.reliability)
+        return score
 
     def accept(self) -> None:
         """Make the last proposal the current assignment."""
@@ -690,6 +681,11 @@ def gaaco_schedule(
     decays from pm to pm/4. The best assignment of the whole run is returned;
     elitism makes the per-generation best score nonincreasing.
 
+    Candidates repeat: the elite, children equal to a parent, ants that
+    rebuild a plan of the same or an earlier generation. gaaco scores each
+    distinct plan once per run, and the population carries its scores from
+    the generation that kept it.
+
     The generator's draws, in stream order: pop_size - 1 random chromosomes
     (rng.integers(0, m, n) each), then each generation, for its children:
     - the tournament pairs, rng.integers(0, pop_size, (pop_size - 1, 2, 2)):
@@ -709,8 +705,17 @@ def gaaco_schedule(
     # genetic phase starts from a competent placement instead of pure noise.
     pop = [ev.eft_vec] + [tuple(int(v) for v in rng.integers(0, m, n)) for _ in range(pop_size - 1)]
     tau = np.ones((n, m))
-    best_vec = min(pop, key=ev.score)
-    best_score = ev.score(best_vec)
+    memo: dict[tuple[int, ...], float] = {}
+
+    def score(vec: tuple[int, ...]) -> float:
+        s = memo.get(vec)
+        if s is None:
+            s = memo[vec] = ev.score(vec)
+        return s
+
+    scores = [score(v) for v in pop]
+    best = min(range(pop_size), key=scores.__getitem__)
+    best_vec, best_score = pop[best], scores[best]
     history: dict = {"best_scores": []}
 
     generations = params.evolution_num
@@ -721,11 +726,6 @@ def gaaco_schedule(
         alpha_g = params.alpha_max * (0.5 + 0.5 * progress)
         beta_g = params.beta_max * (0.5 + 0.5 * progress)
         rho_g = params.rho_max * (0.25 + 0.75 * progress)
-
-        scores = [ev.score(v) for v in pop]
-        gen_best = min(range(len(pop)), key=lambda i: scores[i])
-        if scores[gen_best] < best_score:
-            best_vec, best_score = pop[gen_best], scores[gen_best]
 
         # Genetic phase: elitist reproduction. A cut at n copies the first
         # parent, as a child that is not crossed over.
@@ -752,11 +752,12 @@ def gaaco_schedule(
         # Ant phase constructs candidates from the trails.
         ants = _construct_colony(ev, np.float_power(tau, alpha_g), beta_g, rng, params.m)
         merged = offspring + ants
-        merged_scores = [ev.score(v) for v in merged]
+        merged_scores = [score(v) for v in merged]
         keep = sorted(range(len(merged)), key=lambda i: (merged_scores[i], i))[:pop_size]
         pop = [merged[i] for i in keep]
-        if merged_scores[keep[0]] < best_score:
-            best_vec, best_score = merged[keep[0]], merged_scores[keep[0]]
+        scores = [merged_scores[i] for i in keep]
+        if scores[0] < best_score:
+            best_vec, best_score = pop[0], scores[0]
         history["best_scores"].append(best_score)
 
     assignment = ev.assignment_of(best_vec)
@@ -787,11 +788,4 @@ def brute_force_schedule(
             f"{m}^{n} = {combos} assignments exceeds the limit of {limit}"
         )
     ev = _Evaluator(workload, weights)
-
-    # Each plan is walked and blended past the evaluator's cache, which
-    # would otherwise hold all m ** n plans.
-    def score(vec: tuple[int, ...]) -> float:
-        r = ev._raw_walk(vec)
-        return ev._blend(r.time_cost, r.money_cost, r.reliability)
-
-    return ev.assignment_of(min(itertools.product(range(m), repeat=n), key=score))
+    return ev.assignment_of(min(itertools.product(range(m), repeat=n), key=ev.score))

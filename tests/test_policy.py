@@ -27,9 +27,9 @@ from cloudsched.policy import (
     train,
     valid_actions,
 )
-from cloudsched.rewards import RewardConfig, total_reward
+from cloudsched.rewards import RewardConfig, reward_breakdown, total_reward
 from cloudsched.simulator import init_state, step
-from cloudsched.workload import TaskGenParams, UsageProfile, WorkloadSet, generate_tasks
+from cloudsched.workload import RESOURCES, TaskGenParams, UsageProfile, WorkloadSet, generate_tasks
 
 from helpers import task, vm
 
@@ -431,6 +431,40 @@ def test_a_reward_without_resources_equals_the_snapshot_reward():
             assert len(inputs.machines) == 2 and reward == total_reward(inputs, config)
             fired += len(inputs.new_overuse)
     assert fired > 0
+
+
+@pytest.mark.parametrize(
+    "config", [RewardConfig(), RewardConfig(resources=())], ids=["snapshot", "no-resources"]
+)
+def test_env_rewards_equal_the_stepper_rewards_on_competing_users(config):
+    # The rewards training reads: with resources on, the env takes the
+    # stepper's snapshot; with none, it skips it. Either way each reward
+    # equals total_reward of a twin state stepped alone, with ==, on users
+    # whose profiles share machines, so competition and overuse both fire.
+    vms = [vm(0), vm(1, mips=500.0)]
+    params = TaskGenParams(length_range=(500.0, 3000.0), mean_interarrival=0.5, n_users=4)
+    series = np.random.default_rng(3).uniform(0.1, 0.6, (4, len(RESOURCES), 24))
+    profiles = [UsageProfile(u, d, series[u, i]) for u in range(4) for i, d in enumerate(RESOURCES)]
+
+    def source(seed):
+        return WorkloadSet.from_tasks(vms, generate_tasks(12, seed=seed, params=params), profiles)
+
+    env = SchedulingEnv(source, config, lookahead=3, ready_slots=3)
+    rng = np.random.default_rng(9)
+    competed = fired = 0
+    for seed in range(4):
+        env.reset(seed=seed)
+        twin = init_state(env.state.workload)
+        done = False
+        while not done:
+            choices = np.flatnonzero(valid_actions(env.state, env.ready_slots))
+            a = int(choices[rng.integers(len(choices))])
+            twin, inputs = step(twin, env.decode_action(a))
+            _, _, reward, done = env.step(a)
+            assert reward == total_reward(inputs, config)
+            competed += reward_breakdown(inputs, RewardConfig()).competition < 0
+            fired += len(inputs.new_overuse)
+    assert competed > 0 and fired > 0
 
 
 def test_divergent_training_is_reported():

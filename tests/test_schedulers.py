@@ -5,6 +5,7 @@ import gc
 import heapq
 import itertools
 import math
+import pickle
 import sys
 import weakref
 
@@ -514,7 +515,7 @@ def test_event_walk_equals_the_event_simulator_exactly(wl, seed):
         sim = simulated_raw(wl, ev.assignment_of(vec))
         assert ev.raw(vec) == ev._raw_dag(vec) == sim
         # Annealing walks its plan in place, as a list.
-        assert ev._raw_dag(list(vec)) == ev._raw_walk(list(vec)) == sim
+        assert ev._raw_dag(list(vec)) == ev.raw(list(vec)) == sim
         if not wl.dag.edges:
             assert ev._raw_fast(vec) == sim
 
@@ -590,21 +591,6 @@ def test_dag_proposals_are_walked_in_place():
             plan = moved
             assert moves.vec == plan
 
-
-def test_sa_on_a_dag_walks_its_proposals_past_the_cache(monkeypatch):
-    # The evaluator's cached raw() sees only the m one-machine plans of the
-    # bounds and the EFT seed; the proposals go straight to the walk.
-    raw = _Evaluator.raw
-    calls = []
-
-    def counting(ev, vec):
-        calls.append(vec)
-        return raw(ev, vec)
-
-    monkeypatch.setattr(_Evaluator, "raw", counting)
-    wl = layered_dag_workload(5)
-    sa_schedule(wl, params=FAST_SA, seed=3)
-    assert 0 < len(calls) <= len(wl.vms) + 1
 
 def test_downhill_moves_always_accepted():
     rng = np.random.default_rng(0)
@@ -794,7 +780,9 @@ def reference_gaaco(workload, params, seed, weights=QosWeights()):
     """The GA-ACO hybrid with scalar loops and sequential reference ants,
     drawing as gaaco_schedule documents: each generation the tournament
     pairs, then (n > 1) the crossover uniforms and the cuts, then per child
-    a mutation mask and its hit genes' machines; kept as its oracle.
+    a mutation mask and its hit genes' machines; kept as its oracle. Each
+    distinct plan is scored once, the first time it is seen, and the
+    population carries the scores of the generation that kept it.
     Returns (assignment, history)."""
     rng = np.random.default_rng(seed)
     ev = _Evaluator(workload, weights)
@@ -802,8 +790,15 @@ def reference_gaaco(workload, params, seed, weights=QosWeights()):
     size = params.population
     pop = [ev.eft_vec] + [tuple(int(v) for v in rng.integers(0, m, n)) for _ in range(size - 1)]
     tau = np.ones((n, m))
-    best = min(pop, key=ev.score)
-    best_score = ev.score(best)
+    known = {}
+    for vec in pop:
+        if vec not in known:
+            known[vec] = ev.score(vec)
+    scores = [known[vec] for vec in pop]
+    best, best_score = pop[0], scores[0]
+    for vec, score in zip(pop, scores):
+        if score < best_score:
+            best, best_score = vec, score
     history = {"best_scores": []}
     generations = params.evolution_num
     for g in range(generations):
@@ -812,10 +807,6 @@ def reference_gaaco(workload, params, seed, weights=QosWeights()):
         alpha_g = params.alpha_max * (0.5 + 0.5 * progress)
         beta_g = params.beta_max * (0.5 + 0.5 * progress)
         rho_g = params.rho_max * (0.25 + 0.75 * progress)
-        scores = [ev.score(v) for v in pop]
-        for vec, score in zip(pop, scores):
-            if score < best_score:
-                best, best_score = vec, score
         pairs = rng.integers(0, size, (size - 1, 2, 2))
         if n > 1:
             crossing = rng.random(size - 1)
@@ -838,11 +829,15 @@ def reference_gaaco(workload, params, seed, weights=QosWeights()):
         np.clip(tau, schedulers._TAU_FLOOR, schedulers._TAU_CEIL, out=tau)
         tau_pow = np.float_power(tau, alpha_g)
         merged = offspring + [_reference_ant(ev, tau_pow, beta_g, rng) for _ in range(params.m)]
-        merged_scores = [ev.score(v) for v in merged]
+        for vec in merged:
+            if vec not in known:
+                known[vec] = ev.score(vec)
+        merged_scores = [known[vec] for vec in merged]
         keep = sorted(range(len(merged)), key=lambda i: (merged_scores[i], i))[:size]
         pop = [merged[i] for i in keep]
-        if merged_scores[keep[0]] < best_score:
-            best, best_score = merged[keep[0]], merged_scores[keep[0]]
+        scores = [merged_scores[i] for i in keep]
+        if scores[0] < best_score:
+            best, best_score = pop[0], scores[0]
         history["best_scores"].append(best_score)
     return ev.assignment_of(best), history
 
@@ -959,9 +954,10 @@ def test_evaluator_bounds_and_scores_come_from_the_instance(wl):
 
 @pytest.mark.parametrize("wl", [ORACLE_WL, layered_dag_workload(5)], ids=["independent", "dag"])
 def test_an_evaluator_is_freed_when_its_search_drops_it(wl):
-    # An evaluator holds every plan its search scored. A reference cycle
-    # through it would keep that cache alive after the search returns, until
-    # the cycle collector runs, and raise the peak memory of a sweep.
+    # An evaluator holds an instance's tables, about n * m floats each. A
+    # reference cycle through it would keep them alive after the search
+    # returns, until the cycle collector runs, and raise the peak memory of
+    # a sweep.
     ev = _Evaluator(wl, QosWeights())
     ev.score(ev.eft_vec)
     freed = weakref.ref(ev)
@@ -997,15 +993,39 @@ def test_a_plan_scores_the_same_in_every_search_and_seed(monkeypatch):
     assert all(s == fresh.score(vec) for vec, s in scored)
 
 
+@pytest.mark.parametrize("wl", [contested_workload(20, 2), layered_dag_workload(5)], ids=["independent", "dag"])
+def test_each_search_scores_a_plan_once_on_a_stateless_evaluator(monkeypatch, wl):
+    # Scoring leaves the evaluator as it was; aco scores each ant once, and
+    # gaaco, the one search that remembers plans, never scores a plan twice.
+    ev = _Evaluator(wl, QosWeights())
+    before = pickle.dumps(vars(ev))
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        ev.score(tuple(rng.integers(0, len(ev.vm_ids), len(ev.task_ids)).tolist()))
+    assert pickle.dumps(vars(ev)) == before
+    scored = []
+    score = _Evaluator.score
+
+    def recording_score(ev, vec):
+        scored.append(tuple(vec))
+        return score(ev, vec)
+
+    monkeypatch.setattr(_Evaluator, "score", recording_score)
+    aco_schedule(wl, params=FAST_ACO, seed=4)
+    assert len(scored) == FAST_ACO.ants * FAST_ACO.iterations
+    scored.clear()
+    gaaco_schedule(wl, params=FAST_GAACO, seed=4)
+    assert len(scored) == len(set(scored)) > FAST_GAACO.population
+
+
 # ---------------------------------------------------------------------------
 # Brute force
 # ---------------------------------------------------------------------------
 
-def test_brute_force_returns_the_first_minimizer_of_the_search_score(monkeypatch):
+def test_brute_force_returns_the_first_minimizer_of_the_search_score():
     # The oracle must return the first plan, in lexicographic vector order,
     # of those whose simulated metrics score lowest against the instance's
-    # bounds. It scores every plan past the evaluator's cache, which then
-    # holds only the one-machine plans that set the time bound.
+    # bounds.
     tiers = [VmSpec(id=j, mips=500.0 + 250.0 * j, instr_cost_rate=0.004 * (1 + j)) for j in range(4)]
     params = TaskGenParams(arrival_pattern="poisson", deadline_slack_range=(4.0, 12.0))
     instances = [
@@ -1020,14 +1040,6 @@ def test_brute_force_returns_the_first_minimizer_of_the_search_score(monkeypatch
     # Tasks that never queue, on identical machines: every plan ties.
     tie = WorkloadSet.from_tasks([vm(0), vm(1)], [task(i, arrival=10.0 * i) for i in range(3)])
     instances.append((tie, QosWeights()))
-    cached = []
-    raw = _Evaluator.raw
-
-    def recording_raw(ev, vec):
-        cached.append(vec)
-        return raw(ev, vec)
-
-    monkeypatch.setattr(_Evaluator, "raw", recording_raw)
     for wl, weights in instances:
         ev = _Evaluator(wl, weights)
         n, m = len(wl.tasks), len(wl.vms)
@@ -1036,9 +1048,7 @@ def test_brute_force_returns_the_first_minimizer_of_the_search_score(monkeypatch
         for vec in vecs:
             r = simulated_raw(wl, ev.assignment_of(vec))
             scores.append(ev._blend(r.time_cost, r.money_cost, r.reliability))
-        cached.clear()
         assert brute_force_schedule(wl, weights=weights) == ev.assignment_of(vecs[scores.index(min(scores))])
-        assert set(cached) <= {(j,) * n for j in range(m)}
     assert min(scores) == max(scores)
     assert brute_force_schedule(tie) == {0: 0, 1: 0, 2: 0}
 
