@@ -16,7 +16,7 @@ Each figure is the median of --repeats runs (at least 5):
   a 1e6 s idle gap on one VM that holds no resident, with a user's cpu
   profile loaded.
 * `sa_n<n>_s`: one sa_schedule call on the default config's cell of n
-  tasks, n = 10, 100, 1000, with cell seed 1 and that cell's scheduler seed
+  tasks, n = 10, 100, 200, 1000, with cell seed 1 and that cell's scheduler seed
   (bench.scheduler_seed), as `bench run` calls it.
 * `gaaco_n200_s`, `aco_n200_s`: the same for gaaco_schedule and
   aco_schedule on the n = 200 cell; `gaaco_n1000_s` for gaaco_schedule on
@@ -25,11 +25,14 @@ Each figure is the median of --repeats runs (at least 5):
   gaaco_schedule call, with seed 1 and the default weights as the benchmark's
   search-dag workload calls them, on the layered DAG instance of
   `raw_dag_4x10_us` below, where every candidate is scored by the event walk.
-* `sa_dag_moves_per_s`, `sa_n100_moves_per_s`: one-task proposals per
-  second of annealing: steps_per_temp times the number of temperatures of
-  the default schedule, over the seconds of the very call that
-  `sa_dag_4x10_s` or `sa_n100_s` times (ROADMAP's "SA moves/s"). Both
-  instances have more than one machine, so every step proposes a move.
+* `sa_dag_moves_per_s`, `sa_n100_moves_per_s`, `sa_n200_moves_per_s`:
+  one-task proposals per second of annealing: steps_per_temp times the
+  number of temperatures of the default schedule, over the seconds of the
+  very call that `sa_dag_4x10_s`, `sa_n100_s` or `sa_n200_s` times
+  (ROADMAP's "SA moves/s"). The benchmark's search-batch workload anneals
+  n = 200 cells, and a move re-adds the totals from its task on, so the
+  cost of a move grows with n. Every instance has more than one machine,
+  so every step proposes a move.
 * `gaaco_n200_walks`, `aco_n200_walks`, `gaaco_dag_4x10_walks`: the plans
   one call of `gaaco_n200_s`, `aco_n200_s` or `gaaco_dag_4x10_s` walked,
   counted as calls of _Evaluator._raw_fast and _Evaluator._raw_dag (the
@@ -455,7 +458,7 @@ def figures(src: str) -> dict[str, float]:
     results["noop_gap_1e6_s"] = noop_gap_s(sim, wk)
     for arrivals in ("batch", "poisson"):
         results[f"replay_100k_{arrivals}_tasks_per_s"] = replay_tasks_per_s(bench, sched, sim, wk, arrivals)
-    for n in (10, 100, 1000):
+    for n in (10, 100, 200, 1000):
         results[f"sa_n{n}_s"] = cell_s(bench, sched, "sa", n)
     for name in ("gaaco", "aco"):
         results[f"{name}_n200_s"] = cell_s(bench, sched, name, 200)
@@ -470,7 +473,8 @@ def figures(src: str) -> dict[str, float]:
         results[f"{name}_dag_4x10_s"] = search_s(sched, name, dag, seed=1)
     moves = sa_moves(sched)
     results["sa_dag_moves_per_s"] = moves / results["sa_dag_4x10_s"]
-    results["sa_n100_moves_per_s"] = moves / results["sa_n100_s"]
+    for n in (100, 200):
+        results[f"sa_n{n}_moves_per_s"] = moves / results[f"sa_n{n}_s"]
     for name in ("gaaco", "aco"):
         wl, kwargs = default_cell(bench, name, 200)
         results[f"{name}_n200_walks"] = walks(sched, name, wl, **kwargs)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -445,6 +444,8 @@ def run_experiment(
     _check_policy_fit(config)
     cells = [(config, n, s) for n in config.sweep.counts() for s in config.seeds]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept out of `import cloudsched`
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             groups = list(pool.map(_run_group_args, cells))
     else:

@@ -35,6 +35,7 @@ from .workload import WorkloadSet, validate_dag
 
 _TAU_FLOOR = 1e-3
 _TAU_CEIL = 1e3
+_ONE = np.array(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +278,14 @@ class _Evaluator(_Tables):
         # Service times for ant construction, as a plain attribute: a
         # cached_property would slow every attribute load in the scoring loops.
         self._srv = np.array(self._transfer_tab) + np.array(self._exec_tab)
+        self._colonies: dict[int, tuple] = {}  # _construct_colony's workspaces by ant count
         # Independent tasks admit a per-machine recurrence fused with the
         # sums in one pass; tasks with edges take the event walk. Both equal
         # the event simulation exactly.
         self._fast = not workload.dag.edges
+        self._fast_rows = list(zip(
+            self._arrivals, self._transfer_tab, self._exec_tab, self._money_tab, self._task_deadlines
+        ))
         n, m = len(self.task_ids), len(self.vm_ids)
         # Utopia and nadir bounds, each a mean added left to right in
         # (arrival, id) order as metrics adds: money from each task's cheapest
@@ -296,25 +301,23 @@ class _Evaluator(_Tables):
         self._c_span = max(c_hi - self._c_lo, 1e-12)
 
     def _raw_fast(self, vec: Sequence[int]) -> RawQos:
-        """Per-machine FIFO recurrence; valid only without precedence edges."""
+        """Per-machine FIFO recurrence; valid only without precedence edges.
+        One pass over the rows zipped in __init__, each task's arrival,
+        transfer, exec and money rows and deadline, in position order, which
+        without edges is (arrival, id) order."""
         free = [0.0] * len(self.vm_ids)
-        total_time = 0.0
-        money = 0.0
-        dl_total = dl_met = 0
-        for a, transfer, exec_row, money_row, d, j in zip(
-            self._arrivals, self._transfer_tab, self._exec_tab,
-            self._money_tab, self._task_deadlines, vec,
-        ):
+        total_time = money = 0.0
+        dl_met = 0
+        for (a, transfer, exec_row, money_row, d), j in zip(self._fast_rows, vec):
             f = free[j]
             comp = ((a if a > f else f) + transfer[j]) + exec_row[j]
             free[j] = comp
             total_time += comp - a
             money += money_row[j]
-            if d is not None:
-                dl_total += 1
-                if comp <= d:
-                    dl_met += 1
+            if d is not None and comp <= d:
+                dl_met += 1
         n = len(vec)
+        dl_total = self._dl_total
         rel = dl_met / dl_total if dl_total else 1.0
         return RawQos(total_time / n, money / n, rel)
 
@@ -348,14 +351,23 @@ def eft_schedule(workload: WorkloadSet) -> dict[int, int]:
 # Ant colony construction (shared by ACO and the hybrid)
 # ---------------------------------------------------------------------------
 
-def _columns(table: np.ndarray, ants: int):
-    """Each row of an (n, m) table as an (m, ants) block, broadcast 32 rows
-    at a time: ufuncs on equal shapes skip the broadcasting loop."""
-    buf = np.empty((32, table.shape[1], ants))
-    for lo in range(0, len(table), 32):
-        rows = table[lo:lo + 32]
-        np.copyto(buf[:len(rows)], rows[:, :, None])
-        yield from buf[:len(rows)]
+def _colony_workspace(ev: _Evaluator, ants: int) -> tuple:
+    """_construct_colony's buffers for `ants` ants on ev and each task's row
+    of views into them. Task i's srv, tau and cum are row i % 32 of 32-row
+    chunks, which the colony refills 32 tasks at a time."""
+    m, n = len(ev.vm_ids), len(ev.task_ids)
+    srv, tau, cum = np.empty((3, 32, m, ants))
+    free, start, w = np.empty((3, m, ants))
+    draws = np.empty((n, ants))
+    below = np.zeros((n, m + 1, ants), dtype=bool)
+    below[:, 0] = True
+    rows = [
+        (np.array(a), srv[i % 32], tau[i % 32], cum[i % 32], cum[i % 32, :-1], cum[i % 32, -1],
+         u, below[i, 1:m], below[i, :m], below[i, 1:])
+        for i, (a, u) in enumerate(zip(ev._arrivals, draws))
+    ]
+    chunks = [(slice(lo, lo + 32), rows[lo:lo + 32]) for lo in range(0, n, 32)]
+    return draws, below, chunks, srv, tau, cum, free, start, w, np.empty(ants), np.empty((m, ants), dtype=bool)
 
 
 def _construct_colony(
@@ -370,9 +382,9 @@ def _construct_colony(
 
     tau_pow is the pheromone matrix already raised to alpha. One uniform draw
     per (ant, task) drives roulette selection; a degenerate weight row falls
-    back to a uniform pick. All ants advance together, task by task, on
-    (machines x ants) buffers allocated once, each ufunc running over the
-    ants, and each ant equals one built alone with scalar arithmetic:
+    back to a uniform pick. All ants advance together, task by task, each
+    ufunc running over the ants on (machines x ants) buffers, and each ant
+    equals one built alone with scalar arithmetic:
     - rng.random((ants, n)) fills row-major: ant k draws what the k-th of
       `ants` sequential rng.random(n) calls would, and the stream ends alike.
     - A weight is tau * (1 / ((1 + start) + srv)) ** beta, the power by the C
@@ -383,42 +395,50 @@ def _construct_colony(
       row m False). Prefix sums never fall, so adjacent rows differ at the
       pick alone, the one-hot that updates the loads; the pick is the count
       of True rows 1..m-1.
+    The evaluator keeps one workspace per ant count, built on first use: the
+    draws, `below`, the loads, and srv, tau and cum as 32-task chunks, with
+    each task's views into them. A task costs 12 ufunc calls and no
+    allocation; its arrival, 1 and beta are 0-d arrays, which ufuncs take
+    without converting, and the loads take start + srv by a masked copy.
     A total outside (0, inf) needs the uniform pick and a NaN breaks the
-    monotone `below`, so totals are tested once per colony. If one fails, the
-    colony is rebuilt from empty loads on the same draws, replacing failing
-    picks as it goes; the first pass wrote only its own buffers, so this is
-    exactly the per-task fallback.
+    monotone `below`, so each chunk's totals are tested in cum after it. If
+    one fails, the colony is rebuilt from empty loads on the same draws,
+    replacing failing picks as it goes; the first pass wrote only its own
+    buffers, so this is exactly the per-task fallback.
     """
-    m, n = len(ev.vm_ids), len(ev.task_ids)
-    draws = rng.random((ants, n)).T
-    free, start, w, cum = (np.empty((m, ants)) for _ in range(4))
-    head, last = cum[:-1], cum[-1]
-    target, totals, pick = np.empty(ants), np.empty((n, ants)), np.empty((m, ants), dtype=bool)
-    below = np.zeros((n, m + 1, ants), dtype=bool)
-    below[:, 0] = True
+    ws = ev._colonies.get(ants)
+    if ws is None:
+        ws = ev._colonies[ants] = _colony_workspace(ev, ants)
+    draws, below, chunks, srv, tau, cum, free, start, w, target, pick = ws
+    m, n, beta = len(ev.vm_ids), len(ev.task_ids), np.array(beta)
+    np.copyto(draws, rng.random((ants, n)).T)
     for fallback in (False, True):
         free.fill(0.0)
-        for a, srv_col, tau_col, u, total, mid, lo, hi in zip(
-            ev._arrivals, _columns(ev._srv, ants), _columns(tau_pow, ants), draws, totals,
-            below[:, 1:m], below[:, :m], below[:, 1:],
-        ):
-            np.maximum(free, a, out=start)
-            np.add(1.0, start, out=w)
-            np.add(w, srv_col, out=w)
-            np.divide(1.0, w, out=w)
-            np.float_power(w, beta, out=w)
-            np.multiply(w, tau_col, out=w)
-            np.add.accumulate(w, axis=0, out=cum)
-            np.copyto(total, last)
-            np.multiply(u, last, out=target)
-            np.less_equal(head, target, out=mid)
-            if fallback:
-                bad = ~((0.0 < total) & (total < math.inf))
-                j = np.minimum((u[bad] * m).astype(np.intp), m - 1)
-                mid[:, bad] = np.arange(1, m)[:, None] <= j
-            np.not_equal(lo, hi, out=pick)
-            np.add(start, srv_col, out=free, where=pick)
-        if fallback or ((0.0 < totals) & (totals < math.inf)).all():
+        for at, rows in chunks:
+            k = len(rows)
+            np.copyto(srv[:k], ev._srv[at, :, None])
+            np.copyto(tau[:k], tau_pow[at, :, None])
+            for a, srv_col, tau_col, cum_row, head, last, u, mid, lo, hi in rows:
+                np.maximum(free, a, out=start)
+                np.add(_ONE, start, out=w)
+                np.add(w, srv_col, out=w)
+                np.divide(_ONE, w, out=w)
+                np.float_power(w, beta, out=w)
+                np.multiply(w, tau_col, out=w)
+                np.add.accumulate(w, axis=0, out=cum_row)
+                np.multiply(u, last, out=target)
+                np.less_equal(head, target, out=mid)
+                if fallback:
+                    bad = ~((0.0 < last) & (last < math.inf))
+                    j = np.minimum((u[bad] * m).astype(np.intp), m - 1)
+                    mid[:, bad] = np.arange(1, m)[:, None] <= j
+                np.not_equal(lo, hi, out=pick)
+                np.add(start, srv_col, out=w)
+                np.copyto(free, w, where=pick)
+            totals = cum[:k, -1]
+            if not (fallback or ((0.0 < totals) & (totals < math.inf)).all()):
+                break
+        else:
             return [tuple(vec) for vec in below[:, 1:m].sum(axis=1).T.tolist()]
 
 
@@ -482,12 +502,14 @@ class _QueueMoves:
     completions after it on j0 and from it on on j1, and on each machine
     only up to the first task whose completion comes out as before. Each
     machine keeps its positions in order with their completions; propose
-    re-walks the two tails with _raw_fast's recurrence, then re-adds the flow
-    and money totals left to right from pos onto the kept prefix sums, so
-    every total is the same chain of additions that _raw_fast makes. (Builtin
-    sum() compensates from Python 3.12 and np.add.reduce adds pairwise;
-    neither would give the same bits.) Deadlines met are an exact count,
-    adjusted by the tasks whose completions changed."""
+    re-walks the two tails with _raw_fast's recurrence, then builds the flow
+    and money prefix sums from pos on, left to right onto the kept prefix at
+    pos, and reads each total off its chain's end: the same chain of
+    additions that _raw_fast makes. (Builtin sum() compensates from Python
+    3.12 and np.add.reduce adds pairwise; neither would give the same bits.)
+    propose builds the chains, accept keeps them: it installs them in place
+    of the old ones by slice assignment, without adding again. Deadlines met
+    are an exact count, adjusted by the tasks whose completions changed."""
 
     def __init__(self, ev: _Evaluator):
         self._arrivals, self._transfer, self._exec = ev._arrivals, ev._transfer_tab, ev._exec_tab
@@ -563,20 +585,16 @@ class _QueueMoves:
         met += met1
         money = self._money[pos:]
         money[0] = self._money_tab[pos][j1]
-        total_time = self._flow_sums[pos]
-        for flow in flows:
-            total_time += flow
-        total_money = self._money_sums[pos]
-        for charge in money:
-            total_money += charge
-        self._pending = (pos, j0, j1, i0, i1, tail0, tail1, flows, money, met)
+        flow_sums = list(itertools.accumulate(flows, initial=self._flow_sums[pos]))
+        money_sums = list(itertools.accumulate(money, initial=self._money_sums[pos]))
+        self._pending = (pos, j0, j1, i0, i1, tail0, tail1, flows, money, flow_sums, money_sums, met)
         n = len(self.vec)
         dl_total = self._dl_total
-        return self._blend(total_time / n, total_money / n, met / dl_total if dl_total else 1.0)
+        return self._blend(flow_sums[-1] / n, money_sums[-1] / n, met / dl_total if dl_total else 1.0)
 
     def accept(self) -> None:
         """Make the last proposal the current assignment."""
-        pos, j0, j1, i0, i1, tail0, tail1, flows, money, met = self._pending
+        pos, j0, j1, i0, i1, tail0, tail1, flows, money, flow_sums, money_sums, met = self._pending
         self.vec[pos] = j1
         del self._queues[j0][i0]
         self._queues[j1].insert(i1, pos)
@@ -584,9 +602,8 @@ class _QueueMoves:
         self._comps[j1][i1:i1 + len(tail1) - 1] = tail1
         self._flows[pos:] = flows
         self._money[pos:] = money
-        # The same chains of additions as propose's totals, kept as prefixes.
-        self._flow_sums[pos:] = itertools.accumulate(flows, initial=self._flow_sums[pos])
-        self._money_sums[pos:] = itertools.accumulate(money, initial=self._money_sums[pos])
+        self._flow_sums[pos:] = flow_sums
+        self._money_sums[pos:] = money_sums
         self._dl_met = met
 
 

@@ -5,12 +5,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cloudsched
 from cloudsched.bench import (
     DELTA_COLUMNS,
     RESULT_COLUMNS,
@@ -628,3 +632,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
 def test_cli_without_command_prints_help(capsys):
     assert main([]) == 0
     assert "usage: bench" in capsys.readouterr().out
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # Only run_experiment with jobs > 1 starts worker processes, so it imports
+    # the pool itself: every `bench` start-up would otherwise load the
+    # multiprocessing modules for nothing.
+    code = (
+        "import sys, cloudsched; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cloudsched.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert run.stdout.strip() == "[]"

@@ -340,6 +340,30 @@ def test_colony_resolves_roulette_ties_on_the_exact_scalar_weights():
     assert got == [tuple(row) for row in expected.tolist()]
 
 
+def test_a_kept_colony_workspace_builds_as_a_fresh_one():
+    # The evaluator keeps one workspace per ant count across colonies. 70
+    # tasks fill two 32-task chunks and part of a third. The degenerate
+    # colonies fall back, one in the first chunk and one only in the second,
+    # so the first pass stops part way and leaves stale rows of `below` and
+    # cum behind; every colony after them, of either ant count, must still
+    # pick as on a fresh evaluator and draw the same.
+    wl = WorkloadSet.from_tasks([vm(j, mips=500.0 * (j + 1)) for j in range(4)], generate_tasks(70, 3))
+    kept = _Evaluator(wl, QosWeights())
+    rng = np.random.default_rng(1)
+    normal, early, late = (rng.uniform(0.1, 10.0, (70, 4)) for _ in range(3))
+    early[3] = 0.0
+    late[[40, 69]] = 0.0
+    late[35, 1] = math.inf
+    kept_rng, fresh_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for tau_pow, ants in [
+        (normal, 9), (normal, 5), (early, 9), (normal, 9), (late, 5), (normal, 5), (late, 9), (normal, 9),
+    ]:
+        got = _construct_colony(kept, tau_pow, 2.0, kept_rng, ants)
+        assert got == _construct_colony(_Evaluator(wl, QosWeights()), tau_pow, 2.0, fresh_rng, ants)
+        assert kept_rng.bit_generator.state == fresh_rng.bit_generator.state
+    assert sorted(kept._colonies) == [5, 9]
+
+
 def test_pheromone_powers_match_scalar_pow(monkeypatch):
     # The searches raise tau to alpha before each colony. Each power must be
     # Python's scalar t ** alpha, bit for bit, or the weights, and with them
@@ -380,6 +404,28 @@ def test_fast_evaluator_matches_the_event_simulator(wl, seed):
     rng = np.random.default_rng(seed)
     for _ in range(5):
         vec = tuple(int(v) for v in rng.integers(0, len(ev.vm_ids), len(ev.task_ids)))
+        assert ev._raw_fast(vec) == simulated_raw(wl, ev.assignment_of(vec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wl=independent_workloads(), data=st.data())
+def test_fast_evaluator_counts_only_the_deadlines_set(wl, data):
+    # independent_workloads sets deadlines on every task or on none. Here
+    # the first task has one, the second none, and the rest are drawn, so
+    # the count of deadlines _raw_fast takes from the tables and the
+    # deadlines it counts as met are both checked against the simulator.
+    n = len(wl.tasks)
+    has = [True, False] + data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    slack = data.draw(st.sampled_from([0.5, 2.0, 6.0, 20.0]))
+    tasks = [
+        dataclasses.replace(t, deadline=t.arrival_time + slack if keep else None)
+        for t, keep in zip(wl.tasks, has)
+    ]
+    wl = WorkloadSet.from_tasks(wl.vms, tasks)
+    ev = _Evaluator(wl, QosWeights())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(5):
+        vec = tuple(rng.integers(0, len(ev.vm_ids), n).tolist())
         assert ev._raw_fast(vec) == simulated_raw(wl, ev.assignment_of(vec))
 
 
