@@ -15,20 +15,22 @@ Each figure is the median of --repeats runs (at least 5):
 * `noop_gap_1e6_s`: one online no-op, simulator.step(state, None), across
   a 1e6 s idle gap on one VM that holds no resident, with a user's cpu
   profile loaded.
-* `sa_n<n>_s`: one sa_schedule call on the default config's cell of n
-  tasks, n = 10, 100, 200, 1000, with cell seed 1 and that cell's scheduler seed
-  (bench.scheduler_seed), as `bench run` calls it.
+* `sa_n<n>_s`: the seconds of one sa_schedule call on the default config's
+  cell of n tasks, n = 10, 100, 200, 1000, with cell seed 1 and that cell's
+  scheduler seed (bench.scheduler_seed), as `bench run` calls it. Each
+  search figure is the median of SEARCH_CALLS calls after one unmeasured
+  call, all in one process, so that one slow call does not set it.
 * `gaaco_n200_s`, `aco_n200_s`: the same for gaaco_schedule and
   aco_schedule on the n = 200 cell; `gaaco_n1000_s` for gaaco_schedule on
   the n = 1000 cell.
-* `sa_dag_4x10_s`, `gaaco_dag_4x10_s`: one sa_schedule and one
-  gaaco_schedule call, with seed 1 and the default weights as the benchmark's
+* `sa_dag_4x10_s`, `gaaco_dag_4x10_s`: the same for sa_schedule and
+  gaaco_schedule, with seed 1 and the default weights as the benchmark's
   search-dag workload calls them, on the layered DAG instance of
   `raw_dag_4x10_us` below, where every candidate is scored by the event walk.
 * `sa_dag_moves_per_s`, `sa_n100_moves_per_s`, `sa_n200_moves_per_s`:
   one-task proposals per second of annealing: steps_per_temp times the
-  number of temperatures of the default schedule, over the seconds of the
-  very call that `sa_dag_4x10_s`, `sa_n100_s` or `sa_n200_s` times
+  number of temperatures of the default schedule, over the seconds that
+  `sa_dag_4x10_s`, `sa_n100_s` or `sa_n200_s` reads
   (ROADMAP's "SA moves/s"). The benchmark's search-batch workload anneals
   n = 200 cells, and a move re-adds the totals from its task on, so the
   cost of a move grows with n. Every instance has more than one machine,
@@ -125,6 +127,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBE_SAMPLES = 5  # kernel samples taken before and again after the figures
+SEARCH_CALLS = 5  # timed calls behind each search figure
 SHAPES = ("flat", "diurnal", "spike")
 FLEET = ((1050.0, 1000.0), (1000.0, 1250.0), (950.0, 800.0), (900.0, 1000.0))  # (mips, bandwidth)
 
@@ -194,17 +197,22 @@ def default_cell(bench, name: str, n: int) -> tuple:
 
 
 def cell_s(bench, schedulers, name: str, n: int) -> float:
-    """One <name>_schedule call on the default config's cell (n, seed 1)."""
+    """search_s of <name>_schedule on the default config's cell (n, seed 1)."""
     wl, kwargs = default_cell(bench, name, n)
     return search_s(schedulers, name, wl, **kwargs)
 
 
 def search_s(schedulers, name: str, wl, **kwargs) -> float:
-    """Seconds of one <name>_schedule call on wl."""
+    """Median seconds of SEARCH_CALLS <name>_schedule calls on wl, after
+    one unmeasured call."""
     search = getattr(schedulers, f"{name}_schedule")
-    t0 = time.perf_counter()
     search(wl, **kwargs)
-    return time.perf_counter() - t0
+    spent = []
+    for _ in range(SEARCH_CALLS):
+        t0 = time.perf_counter()
+        search(wl, **kwargs)
+        spent.append(time.perf_counter() - t0)
+    return statistics.median(spent)
 
 
 def walks(schedulers, name: str, wl, **kwargs) -> int:

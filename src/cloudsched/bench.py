@@ -2,9 +2,10 @@
 
 One experiment crosses a task-count sweep with a set of seeds and a list of
 schedulers. Every scheduler inside one (task_count, seed) cell sees the
-identical workload; the blended quality score is pooled within that cell so
-the schedulers are normalized against each other. Output is a directory of
-CSV files plus a self-contained plotting script.
+identical workload, and every row's blended score scales time and money by
+bounds read from that workload, the score the searches minimize, so a row's
+score does not depend on which other schedulers ran. Output is a directory
+of CSV files plus a self-contained plotting script.
 
 Wall-clock timings go to a separate file (timings.csv) so results.csv stays
 byte-identical across reruns of the same configuration.
@@ -23,7 +24,8 @@ import numpy as np
 
 from .codec import decode, encode
 from .errors import ConfigurationError, SimulationError
-from .metrics import QosWeights, load_rate, machine_usage_totals, qos_scores, raw_qos
+from .metrics import QosWeights, load_rate, machine_usage_totals, raw_qos
+from .metrics import qos_scores  # noqa: F401 (perfbench's tracer wraps qos_scores here)
 from .policy import (
     SchedulingEnv,
     TrainConfig,
@@ -39,6 +41,7 @@ from .schedulers import (
     AcoParams,
     GaacoParams,
     SaParams,
+    _Evaluator,
     aco_schedule,
     eft_schedule,
     gaaco_schedule,
@@ -55,7 +58,7 @@ RESULT_COLUMNS = (
     "seed",
     "avg_time_cost",
     "avg_money_cost",
-    "multi_qos",
+    "score",
     "load_rate",
     "status",
 )
@@ -70,9 +73,9 @@ SUMMARY_COLUMNS = (
     "money_median",
     "money_mean",
     "money_std",
-    "qos_median",
-    "qos_mean",
-    "qos_std",
+    "score_median",
+    "score_mean",
+    "score_std",
     "load_median",
     "load_mean",
     "load_std",
@@ -82,7 +85,7 @@ DELTA_COLUMNS = ("metric", "task_count", "algorithm_a", "algorithm_b", "delta_pc
 _SUMMARY_METRICS = (
     ("time", "avg_time_cost"),
     ("money", "avg_money_cost"),
-    ("qos", "multi_qos"),
+    ("score", "score"),
     ("load", "load_rate"),
 )
 
@@ -390,11 +393,12 @@ def _cell_trace(spec: SchedulerSpec, config: ExperimentConfig, workload: Workloa
 
 
 def run_cell_group(config: ExperimentConfig, task_count: int, seed: int) -> list[dict[str, Any]]:
-    """All schedulers on one workload; quality scores pooled across them."""
+    """All schedulers on one workload, each row scored against the cell's
+    bounds: a search row's score is the one its search minimized."""
     workload = build_cell_workload(config, task_count, seed)
     deadlines = {t.id: t.deadline for t in workload.tasks if t.deadline is not None} or None
+    ev = _Evaluator(workload, config.weights)
     rows: list[dict[str, Any]] = []
-    traces: dict[str, Any] = {}
     for spec in config.schedulers:
         t0 = time.perf_counter()
         row: dict[str, Any] = {
@@ -403,7 +407,7 @@ def run_cell_group(config: ExperimentConfig, task_count: int, seed: int) -> list
             "seed": seed,
             "avg_time_cost": float("nan"),
             "avg_money_cost": float("nan"),
-            "multi_qos": float("nan"),
+            "score": float("nan"),
             "load_rate": float("nan"),
             "status": "ok",
         }
@@ -412,19 +416,12 @@ def run_cell_group(config: ExperimentConfig, task_count: int, seed: int) -> list
             raw = raw_qos(trace, workload.vms, deadlines)
             row["avg_time_cost"] = raw.time_cost
             row["avg_money_cost"] = raw.money_cost
+            row["score"] = ev._blend(raw.time_cost, raw.money_cost, raw.reliability)
             row["load_rate"] = load_rate(machine_usage_totals(trace))
-            traces[spec.name] = raw
         except Exception as exc:  # isolate the cell; the sweep must go on
             row["status"] = f"failed: {exc}"
         row["wall_clock_s"] = time.perf_counter() - t0
         rows.append(row)
-    if traces:
-        names = list(traces)
-        scores = qos_scores([traces[n] for n in names], config.weights)
-        by_name = dict(zip(names, scores))
-        for row in rows:
-            if row["algorithm"] in by_name:
-                row["multi_qos"] = by_name[row["algorithm"]]
     return rows
 
 
@@ -556,7 +553,7 @@ HERE = Path(__file__).resolve().parent
 PANELS = [
     ("avg_time_cost", "average time cost (s)"),
     ("avg_money_cost", "average money cost"),
-    ("multi_qos", "blended quality score"),
+    ("score", "blended score (lower is better)"),
     ("load_rate", "load imbalance"),
 ]
 

@@ -127,11 +127,13 @@ def _read_results(path: str) -> list[dict]:
         raise bad(str(exc)) from exc
     if not raw:
         raise ConfigurationError(f"{path} holds no rows")
+    if "score" not in reader.fieldnames and "multi_qos" in reader.fieldnames:
+        raise bad("no score column; multi_qos is the old pooled score, which summarize no longer reads")
     for column in RESULT_COLUMNS:
         if column not in reader.fieldnames:
             raise bad(f"no {column} column")
     numeric = {"task_count": int, "seed": int}
-    numeric.update(dict.fromkeys(("avg_time_cost", "avg_money_cost", "multi_qos", "load_rate"), float))
+    numeric.update(dict.fromkeys(("avg_time_cost", "avg_money_cost", "score", "load_rate"), float))
     rows = []
     for line, entry in raw:
         row = dict(entry)

@@ -157,13 +157,3 @@ def raw_qos(
         reliability=reliability(trace, deadlines),
     )
 
-
-def multi_qos(
-    traces: Sequence[SimTrace],
-    specs: Sequence[VmSpec] | Mapping[int, VmSpec],
-    weights: QosWeights,
-    deadlines: Mapping[int, float] | None = None,
-) -> list[float]:
-    """Blended score per trace, normalized within this pool of traces."""
-    raws = [raw_qos(t, specs, deadlines) for t in traces]
-    return qos_scores(raws, weights)

@@ -1,12 +1,9 @@
 """Small builders shared across test modules."""
 
-import itertools
 from collections import defaultdict
 
 import numpy as np
 
-from cloudsched.metrics import QosWeights, qos_scores, raw_qos
-from cloudsched.simulator import run_simulation
 from cloudsched.workload import Task, TaskGenParams, VmSpec, WorkloadSet, generate_tasks
 
 
@@ -64,27 +61,9 @@ def contested_workload(n, seed):
     return WorkloadSet.from_tasks(vms, generate_tasks(n, seed, params))
 
 
-def full_enumeration_raws(wl):
-    """RawQos of every possible assignment, in lexicographic vector order."""
-    vm_ids = [v.id for v in wl.vms]
-    ids = [t.id for t in sorted(wl.tasks, key=lambda t: (t.arrival_time, t.id))]
-    raws = []
-    for vec in itertools.product(range(len(vm_ids)), repeat=len(ids)):
-        assignment = {t: vm_ids[vec[i]] for i, t in enumerate(ids)}
-        raws.append(raw_qos(run_simulation(wl, assignment), wl.vms, None))
-    return raws
-
-
-def score_with_pool(raws, wl, assignment, weights=QosWeights()):
-    """Score one assignment inside the full-enumeration pool.
-
-    Returns (candidate score, best score over the enumeration). A scheduler
-    matches the oracle when the two agree within tolerance, and would beat it
-    only if the candidate scored strictly below the pool minimum.
-    """
-    cand = raw_qos(run_simulation(wl, assignment), wl.vms, None)
-    scores = qos_scores(list(raws) + [cand], weights)
-    return scores[-1], min(scores[:-1])
+def plan_score(ev, assignment):
+    """ev's score of an assignment given as task id -> machine id."""
+    return ev.score(tuple(ev.vm_ids.index(assignment[t]) for t in ev.task_ids))
 
 
 def random_dag_workload(rng, max_nodes=10):

@@ -30,6 +30,7 @@ from cloudsched.bench import (
     config_to_dict,
     default_config,
     load_config,
+    run_cell_group,
     run_experiment,
     run_training,
     scheduler_seed,
@@ -49,8 +50,18 @@ from cloudsched.policy import (
     save_policy,
 )
 from cloudsched.rewards import RewardConfig
-from cloudsched.schedulers import AcoParams, GaacoParams, SaParams
+from cloudsched.schedulers import (
+    AcoParams,
+    GaacoParams,
+    SaParams,
+    _Evaluator,
+    aco_schedule,
+    gaaco_schedule,
+    sa_schedule,
+)
 from cloudsched.workload import load_workload
+
+from helpers import plan_score
 
 FAST_SA_PARAMS = {
     "initial_temp": 0.02,
@@ -348,9 +359,41 @@ def test_failed_cells_are_isolated(tmp_path):
         f"failed: incomplete 0/{r['task_count']}" for r in failed
     ]
     assert len(failed) == 4
-    assert all(math.isnan(r["multi_qos"]) for r in failed)
+    assert all(math.isnan(r["score"]) for r in failed)
     others = [r for r in rows if r["algorithm"] != "policy"]
     assert all(r["status"] == "ok" for r in others)
+
+
+def test_cell_scores_do_not_depend_on_the_pool():
+    # On the default workload gaaco, sa and eft tie on time and money in
+    # every cell, so no pool could move their scores. Here they differ and
+    # aco's plan is the slowest, so a score normalized within the pool gave
+    # gaaco 0.132 with aco and 0.51 without it.
+    config = config_from_dict({"workload": {
+        "arrival_pattern": "poisson",
+        "length_range": [1000.0, 5000.0],
+        "deadline_slack_range": [4.0, 12.0],
+    }})
+    without_aco = dataclasses.replace(
+        config, schedulers=tuple(s for s in config.schedulers if s.name != "aco")
+    )
+    n, seed = 20, 1
+    rows = {r["algorithm"]: r for r in run_cell_group(config, n, seed)}
+    fewer = {r["algorithm"]: r for r in run_cell_group(without_aco, n, seed)}
+    assert sorted(fewer) == ["eft", "gaaco", "sa"]
+    assert {a: r["score"].hex() for a, r in fewer.items()} == {
+        a: rows[a]["score"].hex() for a in fewer
+    }
+    wl = build_cell_workload(config, n, seed)
+    ev = _Evaluator(wl, config.weights)
+    searches = {"gaaco": gaaco_schedule, "aco": aco_schedule, "sa": sa_schedule}
+    for spec in config.schedulers:
+        if spec.name in searches:
+            plan = searches[spec.name](
+                wl, params=spec.build_params(), seed=scheduler_seed(n, seed, spec.name),
+                weights=config.weights,
+            )
+            assert rows[spec.name]["score"] == plan_score(ev, plan)
 
 
 def test_missing_policy_file_is_rejected_before_any_cell(tmp_path):
@@ -390,7 +433,7 @@ def test_policy_that_does_not_fit_the_fleet_is_rejected_before_any_cell(tmp_path
 def test_summary_ignores_failed_rows(tiny_run):
     base = {
         "task_count": 10, "seed": 1, "avg_time_cost": 2.0,
-        "avg_money_cost": 1.0, "multi_qos": 0.5, "load_rate": 0.1,
+        "avg_money_cost": 1.0, "score": 0.5, "load_rate": 0.1,
     }
     rows = [
         dict(base, algorithm="a", status="ok"),
@@ -412,7 +455,7 @@ def make_row(algo, count, seed, time):
     return {
         "algorithm": algo, "task_count": count, "seed": seed,
         "avg_time_cost": time, "avg_money_cost": 1.0,
-        "multi_qos": 0.5, "load_rate": 0.1, "status": "ok",
+        "score": 0.5, "load_rate": 0.1, "status": "ok",
     }
 
 
@@ -513,7 +556,7 @@ def test_cli_show_params_with_a_subcommand_prints_and_exits(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-HEADER = "algorithm,task_count,seed,avg_time_cost,avg_money_cost,multi_qos,load_rate,status\n"
+HEADER = "algorithm,task_count,seed,avg_time_cost,avg_money_cost,score,load_rate,status\n"
 
 
 def bad_input_files(tmp_path):
@@ -532,6 +575,10 @@ def bad_input_files(tmp_path):
         "bad_seed": (
             tmp_path / "bad_seed.csv",
             (HEADER + "eft,3,1,1.0,2.0,0.5,0.1,ok\neft,3,x,1.0,2.0,0.5,0.1,ok\n").encode(),
+        ),
+        "old_pooled": (
+            tmp_path / "old_pooled.csv",
+            (HEADER.replace("score", "multi_qos") + "eft,3,1,1.0,2.0,0.5,0.1,ok\n").encode(),
         ),
         "huge_field": (tmp_path / "huge.csv", (HEADER + "eft,3,1,1.0,2.0,0.5,0.1," + "x" * 200_000).encode()),
         "bad_dims": (policy, b"cloudsched-policy 1\n2 2 x\n1 2 3 4\n1 2\n1 2 3 4\n1 2\n"),
@@ -557,6 +604,12 @@ def bad_input_files(tmp_path):
         "results",
         "line 3: seed 'x' is not a number",
         id="results-with-a-non-number",
+    ),
+    pytest.param(
+        ["summarize", "--results", "{old_pooled}", "--out", "{out}"],
+        "results",
+        "no score column; multi_qos is the old pooled score",
+        id="results-with-the-old-pooled-column",
     ),
     pytest.param(
         ["summarize", "--results", "{huge_field}", "--out", "{out}"],

@@ -12,7 +12,6 @@ from cloudsched.metrics import (
     load_rate,
     machine_usage_totals,
     money_cost,
-    multi_qos,
     qos_scores,
     raw_qos,
     reliability,
@@ -200,41 +199,8 @@ def test_usage_totals_follow_machine_order():
 
 
 # ---------------------------------------------------------------------------
-# multi_qos
+# qos_scores
 # ---------------------------------------------------------------------------
-
-def test_singleton_pool_reduces_to_reliability_term():
-    trace, wl = simulate([1000.0])
-    weights = QosWeights(time=0.5, cost=0.3, reliability=0.2)
-    scores = multi_qos([trace], wl.vms, weights)
-    assert scores == [pytest.approx(0.2 * (1.0 - 1.0))]
-
-
-def test_identical_traces_score_identically():
-    trace_a, wl = simulate([1000.0, 2000.0])
-    trace_b, _ = simulate([1000.0, 2000.0])
-    scores = multi_qos([trace_a, trace_b], wl.vms, QosWeights())
-    assert scores[0] == pytest.approx(scores[1])
-
-
-def test_reliability_only_weights_score_missed_fraction():
-    trace_a, wl = simulate([1000.0, 1000.0], n_vms=2, assignment={0: 0, 1: 1})
-    trace_b, _ = simulate([1000.0, 1000.0])  # same tasks, queued serially
-    weights = QosWeights(time=0.0, cost=0.0, reliability=1.0)
-    # A meets both deadlines, B meets half.
-    deadlines = {0: 1.5, 1: 1.5}
-    scores = multi_qos([trace_a, trace_b], wl.vms, weights, deadlines)
-    assert scores[0] == pytest.approx(0.0)
-    assert scores[1] == pytest.approx(0.5)
-
-
-def test_time_weight_orders_by_flow():
-    slow, _ = simulate([1000.0, 1000.0])
-    fast, wl = simulate([1000.0, 1000.0], n_vms=2, assignment={0: 0, 1: 1})
-    weights = QosWeights(time=1.0, cost=0.0, reliability=0.0)
-    scores = multi_qos([fast, slow], wl.vms, weights)
-    assert scores[0] == 0.0 and scores[1] == 1.0
-
 
 def test_qos_ranking_invariant_to_affine_rescaling():
     raws = [RawQos(10.0, 1.0, 1.0), RawQos(20.0, 2.0, 1.0), RawQos(15.0, 3.0, 1.0)]

@@ -43,6 +43,7 @@ from cloudsched.workload import (
 from helpers import (
     contested_workload,
     flat_workload,
+    plan_score,
     random_dag_workload,
     task,
     vm,
@@ -62,11 +63,6 @@ ORACLE_WL = WorkloadSet.from_tasks(
         Task(id=3, length=1500.0, input_size=80.0, output_size=20.0, arrival_time=1.5),
     ],
 )
-
-
-def plan_score(ev, assignment):
-    """ev's score of an assignment given as task id -> machine id."""
-    return ev.score(tuple(ev.vm_ids.index(assignment[t]) for t in ev.task_ids))
 
 
 FAST_GAACO = GaacoParams(evolution_num=30, population=8, m=12)
