@@ -14,7 +14,10 @@ Each figure is the median of --repeats runs (at least 5):
   policies nearly do.
 * `noop_gap_1e6_s`: one online no-op, simulator.step(state, None), across
   a 1e6 s idle gap on one VM that holds no resident, with a user's cpu
-  profile loaded.
+  profile loaded. step changes the state and returns the fresh overuse
+  pairs; it builds no per-machine reward snapshot. The `BENCH_*.json` files
+  written before it stopped doing so timed a step that built one for the
+  VM, so their figure includes that build.
 * `sa_n<n>_s`: the seconds of one sa_schedule call on the default config's
   cell of n tasks, n = 10, 100, 200, 1000, with cell seed 1 and that cell's
   scheduler seed (bench.scheduler_seed), as `bench run` calls it. Each

@@ -492,7 +492,9 @@ def summarize(rows: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
 
 
 def compute_deltas(summary: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
-    """Pairwise relative gaps: 100 * (mean_a - mean_b) / mean_b per metric."""
+    """Pairwise relative gaps: 100 * (mean_a - mean_b) / mean_b per metric,
+    nan where mean_b is not positive (a score at its lower bound can read a
+    rounding step below 0) or not finite."""
     algos = sorted({s["algorithm"] for s in summary})
     counts = sorted({s["task_count"] for s in summary})
     lookup = {(s["algorithm"], s["task_count"]): s for s in summary}
@@ -505,7 +507,7 @@ def compute_deltas(summary: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]
                         continue
                     row_a, row_b = lookup[(a, count)], lookup[(b, count)]
                     ma, mb = row_a[f"{label}_mean"], row_b[f"{label}_mean"]
-                    delta = 100.0 * (ma - mb) / mb if mb != 0 and np.isfinite(mb) else float("nan")
+                    delta = 100.0 * (ma - mb) / mb if mb > 0 and np.isfinite(mb) else float("nan")
                     out.append(
                         {
                             "metric": label,

@@ -1,6 +1,7 @@
 """Reward model for time-varying workloads, plus profile clustering tools.
 
-All four penalty terms are nonpositive:
+total_reward scores one online step from the simulator state it left and
+the overuse pairs it fired. All four penalty terms are nonpositive:
 
 * competition: co-resident workloads competing for the same resource on the
   same machine, scored by pairwise inner products of their demand series.
@@ -19,12 +20,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .simulator import MachineSnapshot, OveruseEvent, ResidentSet, RewardInputs, SimState, _residents
+from .simulator import OveruseEvent, SimState, _residents
 from .workload import RESOURCES, UsageProfile
 
 
@@ -58,44 +59,6 @@ class RewardConfig:
             raise ConfigurationError(f"resources lists {repeated} more than once")
 
 
-def competition_penalty(
-    machine_profiles: Sequence[Mapping[str, Sequence[np.ndarray]]],
-    config: RewardConfig,
-) -> float:
-    """Sum over machines and resources of pairwise series inner products.
-
-    machine_profiles holds, per machine, the demand series of the workloads
-    resident there keyed by resource. Series sharing a machine and resource
-    must have equal length. The pair sums come from ResidentSet.pair_sums,
-    which a stepper's machine keeps until its residents change, and are
-    added one by one in machine and resource order.
-    """
-    k_c, resources = config.k_c, config.resources
-    total = 0.0
-    for entry in machine_profiles:
-        if not isinstance(entry, ResidentSet):
-            entry = ResidentSet.of(entry)
-        for pair_sum in entry.pair_sums(resources):
-            total += k_c * pair_sum
-    return -total
-
-
-def utilization_penalty(
-    machines: Sequence[MachineSnapshot], config: RewardConfig
-) -> float:
-    """Penalize slack |1 - used|^k_u on in-use machines; idle ones are free."""
-    if config.k_u == 0:
-        return 0.0
-    total = 0.0
-    for snap in machines:
-        if not snap.in_use:
-            continue
-        for d in config.resources:
-            used = snap.used.get(d, 0.0)
-            total += abs(1.0 - used) ** config.k_u
-    return -total
-
-
 def overuse_penalty(
     events: Iterable[OveruseEvent | tuple[int, str]], config: RewardConfig
 ) -> float:
@@ -116,48 +79,20 @@ def wait_penalty(queue_len: int, config: RewardConfig) -> float:
     return -config.k_w * queue_len
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
-    competition: float
-    utilization: float
-    overuse: float
-    wait: float
-
-    @property
-    def total(self) -> float:
-        return self.competition + self.utilization + self.overuse + self.wait
-
-
-def reward_breakdown(inputs: RewardInputs, config: RewardConfig) -> RewardBreakdown:
-    """Score one step observation, keeping the components separable."""
-    return RewardBreakdown(
-        competition=competition_penalty(
-            [m.resident_profiles for m in inputs.machines], config
-        ),
-        utilization=utilization_penalty(inputs.machines, config),
-        overuse=overuse_penalty(inputs.new_overuse, config),
-        wait=wait_penalty(inputs.queue_len, config),
-    )
-
-
-def total_reward(inputs: RewardInputs, config: RewardConfig) -> float:
-    """reward_breakdown(inputs, config).total, added in the same order
-    without building the breakdown."""
-    return (
-        competition_penalty([m.resident_profiles for m in inputs.machines], config)
-        + utilization_penalty(inputs.machines, config)
-        + overuse_penalty(inputs.new_overuse, config)
-        + wait_penalty(inputs.queue_len, config)
-    )
-
-
-def step_reward(
+def total_reward(
     state: SimState, new_overuse: Sequence[tuple[int, str]], config: RewardConfig
 ) -> float:
-    """total_reward of simulator.step's inputs for the state and the step's
-    fresh overuse pairs, read from the machines without building the inputs
-    and summed in total_reward's order, so every bit is its. With no
-    resources no term reads a machine, and no resident set is built."""
+    """The reward of the step that left the state as it is and fired the
+    new_overuse pairs (simulator.step's result): competition + utilization
+    + overuse + wait, added in that order.
+
+    Competition adds k_c times each pair sum of every machine's resident
+    set, machine by machine and in the configured resources' order.
+    Utilization adds |1 - used|^k_u over the in-use machines and the
+    resources, used being the machine's summed resident demand at the
+    clock's slot. With no resources no term reads a machine, and no
+    resident set is built.
+    """
     k_c, k_u, resources = config.k_c, config.k_u, config.resources
     competition = utilization = 0.0
     if resources:

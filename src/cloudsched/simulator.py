@@ -27,12 +27,12 @@ queue at or before s and completes after s. A (machine, resource) pair
 fires an overuse event at the first sampled slot where its summed resident
 demand exceeds 1.0, each capacity being 1.0; the pair never fires again,
 so each machine keeps the resources that have not fired on it. Summed
-demand and the stepper's reward inputs are read from each machine's
-ResidentSet. Each machine counts its users' running and queued tasks as
-they join and complete, and its set is rebuilt only when its resident users
-change. A set gathers its users' series from the episode's SeriesIndex,
-which the state builds at the episode's first set and drops when its last
-task completes. The index holds one read-only (g, U, L) matrix for each
+demand, and the competition and utilization that rewards.total_reward
+charges each step, are read from each machine's ResidentSet. Each machine
+counts its users' running and queued tasks as they join and complete, and
+its set is rebuilt only when its resident users change. A set gathers its
+users' series from the episode's SeriesIndex, which the state builds at the
+episode's first set and drops when its last task completes. The index holds one read-only (g, U, L) matrix for each
 group of resources whose profiles cover the same users and share a length;
 one take of the set's users' rows gives the group's (g, k, L) stack, whose
 sum over the users gives both the summed demand and the competition
@@ -52,7 +52,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -148,23 +148,19 @@ class SeriesIndex:
 
     The resources whose series cover the same users and share one length
     form a group: (the group's resources, a read-only (g, U, L) matrix of
-    their series, a map from user to row of U). A resource whose series
-    differ in length, which only a plain mapping can give, is in no group;
-    it is ragged. series keeps the series themselves, by resource and user,
-    for the mapping view of each set.
+    their series, a map from user to row of U). WorkloadSet gives each
+    resource's profiles one length, so every resource with series is in
+    one group. resources keeps the order in which the series were given,
+    which each set's demand dict follows.
     """
 
     def __init__(self, series: Mapping[str, Mapping[int, np.ndarray]]):
-        self.series = series
-        ragged: list[str] = []
+        self.resources = tuple(series)
         shapes: dict[tuple[frozenset[int], int], list[str]] = {}
         for d, by_user in series.items():
-            lengths = {len(s) for s in by_user.values()}
-            if len(lengths) > 1:
-                ragged.append(d)
-            elif lengths:
-                shapes.setdefault((frozenset(by_user), lengths.pop()), []).append(d)
-        self.ragged = tuple(ragged)
+            if by_user:
+                length = len(next(iter(by_user.values())))
+                shapes.setdefault((frozenset(by_user), length), []).append(d)
         self.groups: list[tuple[tuple[str, ...], np.ndarray, dict[int, int]]] = []
         for names in shapes.values():
             users = list(series[names[0]])
@@ -173,11 +169,10 @@ class SeriesIndex:
             self.groups.append((tuple(names), matrix, {u: i for i, u in enumerate(users)}))
 
 
-class ResidentSet(Mapping):
+class ResidentSet:
     """The demand series of one machine's co-resident users, by resource.
 
-    A machine keeps its set, and every snapshot shares it, until its
-    resident users change, so the set is read-only, as profile series are.
+    A machine keeps its set until its resident users change.
 
     A set is built from a SeriesIndex with one take per group: the rows
     of the set's users, in user order, make a C-contiguous (g, k, L) stack,
@@ -195,16 +190,13 @@ class ResidentSet(Mapping):
     of the stack, as over a stack of its series alone, so every pair sum
     keeps its bits too. The pair sums are computed for a whole stack on
     first request, so a set whose reward reads no resource never computes
-    them. The mapping view, each resource's series themselves, is built
-    when it is first read. The demand dict of the last slot read and the
-    pair sums of each tuple of resources are kept once computed; nothing is
-    kept across sets.
+    them. The demand dict of the last slot read and the pair sums of each
+    tuple of resources are kept once computed; nothing is kept across sets.
     """
 
     def __init__(self, index: SeriesIndex, users: tuple[int, ...]):
         self.users = users
-        self._series = index.series
-        self._ragged = index.ragged
+        self._resources = index.resources
         self._pair_sums: dict[str, float] = {}
         self._pair_sums_of: dict[tuple[str, ...], tuple[float, ...]] = {}
         self._used: tuple[int, dict[str, float]] | None = None
@@ -229,58 +221,13 @@ class ResidentSet(Mapping):
         residents = cls(index, users)
         return residents if residents._stacks else _NO_RESIDENTS
 
-    @classmethod
-    def of(cls, residents: Mapping[str, Sequence[Sequence[float]]]) -> "ResidentSet":
-        """residents itself if it is a ResidentSet, else a set gathered from
-        a one-off index of it, each resource's rows as users 0, 1, ..."""
-        if isinstance(residents, cls):
-            return residents
-        series = {
-            d: {u: np.asarray(s, dtype=float) for u, s in enumerate(rows)}
-            for d, rows in residents.items()
-        }
-        users = tuple(range(max(map(len, series.values()), default=0)))
-        return cls(SeriesIndex(series), users)
-
-    @cached_property
-    def _rows(self) -> dict[str, tuple[np.ndarray, ...]]:
-        users = self.users
-        return {
-            d: tuple(by_user[u] for u in users if u in by_user) for d, by_user in self._series.items()
-        }
-
-    def __getitem__(self, resource: str) -> tuple[np.ndarray, ...]:
-        return self._rows[resource]
-
-    def __iter__(self):
-        return iter(self._series)
-
-    def __len__(self) -> int:
-        return len(self._series)
-
-    def get(self, resource: str, default=None):
-        return self._rows.get(resource, default)
-
     def _count(self, resource: str) -> int:
         """The number of the resource's series in the set."""
         entry = self._stacks.get(resource)
-        if entry is not None:
-            return entry[2].shape[1]
-        # Only ResidentSet.of gives a ragged resource, with all its series.
-        return len(self._series[resource]) if resource in self._ragged else 0
-
-    def _ragged_error(self, resource: str) -> ValueError:
-        lengths = sorted({len(s) for s in self[resource]})
-        return ValueError(
-            f"resident series for resource {resource!r} differ in length: {lengths}"
-        )
+        return 0 if entry is None else entry[2].shape[1]
 
     @cached_property
     def _totals(self) -> dict[str, np.ndarray]:
-        # A WorkloadSet gives one resource's profiles one length; a plain
-        # mapping that does not has no totals.
-        for d in self._ragged:
-            raise self._ragged_error(d)
         totals = {}
         for names, stack, sums in self._groups:
             if sums is None:
@@ -289,7 +236,7 @@ class ResidentSet(Mapping):
                 totals.update((d, sum(rows, np.zeros(1))) for d, rows in zip(names, stack))
             else:
                 totals.update(zip(names, sums))
-        return {d: totals[d] if d in totals else np.zeros(1) for d in self._series}
+        return {d: totals[d] if d in totals else np.zeros(1) for d in self._resources}
 
     def used_at(self, slot: int) -> dict[str, float]:
         """Each resource's summed demand at a slot, in user order. The dict
@@ -301,13 +248,11 @@ class ResidentSet(Mapping):
 
     def pair_sum(self, resource: str) -> float:
         """Sum over unordered pairs of the resource's series inner products,
-        via the square-of-sum identity. The series must share a length. The
-        pair sums of every resource in its stack are computed with it."""
+        via the square-of-sum identity. The pair sums of every resource in
+        its stack are computed with it."""
         if resource not in self._pair_sums:
             if self._count(resource) < 2:
                 self._pair_sums[resource] = 0.0
-            elif resource not in self._stacks:
-                raise self._ragged_error(resource)
             else:
                 _, names, stack, sums = self._stacks[resource]
                 squares = (stack * stack).reshape(len(names), -1).sum(axis=1)
@@ -327,26 +272,6 @@ class ResidentSet(Mapping):
 
 
 _NO_RESIDENTS = ResidentSet(SeriesIndex({d: {} for d in RESOURCES}), ())
-
-
-@dataclass(frozen=True)
-class MachineSnapshot:
-    """Per-machine quantities a reward model needs at one instant."""
-
-    machine_id: int
-    in_use: bool
-    used: dict[str, float]
-    resident_profiles: Mapping[str, tuple[np.ndarray, ...]]
-
-
-@dataclass(frozen=True)
-class RewardInputs:
-    """Observation of one step: queue pressure, usage, fresh overshoots."""
-
-    clock: float
-    queue_len: int
-    machines: tuple[MachineSnapshot, ...]
-    new_overuse: tuple[tuple[int, str], ...]
 
 
 @dataclass
@@ -596,30 +521,16 @@ def _absorb_events(state: SimState, now: float) -> None:
             _complete_task(state, tid, t)
 
 
-def step(
-    state: SimState, action: tuple[int, int] | None
-) -> tuple[SimState, RewardInputs]:
-    """Apply one scheduling decision; returns the state and reward inputs.
+def step(state: SimState, action: tuple[int, int] | None) -> list[tuple[int, str]]:
+    """Apply one scheduling decision to the state, in place; returns the
+    (machine, resource) pairs that first overshot during it.
 
     action is (task_id, machine_id) to dispatch a ready task, or None for a
     no-op. Dispatching leaves the clock unchanged; a no-op advances the clock
     to the next event (or one slot if none is scheduled) and processes it,
-    and changes nothing once every task is done. The state is mutated in
-    place and returned. The inputs read each machine's resident set at the
-    clock's slot; rewards.step_reward scores the same step without them.
+    and changes nothing once every task is done. rewards.total_reward scores
+    the step from the state and the returned pairs.
     """
-    fresh = _advance(state, action)
-    slot = int(math.floor(state.clock))
-    snaps = []
-    for machine in state.machines:
-        res = _residents(state, machine)
-        snaps.append(MachineSnapshot(machine.spec.id, machine.in_use, res.used_at(slot), res))
-    return state, RewardInputs(state.clock, state.waiting_count(), tuple(snaps), tuple(fresh))
-
-
-def _advance(state: SimState, action: tuple[int, int] | None) -> list[tuple[int, str]]:
-    """The state change of `step`, without the reward inputs; returns the
-    (machine, resource) pairs that first overshot during it."""
     if action is not None:
         tid, vm_id = action
         if tid not in state.ready_times or tid in state.dispatched:
@@ -693,8 +604,7 @@ def run_simulation(workload: WorkloadSet, assignment: Assignment) -> SimTrace:
 
 def replay_assignment(workload: WorkloadSet, assignment: Assignment) -> SimTrace:
     """Drive the online stepper with a static assignment; used as the
-    cross-check twin of run_simulation. No reward reads the steps, so they
-    build no snapshots."""
+    cross-check twin of run_simulation."""
     state = init_state(workload)
     _check_assignment(state, assignment)
     guard = 0
@@ -702,9 +612,9 @@ def replay_assignment(workload: WorkloadSet, assignment: Assignment) -> SimTrace
     while not state.done:
         if state.ready:
             tid = state.ready[0]
-            _advance(state, (tid, assignment[tid]))
+            step(state, (tid, assignment[tid]))
         else:
-            _advance(state, None)
+            step(state, None)
         guard += 1
         if guard > limit and not state.events and not state.ready:
             raise SimulationError("replay stalled")  # pragma: no cover

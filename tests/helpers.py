@@ -1,10 +1,25 @@
-"""Small builders shared across test modules."""
+"""Small builders shared across test modules, and the per-step reward
+oracle: the snapshot of every machine and the four penalty terms that the
+online stepper's rewards were once computed from."""
 
-from collections import defaultdict
+import math
+from collections import defaultdict, namedtuple
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
-from cloudsched.workload import Task, TaskGenParams, VmSpec, WorkloadSet, generate_tasks
+from cloudsched.rewards import overuse_penalty, wait_penalty
+from cloudsched.workload import (
+    RESOURCES,
+    DagWorkflow,
+    Task,
+    TaskGenParams,
+    UsageProfile,
+    VmSpec,
+    WorkloadSet,
+    generate_tasks,
+)
 
 
 def vm(vid, mips=1000.0, **kw):
@@ -85,8 +100,6 @@ def random_dag_workload(rng, max_nodes=10):
             if rng.random() < 0.25:
                 edges.append((i, j))
     vms = [vm(j) for j in range(m)]
-    from cloudsched.workload import DagWorkflow
-
     wl = WorkloadSet(vms, DagWorkflow(tasks, edges))
     assignment = {i: int(rng.integers(0, m)) for i in range(n)}
     return wl, assignment
@@ -128,3 +141,130 @@ def assert_trace_invariants(trace, workload):
     area = sum(q * (t1 - t0) for (t0, q), (t1, _) in zip(series, series[1:]))
     waits = sum(r.start - r.ready_time for r in trace.records.values())
     assert abs(area - waits) <= 1e-12 * waits, f"queue area {area} != summed waits {waits}"
+
+
+def profiled_workload(rng, max_nodes=14):
+    """Random DAG on 1-4 heterogeneous machines whose users carry usage
+    profiles; every profile of one resource shares a length, as WorkloadSet
+    requires, and lengths differ across resources."""
+    n = int(rng.integers(2, max_nodes + 1))
+    n_users = int(rng.integers(1, 7))
+    tasks = [
+        Task(
+            id=i,
+            user_id=int(rng.integers(n_users)),
+            # Some tasks short enough that several share one slot.
+            length=float(rng.choice([rng.uniform(10.0, 300.0), rng.uniform(200.0, 3000.0)])),
+            input_size=float(rng.choice([0.0, rng.uniform(0.0, 50.0)])),
+            arrival_time=float(rng.choice([rng.integers(0, 4), rng.uniform(0.0, 3.0)])),
+        )
+        for i in range(n)
+    ]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
+    mips = (500.0, 1000.0, 1700.0)
+    vms = [vm(j, mips=float(rng.choice(mips))) for j in range(int(rng.integers(1, 5)))]
+    lengths = {d: int(rng.integers(1, 9)) for d in RESOURCES}
+    profiles = []
+    for u in sorted({t.user_id for t in tasks}):
+        for d in RESOURCES:
+            if rng.random() < 0.8:
+                profiles.append(UsageProfile(u, d, rng.uniform(0.0, 0.8, lengths[d])))
+    return WorkloadSet(vms, DagWorkflow(tasks, edges), profiles)
+
+
+# ---------------------------------------------------------------------------
+# Reward oracle: each machine's snapshot, rebuilt from the profiles at every
+# step, and the four terms summed over the snapshots
+# ---------------------------------------------------------------------------
+
+# What the reward reads of one machine at one instant: used maps each
+# resource to the summed resident demand at the clock's slot, and
+# resident_profiles to the resident users' series.
+Snapshot = namedtuple("Snapshot", "machine_id in_use used resident_profiles")
+StepInputs = namedtuple("StepInputs", "clock queue_len machines new_overuse")
+
+
+class Breakdown(NamedTuple):
+    competition: float
+    utilization: float
+    overuse: float
+    wait: float
+
+    @property
+    def total(self) -> float:
+        return self.competition + self.utilization + self.overuse + self.wait
+
+
+def old_resident_users(state, machine):
+    users = set()
+    if machine.running is not None:
+        users.add(state.tasks[machine.running].user_id)
+    for tid, _ in machine.queue:
+        users.add(state.tasks[tid].user_id)
+    return sorted(users)
+
+
+def old_snapshot(state, new_overuse):
+    pmap = state.workload.profile_map()
+    slot = int(math.floor(state.clock))
+    snaps = []
+    for machine in state.machines:
+        users = old_resident_users(state, machine)
+        used, resident = {}, {}
+        for d in RESOURCES:
+            profs = [pmap[(u, d)] for u in users if (u, d) in pmap]
+            resident[d] = tuple(p.series for p in profs)
+            used[d] = float(sum(p.demand_at(slot) for p in profs))
+        snaps.append(Snapshot(machine.spec.id, machine.in_use, used, resident))
+    return StepInputs(state.clock, state.waiting_count(), tuple(snaps), tuple(new_overuse))
+
+
+def old_competition_penalty(machine_profiles, config):
+    total = 0.0
+    for entry in machine_profiles:
+        for d in config.resources:
+            series = [np.asarray(s, dtype=float) for s in entry.get(d, ())]
+            if len(series) < 2:
+                continue
+            stacked = np.stack(series)
+            agg = stacked.sum(axis=0)
+            pair_sum = (float(agg @ agg) - float((stacked * stacked).sum())) / 2.0
+            total += config.k_c * pair_sum
+    return -total
+
+
+def old_utilization_penalty(machines, config):
+    """Slack |1 - used|^k_u on in-use machines; idle ones are free."""
+    if config.k_u == 0:
+        return 0.0
+    total = 0.0
+    for snap in machines:
+        if not snap.in_use:
+            continue
+        for d in config.resources:
+            total += abs(1.0 - snap.used.get(d, 0.0)) ** config.k_u
+    return -total
+
+
+def old_breakdown(inputs, config):
+    return Breakdown(
+        competition=old_competition_penalty([m.resident_profiles for m in inputs.machines], config),
+        utilization=old_utilization_penalty(inputs.machines, config),
+        overuse=overuse_penalty(inputs.new_overuse, config),
+        wait=wait_penalty(inputs.queue_len, config),
+    )
+
+
+TERMS = {"competition": "k_c", "utilization": "k_u", "overuse": "k_o", "wait": "k_w"}
+
+
+def only(term, config):
+    """config with the coefficients of the other three terms set to 0, so
+    that rewards.total_reward charges this term alone (k_u = 0 disables
+    utilization)."""
+    return replace(config, **{k: 0.0 for t, k in TERMS.items() if t != term})
+
+
+def old_reward(state, new_overuse, config):
+    """The oracle's reward of the step that left the state as it is."""
+    return old_breakdown(old_snapshot(state, new_overuse), config).total

@@ -9,6 +9,7 @@ Each test prints one PASS/FAIL line; pytest -v adds its own verdict per test.
 import csv
 import hashlib
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,15 +32,10 @@ from cloudsched.rewards import (
     dtw_distance,
     kmeans_cluster,
     overuse_penalty,
-    reward_breakdown,
+    total_reward,
     wait_penalty,
 )
-from cloudsched.simulator import (
-    MachineSnapshot,
-    RewardInputs,
-    replay_assignment,
-    run_simulation,
-)
+from cloudsched.simulator import init_state, replay_assignment, run_simulation, step
 from cloudsched.schedulers import (
     _Evaluator,
     aco_schedule,
@@ -50,7 +46,7 @@ from cloudsched.schedulers import (
 )
 from cloudsched.workload import UsageProfile
 
-from helpers import plan_score, random_dag_workload, random_instance
+from helpers import TERMS, only, plan_score, profiled_workload, random_dag_workload, random_instance
 
 METAHEURISTICS = ("gaaco", "aco", "sa")
 COUNTS = tuple(range(10, 101, 10))
@@ -261,60 +257,58 @@ def test_criterion_09_trained_policy_beats_random_play():
 # Reward sanity
 # ---------------------------------------------------------------------------
 
-def _random_reward_inputs(rng, config):
-    n_machines = int(rng.integers(1, 5))
-    machines = []
-    for m in range(n_machines):
-        in_use = bool(rng.random() < 0.7)
-        used = {r: float(rng.uniform(0.0, 1.5)) for r in config.resources}
-        n_res = int(rng.integers(0, 4))
-        series_len = int(rng.integers(1, 5))
-        residents = {
-            r: tuple(rng.uniform(0.0, 1.0, size=series_len) for _ in range(n_res))
-            for r in config.resources
-        }
-        machines.append(
-            MachineSnapshot(
-                machine_id=m, in_use=in_use, used=used, resident_profiles=residents
-            )
-        )
-    events = [
-        OveruseEvent(
-            machine_id=int(rng.integers(0, n_machines)),
-            resource=str(rng.choice(list(config.resources))),
-            time=float(rng.integers(0, 10)),
-        )
-        for _ in range(int(rng.integers(0, 6)))
-    ]
-    queue = int(rng.integers(0, 40))
-    return RewardInputs(
-        clock=float(rng.uniform(0, 100)),
-        queue_len=queue,
-        machines=machines,
-        new_overuse=events,
-    )
+def _reward_draws(rng, count):
+    """count (state, new_overuse) draws: the state after each step of random
+    dispatch on random profiled episodes (helpers.profiled_workload), with
+    the pairs that step fired plus random repeats of the pairs fired so far
+    in its episode."""
+    draws = 0
+    while True:
+        wl = profiled_workload(rng)
+        state = init_state(wl)
+        while not state.done:
+            if state.ready and rng.random() < 0.6:
+                tid = state.ready[int(rng.integers(len(state.ready)))]
+                action = (tid, wl.vms[int(rng.integers(len(wl.vms)))].id)
+            else:
+                action = None
+            fresh = step(state, action)
+            fired = [(e.machine_id, e.resource) for e in state.overuse_events]
+            picks = rng.integers(0, len(fired), int(rng.integers(0, 4))) if fired else []
+            yield state, fresh + [fired[i] for i in picks]
+            draws += 1
+            if draws == count:
+                return
 
 
 def test_criterion_10_penalties_are_nonpositive_and_exact():
+    # Each term is read as the env's total_reward under a config that zeroes
+    # the other three coefficients (k_u = 0 disables utilization).
     config = RewardConfig()
     rng = np.random.default_rng(10)
     worst = 0.0
     wait_exact = True
     overuse_once = True
-    for _ in range(1000):
-        inputs = _random_reward_inputs(rng, config)
-        br = reward_breakdown(inputs, config)
-        worst = max(worst, br.competition, br.utilization, br.overuse, br.wait)
-        if br.wait != -config.k_w * abs(inputs.queue_len):
+    charged = Counter()
+    repeated = 0
+    for state, new_overuse in _reward_draws(rng, 1000):
+        terms = {term: total_reward(state, new_overuse, only(term, config)) for term in TERMS}
+        worst = max(worst, *terms.values())
+        charged.update(term for term, v in terms.items() if v < 0)
+        if terms["wait"] != -config.k_w * state.waiting_count():
             wait_exact = False
-        pairs = {(e.machine_id, e.resource) for e in inputs.new_overuse}
-        if br.overuse != -config.k_o * len(pairs):
+        pairs = set(new_overuse)
+        repeated += len(pairs) < len(new_overuse)
+        if terms["overuse"] != -config.k_o * len(pairs):
             overuse_once = False
-        assert wait_penalty(inputs.queue_len, config) == br.wait
+        assert wait_penalty(state.waiting_count(), config) == terms["wait"]
     ok = worst <= 0.0 and wait_exact and overuse_once
     _report(10, "penalties <= 0 on 1000 random states, wait and overuse exact",
             ok, f"max component {worst:.3g}, wait exact {wait_exact}, "
-                f"overuse once per (machine, resource) {overuse_once}")
+                f"overuse once per (machine, resource) {overuse_once}; "
+                f"draws charging each term {dict(charged)}, with a repeated pair {repeated}")
+    # Every term is charged on some draws, and repeats reach the overuse check.
+    assert set(charged) == set(TERMS) and repeated > 0
 
 
 def test_overuse_penalty_counts_duplicate_events_once():

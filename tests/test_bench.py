@@ -476,13 +476,16 @@ def test_identical_algorithms_have_zero_delta():
 
 
 def test_delta_with_zero_baseline_is_nan():
-    rows = [make_row("a", 10, 1, 3.0), make_row("b", 10, 1, 0.0)]
-    deltas = compute_deltas(summarize(rows))
-    entry = next(
-        d for d in deltas
-        if d["metric"] == "time" and d["algorithm_a"] == "a" and d["algorithm_b"] == "b"
-    )
-    assert math.isnan(entry["delta_pct"])
+    # -3.4e-18 is the default sweep's mean score of eft at n = 10: a score
+    # at its lower bound, a rounding step below 0.
+    for baseline in (0.0, -0.0, -3.4e-18):
+        rows = [make_row("a", 10, 1, 3.0), make_row("b", 10, 1, baseline)]
+        deltas = compute_deltas(summarize(rows))
+        entry = next(
+            d for d in deltas
+            if d["metric"] == "time" and d["algorithm_a"] == "a" and d["algorithm_b"] == "b"
+        )
+        assert math.isnan(entry["delta_pct"]), baseline
 
 
 def test_median_and_mean_over_seeds():

@@ -1,22 +1,22 @@
 """The dispatch path's cached and batched kernels against the code they
 replaced: the per-step reward snapshot and competition sum, the scalar DTW
 table, the slot-by-slot usage series and overuse scan. Each old body is kept
-here as the oracle, and results must be equal with ==, not approximately;
-the usage oracle's resource half counts each resident user once, as the
-overuse scan and the stepper do. So is the policy encoder's backlog walk,
-which now reads the service time each machine keeps beside every queued
-task and stops once the backlog covers the lookahead, and so are the
-resident users, which each machine now counts as tasks join and complete.
-The online step's leaner bodies are pinned the same way: the overuse
-sampler with its per-machine tuples of unfired resources, the encoder's
-clamps by comparison, the unbuilt breakdown of total_reward, the copied
-action masks and the softmax that exponentiates only valid logits. The
-one-hot that policy_forward returns, without the network, for a mask with
-one valid action is pinned to the full pass, and so are its errors. Each
-resident set's one-pass build, gathered from the episode's series index, is
-pinned by its bytes to the per-resource sums it replaced: the totals that
-used_at reads and the pair sums, for single sets and through whole
-episodes."""
+as the oracle, here or, for the reward, in helpers, and results must be
+equal with ==, not approximately; the usage oracle's resource half counts
+each resident user once, as the overuse scan and the stepper do. So is the
+policy encoder's backlog walk, which now reads the service time each
+machine keeps beside every queued task and stops once the backlog covers
+the lookahead, and so are the resident users, which each machine now
+counts as tasks join and complete. The online step's leaner bodies are
+pinned the same way: the overuse sampler with its per-machine tuples of
+unfired resources, the encoder's clamps by comparison, total_reward read
+straight from the machines, the copied action masks and the softmax that
+exponentiates only valid logits. The one-hot that policy_forward returns,
+without the network, for a mask with one valid action is pinned to the full
+pass, and so are its errors. Each resident set's one-pass build, gathered
+from the episode's series index, is pinned by its bytes to the per-resource
+sums it replaced: the totals that used_at reads and the pair sums, for
+single sets and through whole episodes."""
 
 import math
 from collections import Counter
@@ -29,23 +29,11 @@ from hypothesis import strategies as st
 from cloudsched import policy, rewards, simulator
 from cloudsched.errors import ConfigurationError
 from cloudsched.policy import PolicyParams, encode_state, valid_actions
-from cloudsched.rewards import (
-    RewardBreakdown,
-    RewardConfig,
-    competition_penalty,
-    dtw_distance,
-    kmeans_cluster,
-    overuse_penalty,
-    reward_breakdown,
-    total_reward,
-    utilization_penalty,
-    wait_penalty,
-)
+from cloudsched.rewards import RewardConfig, dtw_distance, kmeans_cluster, total_reward
 from cloudsched.simulator import (
-    MachineSnapshot,
     OveruseEvent,
     ResidentSet,
-    RewardInputs,
+    SeriesIndex,
     init_state,
     machine_usage_series,
     replay_assignment,
@@ -62,7 +50,14 @@ from cloudsched.workload import (
     generate_profiles,
 )
 
-from helpers import vm
+from helpers import (
+    old_breakdown,
+    old_resident_users,
+    old_reward,
+    old_snapshot,
+    profiled_workload,
+    vm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -82,44 +77,6 @@ def scalar_dtw(a, b):
     return float(dp[n, m])
 
 
-def old_resident_users(state, machine):
-    users = set()
-    if machine.running is not None:
-        users.add(state.tasks[machine.running].user_id)
-    for tid, _ in machine.queue:
-        users.add(state.tasks[tid].user_id)
-    return sorted(users)
-
-
-def old_snapshot(state, new_overuse):
-    pmap = state.workload.profile_map()
-    slot = int(math.floor(state.clock))
-    snaps = []
-    for machine in state.machines:
-        users = old_resident_users(state, machine)
-        used, resident = {}, {}
-        for d in RESOURCES:
-            profs = [pmap[(u, d)] for u in users if (u, d) in pmap]
-            resident[d] = tuple(p.series for p in profs)
-            used[d] = float(sum(p.demand_at(slot) for p in profs))
-        snaps.append(MachineSnapshot(machine.spec.id, machine.in_use, used, resident))
-    return RewardInputs(state.clock, state.waiting_count(), tuple(snaps), tuple(new_overuse))
-
-
-def old_competition_penalty(machine_profiles, config):
-    total = 0.0
-    for entry in machine_profiles:
-        for d in config.resources:
-            series = [np.asarray(s, dtype=float) for s in entry.get(d, ())]
-            if len(series) < 2:
-                continue
-            stacked = np.stack(series)
-            agg = stacked.sum(axis=0)
-            pair_sum = (float(agg @ agg) - float((stacked * stacked).sum())) / 2.0
-            total += config.k_c * pair_sum
-    return -total
-
-
 def old_totals(residents):
     """ResidentSet's totals as they were built per resource: the series
     added user by user from np.zeros, as sum() adds them."""
@@ -134,15 +91,6 @@ def old_pair_sum(rows):
     stacked = np.array(rows)
     agg = stacked.sum(axis=0)
     return (float(agg @ agg) - float((stacked * stacked).sum())) / 2.0
-
-
-def old_breakdown(inputs, config):
-    return RewardBreakdown(
-        competition=old_competition_penalty([m.resident_profiles for m in inputs.machines], config),
-        utilization=utilization_penalty(inputs.machines, config),
-        overuse=overuse_penalty(inputs.new_overuse, config),
-        wait=wait_penalty(inputs.queue_len, config),
-    )
 
 
 def old_machine_features(state, lookahead):
@@ -268,37 +216,9 @@ def old_scan_overuse(trace, workload):
 # Random profiled workloads and episodes
 # ---------------------------------------------------------------------------
 
-def profiled_workload(rng, max_nodes=14):
-    """Random DAG on 1-4 heterogeneous machines whose users carry usage
-    profiles; every profile of one resource shares a length, as WorkloadSet
-    requires, and lengths differ across resources."""
-    n = int(rng.integers(2, max_nodes + 1))
-    n_users = int(rng.integers(1, 7))
-    tasks = [
-        Task(
-            id=i,
-            user_id=int(rng.integers(n_users)),
-            # Some tasks short enough that several share one slot.
-            length=float(rng.choice([rng.uniform(10.0, 300.0), rng.uniform(200.0, 3000.0)])),
-            input_size=float(rng.choice([0.0, rng.uniform(0.0, 50.0)])),
-            arrival_time=float(rng.choice([rng.integers(0, 4), rng.uniform(0.0, 3.0)])),
-        )
-        for i in range(n)
-    ]
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
-    mips = (500.0, 1000.0, 1700.0)
-    vms = [vm(j, mips=float(rng.choice(mips))) for j in range(int(rng.integers(1, 5)))]
-    lengths = {d: int(rng.integers(1, 9)) for d in RESOURCES}
-    profiles = []
-    for u in sorted({t.user_id for t in tasks}):
-        for d in RESOURCES:
-            if rng.random() < 0.8:
-                profiles.append(UsageProfile(u, d, rng.uniform(0.0, 0.8, lengths[d])))
-    return WorkloadSet(vms, DagWorkflow(tasks, edges), profiles)
-
-
 def random_episode(rng, wl):
-    """Yield (state, inputs) after every step of a random dispatch."""
+    """Yield (state, the step's fresh overuse pairs) after every step of a
+    random dispatch."""
     state = init_state(wl)
     while not state.done:
         if state.ready and rng.random() < 0.6:
@@ -306,24 +226,26 @@ def random_episode(rng, wl):
             action = (tid, wl.vms[int(rng.integers(len(wl.vms)))].id)
         else:
             action = None
-        state, inputs = step(state, action)
-        yield state, inputs
+        yield state, step(state, action)
 
 
-def assert_same_inputs(new, old):
-    assert new.clock == old.clock and new.queue_len == old.queue_len
-    assert new.new_overuse == old.new_overuse
-    for a, b in zip(new.machines, old.machines, strict=True):
-        assert (a.machine_id, a.in_use) == (b.machine_id, b.in_use)
-        assert a.used == b.used
-        assert set(a.resident_profiles) == set(b.resident_profiles) == set(RESOURCES)
+def assert_same_machines(state, old):
+    """Each machine's resident set, as total_reward reads it at the clock's
+    slot, against the snapshot rebuilt from the profiles: the same summed
+    demand, series counts and pair sums, compared by their bits."""
+    slot = int(math.floor(state.clock))
+    for machine, snap in zip(state.machines, old.machines, strict=True):
+        assert (machine.spec.id, machine.in_use) == (snap.machine_id, snap.in_use)
+        residents = simulator._residents(state, machine)
+        assert residents.used_at(slot) == snap.used
         for d in RESOURCES:
-            assert len(a.resident_profiles[d]) == len(b.resident_profiles[d])
-            assert all(x is y for x, y in zip(a.resident_profiles[d], b.resident_profiles[d]))
+            rows = snap.resident_profiles[d]
+            assert residents._count(d) == len(rows)
+            assert residents.pair_sum(d).hex() == old_pair_sum(rows).hex()
 
 
 # ---------------------------------------------------------------------------
-# Reward inputs and rewards
+# Rewards
 # ---------------------------------------------------------------------------
 
 def test_cached_snapshots_equal_the_per_step_snapshot():
@@ -332,9 +254,9 @@ def test_cached_snapshots_equal_the_per_step_snapshot():
     steps = 0
     for _ in range(80):
         wl = profiled_workload(rng)
-        for state, inputs in random_episode(rng, wl):
-            old = old_snapshot(state, inputs.new_overuse)
-            assert_same_inputs(inputs, old)
+        for state, fresh in random_episode(rng, wl):
+            old = old_snapshot(state, fresh)
+            assert_same_machines(state, old)
             for machine in state.machines:
                 assert sorted(machine.user_tasks) == old_resident_users(state, machine)
                 running = machine.running is not None
@@ -342,8 +264,7 @@ def test_cached_snapshots_equal_the_per_step_snapshot():
             for cfg in configs:
                 # Twice, so the second call reads the memoized pair sums.
                 for _ in range(2):
-                    assert reward_breakdown(inputs, cfg) == old_breakdown(old, cfg)
-                    assert total_reward(inputs, cfg) == old_breakdown(old, cfg).total
+                    assert total_reward(state, fresh, cfg).hex() == old_breakdown(old, cfg).total.hex()
             steps += 1
     assert steps > 1000
 
@@ -352,7 +273,7 @@ def test_overuse_sampler_equals_the_fired_set(monkeypatch):
     # Two states of one workload take the same random actions, one stepped
     # with the per-machine tuples of unfired resources, one with the old
     # sampler and its fired set: every step reports the same fresh pairs
-    # and the same overuse events, and its snapshot equals the old one.
+    # and the same overuse events, and its reward equals the old one.
     rng = np.random.default_rng(909)
     fired_pairs = 0
     for k in range(120):
@@ -366,13 +287,15 @@ def test_overuse_sampler_equals_the_fired_set(monkeypatch):
                 action = (tid, wl.vms[int(rng.integers(len(wl.vms)))].id)
             else:
                 action = None
-            state, inputs = step(state, action)
+            fresh = step(state, action)
             with monkeypatch.context() as mp:
                 mp.setattr(simulator, "_sample_slot", lambda st, s: old_sample_slot(st, s, fired))
-                twin, old_inputs = step(twin, action)
-            assert inputs.new_overuse == old_inputs.new_overuse
+                assert step(twin, action) == fresh
             assert state.overuse_events == twin.overuse_events
-            assert_same_inputs(inputs, old_snapshot(state, inputs.new_overuse))
+            old = old_snapshot(state, fresh)
+            assert_same_machines(state, old)
+            config = RewardConfig()
+            assert total_reward(state, fresh, config).hex() == old_breakdown(old, config).total.hex()
             for machine in state.machines:
                 left = tuple(d for d in RESOURCES if (machine.spec.id, d) not in fired)
                 assert machine.unfired == left
@@ -403,9 +326,9 @@ def test_encoded_states_equal_the_old_encoder_byte_for_byte():
     tasks = [Task(id=0, user_id=0, length=1e-9, arrival_time=16384.0)]
     tasks.append(Task(id=1, user_id=0, length=5000.0, arrival_time=16384.0))
     state = init_state(WorkloadSet([vm(0), vm(1)], DagWorkflow(tasks, [])))
-    state, _ = step(state, None)
+    step(state, None)
     for action in [(0, 0), (1, 0)]:
-        state, _ = step(state, action)
+        step(state, action)
         machine = state.machines[0]
         assert machine.running == 0 and machine.busy_until == state.clock == 16384.0
         for lookahead in (1, 3, 5, 6):
@@ -422,7 +345,7 @@ def test_action_masks_are_fresh_copies():
     assert first.tolist() == [True] * 4 + [False, False, True]
     first[:] = False
     assert valid_actions(state, ready_slots=3).tolist() == [True] * 4 + [False, False, True]
-    state, _ = step(state, (0, 0))
+    step(state, (0, 0))
     second = valid_actions(state, ready_slots=3)
     assert second.tolist() == [True] * 2 + [False] * 4 + [True]
     assert second.flags.writeable and second is not valid_actions(state, ready_slots=3)
@@ -493,30 +416,18 @@ def test_a_one_action_mask_keeps_the_input_errors(n_state, valid, message):
         assert str(err.value) == message
 
 
-unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
-
 @st.composite
 def reward_cases(draw):
-    """(RewardInputs, RewardConfig) with up to 4 machines, whose residents
-    are ResidentSets or plain mappings of equal-length series."""
-    length = draw(st.integers(1, 6))
-    machines = []
-    for m in range(draw(st.integers(0, 4))):
-        n_users = draw(st.integers(0, 4))
-        residents = {
-            d: tuple(np.array(draw(st.lists(unit, min_size=length, max_size=length)))
-                     for _ in range(n_users))
-            for d in RESOURCES
-        }
-        if draw(st.booleans()):
-            residents = ResidentSet.of(residents)
-        used = {d: draw(st.floats(0.0, 3.0)) for d in RESOURCES}
-        machines.append(MachineSnapshot(m, draw(st.booleans()), used, residents))
-    overuse = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(RESOURCES)), max_size=4))
-    inputs = RewardInputs(
-        draw(st.floats(0.0, 100.0)), draw(st.integers(0, 60)), tuple(machines), tuple(overuse)
-    )
+    """(state, new overuse pairs, RewardConfig): a random profiled episode
+    stepped at random to a drawn step, the pairs that step fired plus
+    repeats of pairs fired so far, and a random config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stop = draw(st.integers(0, 40))
+    for n, (state, fresh) in enumerate(random_episode(rng, profiled_workload(rng))):
+        if n == stop:
+            break
+    fired = [(e.machine_id, e.resource) for e in state.overuse_events]
+    repeats = draw(st.lists(st.sampled_from(fired), max_size=4)) if fired else []
     config = RewardConfig(
         k_c=draw(st.floats(0.0, 10.0)),
         k_u=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
@@ -524,14 +435,14 @@ def reward_cases(draw):
         k_w=draw(st.floats(0.0, 10.0)),
         resources=draw(st.lists(st.sampled_from(RESOURCES), unique=True, max_size=3)),
     )
-    return inputs, config
+    return state, fresh + repeats, config
 
 
 @settings(max_examples=300, deadline=None)
 @given(reward_cases())
 def test_total_reward_equals_the_breakdown_total(case):
-    inputs, config = case
-    assert total_reward(inputs, config) == reward_breakdown(inputs, config).total
+    state, new_overuse, config = case
+    assert total_reward(state, new_overuse, config).hex() == old_reward(state, new_overuse, config).hex()
 
 
 def test_encoded_backlogs_equal_the_queue_walk():
@@ -585,14 +496,15 @@ def test_user_task_counts_follow_the_queue():
     machine = state.machines[0]
     seen, sets = [], []
     for action in [(0, 0), (1, 0), (2, 0)] + [None] * 4:
-        state, inputs = step(state, action)
+        step(state, action)
         users = old_resident_users(state, machine)
         tids = [tid for tid, _ in machine.queue] + [machine.running] * (machine.running is not None)
         assert machine.user_tasks == Counter(state.tasks[tid].user_id for tid in tids)
         assert sorted(machine.user_tasks) == users
-        assert inputs.machines[0].resident_profiles.users == tuple(users)
+        residents = simulator._residents(state, machine)
+        assert residents.users == tuple(users)
         seen.append((state.clock, dict(machine.user_tasks)))
-        sets.append(inputs.machines[0].resident_profiles)
+        sets.append(residents)
     assert seen == [
         (0.0, {0: 1}),
         (0.0, {0: 2}),
@@ -618,9 +530,10 @@ def test_mixed_profile_lengths_are_rejected():
     memory = UsageProfile(1, "memory", np.full(48, 0.3))
     state = init_state(WorkloadSet([vm(0)], DagWorkflow(tasks, []), [cpu[0], memory]))
     for tid in (0, 1):
-        state, inputs = step(state, (tid, 0))
-    assert inputs.machines[0].used == {"cpu": 0.3, "memory": 0.3, "bandwidth": 0.0}
-    assert total_reward(inputs, RewardConfig()) == old_breakdown(inputs, RewardConfig()).total
+        fresh = step(state, (tid, 0))
+    used = simulator._residents(state, state.machines[0]).used_at(0)
+    assert used == {"cpu": 0.3, "memory": 0.3, "bandwidth": 0.0}
+    assert total_reward(state, fresh, RewardConfig()).hex() == old_reward(state, fresh, RewardConfig()).hex()
 
 
 def test_one_slot_profiles_keep_the_sequential_sum():
@@ -636,66 +549,55 @@ def test_one_slot_profiles_keep_the_sequential_sum():
     wl = WorkloadSet([vm(0)], DagWorkflow(tasks, []), profiles)
     state = init_state(wl)
     for tid in range(len(values)):
-        state, inputs = step(state, (tid, 0))
-        old = old_snapshot(state, inputs.new_overuse)
-        assert_same_inputs(inputs, old)
-        assert reward_breakdown(inputs, RewardConfig()) == old_breakdown(old, RewardConfig())
-    assert inputs.machines[0].used["cpu"] == 0.5
+        fresh = step(state, (tid, 0))
+        old = old_snapshot(state, fresh)
+        assert_same_machines(state, old)
+        assert total_reward(state, fresh, RewardConfig()).hex() == old_breakdown(old, RewardConfig()).total.hex()
+    assert simulator._residents(state, state.machines[0]).used_at(0)["cpu"] == 0.5
     while not state.done:
-        state, inputs = step(state, None)
-        assert_same_inputs(inputs, old_snapshot(state, inputs.new_overuse))
+        fresh = step(state, None)
+        assert_same_machines(state, old_snapshot(state, fresh))
     assert [(e.machine_id, e.resource) for e in state.overuse_events] == [(0, "memory")]
 
 
 def test_shared_resident_sets_are_read_only():
-    # Snapshots share a machine's resident set until its users change, so a
-    # write through one snapshot must fail rather than change later steps.
+    # A machine keeps its resident set until its users change, so steps
+    # share it, and the index matrices it gathers from are read-only: a
+    # write must fail rather than change later steps.
     tasks = [Task(id=0, user_id=0, length=5000.0), Task(id=1, user_id=1, length=5000.0)]
     tasks.append(Task(id=2, user_id=0, length=5000.0, arrival_time=2.0))
     profiles = [UsageProfile(u, "cpu", [0.2, 0.4]) for u in (0, 1)]
     wl = WorkloadSet([vm(0)], DagWorkflow(tasks, []), profiles)
-    state, _ = step(init_state(wl), (0, 0))
-    state, first = step(state, (1, 0))
-    state, second = step(state, None)  # task 2 arrives; the queue is unchanged
+    state = init_state(wl)
+    machine = state.machines[0]
+    step(state, (0, 0))
+    step(state, (1, 0))
+    residents = simulator._residents(state, machine)
+    step(state, None)  # task 2 arrives; the queue is unchanged
     assert state.clock == 2.0
-    residents = first.machines[0].resident_profiles
-    assert second.machines[0].resident_profiles is residents
+    assert simulator._residents(state, machine) is residents
     # A queued task of a user already resident changes the queue, not the set.
-    state, third = step(state, (2, 0))
-    assert third.machines[0].resident_profiles is residents
-    with pytest.raises(TypeError):
-        residents["cpu"] = ()
-    with pytest.raises(AttributeError):
-        residents.pop("cpu")
-    with pytest.raises(ValueError):
-        residents["cpu"][0][0] = 1.0
+    step(state, (2, 0))
+    assert simulator._residents(state, machine) is residents
+    for _, matrix, _ in state.index.groups:
+        with pytest.raises(ValueError):
+            matrix[0, 0, 0] = 1.0
     assert residents.pair_sum("cpu") == 0.2 * 0.2 + 0.4 * 0.4
 
 
 def test_an_idle_machine_keeps_its_snapshot_across_slots():
     # Tasks of 0.5 s arrive at t = 0, 1, 2 and 3 and all go to machine 0.
     # Machine 1 never has a resident, so it uses nothing at any slot; each
-    # step's inputs equal the snapshot built from scratch.
+    # step's machines read as the snapshot built from scratch.
     tasks = [Task(id=i, user_id=0, length=500.0, arrival_time=float(i)) for i in range(4)]
     wl = WorkloadSet([vm(0), vm(1)], DagWorkflow(tasks, []), [UsageProfile(0, "cpu", [0.2, 0.4])])
-    state, seen = init_state(wl), []
+    state, clocks = init_state(wl), []
     while not state.done:
-        state, inputs = step(state, (state.ready[0], 0) if state.ready else None)
-        assert_same_inputs(inputs, old_snapshot(state, inputs.new_overuse))
-        seen.append(inputs)
-    assert [i.clock for i in seen] == [0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.5, 3.0, 3.0, 3.5]
-
-
-def test_competition_on_plain_mappings_is_unchanged():
-    rng = np.random.default_rng(902)
-    for _ in range(200):
-        entries = [
-            {d: tuple(rng.uniform(0.0, 1.0, 5) for _ in range(int(rng.integers(0, 5))))
-             for d in RESOURCES}
-            for _ in range(int(rng.integers(1, 4)))
-        ]
-        cfg = RewardConfig(k_c=float(rng.uniform(0.0, 3.0)))
-        assert competition_penalty(entries, cfg) == old_competition_penalty(entries, cfg)
+        fresh = step(state, (state.ready[0], 0) if state.ready else None)
+        assert_same_machines(state, old_snapshot(state, fresh))
+        assert simulator._residents(state, state.machines[1]) is simulator._NO_RESIDENTS
+        clocks.append(state.clock)
+    assert clocks == [0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.5, 3.0, 3.0, 3.5]
 
 
 def assert_same_build(residents, series):
@@ -759,7 +661,9 @@ def test_one_pass_resident_sets_equal_the_per_resource_formulas():
                 row[rng.random(lengths[d]) < 0.3] = rng.choice([0.0, -0.0])
                 rows.append(UsageProfile(0, d, row).series)
             series[d] = rows
-        assert_same_build(ResidentSet.of(series), series)
+        index = SeriesIndex({d: dict(enumerate(rows)) for d, rows in series.items()})
+        users = tuple(range(max(len(rows) for rows in series.values())))
+        assert_same_build(ResidentSet(index, users), series)
 
 
 def profile_cases(rng):
@@ -783,8 +687,8 @@ def test_gathered_sets_equal_the_per_resource_formulas_through_episodes():
     # Whole episodes of 40 tasks on one or two machines, stepped at random to
     # the end, for each kind of profile set. Every set a machine builds is
     # compared by bytes with the per-resource formulas on its users' series,
-    # its rows are the profiles' own read-only series, and a finished
-    # episode holds no series index.
+    # the index it gathers from is read-only, and a finished episode holds
+    # no series index.
     rng = np.random.default_rng(2023)
     for name, profiles in profile_cases(rng):
         pmap = {(p.user_id, p.resource): p.series for p in profiles}
@@ -801,45 +705,19 @@ def test_gathered_sets_equal_the_per_resource_formulas_through_episodes():
             seen = {id(simulator._NO_RESIDENTS): simulator._NO_RESIDENTS}  # kept, so no id is reused
             for state, _ in random_episode(rng, wl):
                 for machine in state.machines:
-                    residents = machine.residents
+                    residents = simulator._residents(state, machine)
                     if id(residents) in seen:
                         continue
                     seen[id(residents)] = residents
                     series = {d: [pmap[(u, d)] for u in residents.users if (u, d) in pmap]
                               for d in RESOURCES}
                     assert_same_build(residents, series)
-                    for d, rows in series.items():
-                        assert len(residents[d]) == len(rows)
-                        assert all(x is y for x, y in zip(residents[d], rows))
-                    row = next(rows[0] for rows in residents.values() if rows)
-                    with pytest.raises(ValueError):
-                        row[0] = 1.0
+                    assert not any(matrix.flags.writeable for _, matrix, _ in state.index.groups)
                     largest = max(largest, max(len(rows) for rows in series.values()))
                     checked += 1
             assert state.done and state.index is None, name
         assert checked >= (5 if name == "single" else 50), name
         assert largest >= {"one slot": 16, "single": 1}.get(name, 8), name
-
-
-def test_plain_mappings_build_as_resident_sets():
-    rng = np.random.default_rng(2021)
-    for _ in range(200):
-        series = {
-            d: [rng.uniform(0.0, 1.0, 6) for _ in range(int(rng.integers(0, 5)))]
-            for d in RESOURCES
-        }
-        lists = {d: [row.tolist() for row in rows] for d, rows in series.items()}
-        assert_same_build(ResidentSet.of(lists), series)
-    # Ragged lengths: only the resource that has them is refused, naming it,
-    # and totals are refused with it.
-    ragged = ResidentSet.of({"cpu": [[0.1, 0.2], [0.3]], "memory": [[0.5, 0.5], [0.25, 1.0]]})
-    message = r"^resident series for resource 'cpu' differ in length: \[1, 2\]$"
-    with pytest.raises(ValueError, match=message):
-        ragged.pair_sum("cpu")
-    with pytest.raises(ValueError, match=message):
-        ragged.used_at(0)
-    assert ragged.pair_sum("memory") == 0.5 * 0.25 + 0.5 * 1.0
-    assert ragged.pair_sums(("memory",)) == (0.625,)
 
 
 def test_overuse_scan_equals_the_slot_filter():

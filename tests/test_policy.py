@@ -27,11 +27,11 @@ from cloudsched.policy import (
     train,
     valid_actions,
 )
-from cloudsched.rewards import RewardConfig, reward_breakdown, total_reward
+from cloudsched.rewards import RewardConfig
 from cloudsched.simulator import init_state, step
 from cloudsched.workload import RESOURCES, TaskGenParams, UsageProfile, WorkloadSet, generate_tasks
 
-from helpers import task, vm
+from helpers import old_breakdown, old_reward, old_snapshot, task, vm
 
 
 def zero_policy(n_in, n_hid, n_act):
@@ -405,9 +405,9 @@ def test_a_non_finite_step_gradient_is_named():
 
 
 def test_a_reward_without_resources_equals_the_snapshot_reward():
-    # SchedulingEnv skips the machine snapshots when no per-resource term is
-    # on; its reward must equal total_reward of the full step's inputs,
-    # overuse charges included.
+    # With no per-resource term on, total_reward reads no machine; the env's
+    # reward must still have the bits of the reward of the full per-step
+    # snapshot (tests/helpers), overuse charges included.
     vms = [vm(0), vm(1, mips=500.0)]
     params = TaskGenParams(length_range=(500.0, 3000.0), mean_interarrival=0.5, n_users=3)
     profiles = [UsageProfile(u, d, [0.6, 0.7]) for u in range(3) for d in ("cpu", "memory")]
@@ -426,10 +426,10 @@ def test_a_reward_without_resources_equals_the_snapshot_reward():
         while not done:
             choices = np.flatnonzero(valid_actions(env.state, env.ready_slots))
             a = int(choices[rng.integers(len(choices))])
-            twin, inputs = step(twin, env.decode_action(a))
+            fresh = step(twin, env.decode_action(a))
             _, _, reward, done = env.step(a)
-            assert len(inputs.machines) == 2 and reward == total_reward(inputs, config)
-            fired += len(inputs.new_overuse)
+            assert reward.hex() == old_reward(twin, fresh, config).hex()
+            fired += len(fresh)
     assert fired > 0
 
 
@@ -445,9 +445,10 @@ def test_a_reward_without_resources_equals_the_snapshot_reward():
 )
 def test_env_rewards_equal_the_stepper_rewards_on_competing_users(config):
     # The rewards training reads: the env scores each step straight from the
-    # machines. Each reward has the bits, signed zeros included, of
-    # total_reward of a twin state stepped alone by simulator.step, on users
-    # whose profiles share machines, so competition and overuse both fire.
+    # machines. Each reward has the bits, signed zeros included, of the
+    # per-step snapshot's reward (tests/helpers) on a twin state stepped
+    # alone by simulator.step, on users whose profiles share machines, so
+    # competition and overuse both fire.
     vms = [vm(0), vm(1, mips=500.0)]
     params = TaskGenParams(length_range=(500.0, 3000.0), mean_interarrival=0.5, n_users=4)
     series = np.random.default_rng(3).uniform(0.1, 0.6, (4, len(RESOURCES), 24))
@@ -466,12 +467,43 @@ def test_env_rewards_equal_the_stepper_rewards_on_competing_users(config):
         while not done:
             choices = np.flatnonzero(valid_actions(env.state, env.ready_slots))
             a = int(choices[rng.integers(len(choices))])
-            twin, inputs = step(twin, env.decode_action(a))
+            fresh = step(twin, env.decode_action(a))
             _, _, reward, done = env.step(a)
-            assert reward.hex() == total_reward(inputs, config).hex()
-            competed += reward_breakdown(inputs, RewardConfig()).competition < 0
-            fired += len(inputs.new_overuse)
+            old = old_snapshot(twin, fresh)
+            assert reward.hex() == old_breakdown(old, config).total.hex()
+            competed += old_breakdown(old, RewardConfig()).competition < 0
+            fired += len(fresh)
     assert competed > 0 and fired > 0
+
+
+def test_the_env_steps_and_scores_through_the_names_policy_binds(monkeypatch):
+    # A tracer wraps functions where the calling module binds them
+    # (setattr on policy), so SchedulingEnv.step must call policy.step and
+    # policy.total_reward once each per step for their spans to count it.
+    calls = {"step": 0, "total_reward": 0}
+
+    def counting(name):
+        inner = getattr(policy, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(policy, name, counting(name))
+    vms = [vm(0), vm(1, mips=500.0)]
+    profiles = [UsageProfile(u, d, [0.3, 0.6]) for u in range(3) for d in RESOURCES]
+    tasks = generate_tasks(10, seed=1, params=TaskGenParams(n_users=3))
+    env = SchedulingEnv(WorkloadSet.from_tasks(vms, tasks, profiles), RewardConfig())
+    _, mask = env.reset(seed=0)
+    steps, done = 0, False
+    while not done:
+        _, mask, _, done = env.step(int(np.flatnonzero(mask)[0]))
+        steps += 1
+    assert env.state.done and steps >= 10
+    assert calls == {"step": steps, "total_reward": steps}
 
 
 def test_divergent_training_is_reported():
@@ -499,7 +531,7 @@ def test_idle_empty_system_encodes_to_zeros():
 def test_saturated_machine_encodes_to_ones():
     wl = WorkloadSet.from_tasks([vm(0)], [task(0, length=50_000.0)])
     state = init_state(wl)
-    state, _ = step(state, (0, 0))  # 50 s backlog on one machine
+    step(state, (0, 0))  # 50 s backlog on one machine
     obs = encode_state(state, 3, ready_slots=2)
     assert obs[:3].tolist() == [1.0, 1.0, 1.0]
 

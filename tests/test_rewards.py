@@ -7,108 +7,106 @@ from hypothesis import strategies as st
 
 from cloudsched.errors import ConfigurationError
 from cloudsched.rewards import (
-    RewardBreakdown,
     RewardConfig,
-    competition_penalty,
     dtw_distance,
     extract_features,
     kmeans_cluster,
     kmeans_elbow,
     overuse_penalty,
-    reward_breakdown,
     total_reward,
-    utilization_penalty,
     wait_penalty,
     write_centroid_csv,
     write_cluster_csv,
 )
-from cloudsched.simulator import MachineSnapshot, OveruseEvent, RewardInputs
-from cloudsched.workload import UsageProfile
+from cloudsched.simulator import OveruseEvent, init_state, step
+from cloudsched.workload import RESOURCES, DagWorkflow, Task, UsageProfile, WorkloadSet
+
+from helpers import TERMS, only, profiled_workload, vm
 
 
-def snapshot(mid=0, in_use=True, used=None, profiles=None):
-    return MachineSnapshot(
-        machine_id=mid,
-        in_use=in_use,
-        used=used or {},
-        resident_profiles=profiles or {},
-    )
+def placed_state(machines, profiles, n_vms=1):
+    """The state after each machines[i] got a task of user i at t = 0, in
+    user order: a machine's first task runs and the rest wait in its queue,
+    so every user is resident. None leaves the user's task ready."""
+    tasks = [Task(id=u, user_id=u, length=5000.0) for u in range(len(machines))]
+    state = init_state(WorkloadSet([vm(j) for j in range(n_vms)], DagWorkflow(tasks, []), profiles))
+    for u, m in enumerate(machines):
+        if m is not None:
+            step(state, (u, m))
+    return state
 
 
 # ---------------------------------------------------------------------------
 # Competition
 # ---------------------------------------------------------------------------
 
+def competition(series, k_c=1.0):
+    """The competition term of one machine whose residents have these cpu
+    series."""
+    state = placed_state([0] * len(series), [UsageProfile(u, "cpu", s) for u, s in enumerate(series)])
+    return total_reward(state, [], only("competition", RewardConfig(k_c=k_c, resources=("cpu",))))
+
+
 def test_single_resident_contributes_nothing():
-    entry = {"cpu": (np.array([1.0, 1.0]),)}
-    assert competition_penalty([entry], RewardConfig()) == 0.0
+    assert competition([[1.0, 1.0]]) == 0.0
 
 
 def test_orthogonal_residents_do_not_compete():
-    entry = {"cpu": (np.array([1.0, 0.0]), np.array([0.0, 1.0]))}
-    cfg = RewardConfig(k_c=1.0, resources=("cpu",))
-    assert competition_penalty([entry], cfg) == 0.0
+    assert competition([[1.0, 0.0], [0.0, 1.0]]) == 0.0
 
 
 def test_overlapping_residents_charged_by_inner_product():
     # <[1,1], [1,1]> = 2, weighted by k_c=2 -> -4
-    entry = {"cpu": (np.array([1.0, 1.0]), np.array([1.0, 1.0]))}
-    cfg = RewardConfig(k_c=2.0, resources=("cpu",))
-    assert competition_penalty([entry], cfg) == -4.0
-
-
-def test_mismatched_series_lengths_raise():
-    entry = {"cpu": (np.array([1.0, 1.0]), np.array([1.0]))}
-    with pytest.raises(ValueError):
-        competition_penalty([entry], RewardConfig(resources=("cpu",)))
+    assert competition([[1.0, 1.0], [1.0, 1.0]], k_c=2.0) == -4.0
 
 
 def test_competition_matches_pairwise_double_loop():
     rng = np.random.default_rng(17)
     for _ in range(30):
         n_machines = int(rng.integers(1, 4))
-        cfg = RewardConfig(k_c=float(rng.uniform(0.5, 3.0)))
-        entries = []
+        n_users = int(rng.integers(0, 10))
+        cfg = only("competition", RewardConfig(k_c=float(rng.uniform(0.5, 3.0))))
+        machines = [int(rng.integers(n_machines)) for _ in range(n_users)]
+        profiles = [
+            UsageProfile(u, d, rng.uniform(0, 1, 6))
+            for u in range(n_users) for d in RESOURCES if rng.random() < 0.6
+        ]
         expected = 0.0
-        for _m in range(n_machines):
-            entry = {}
-            for d in cfg.resources:
-                count = int(rng.integers(0, 4))
-                series = tuple(rng.uniform(0, 1, 6) for _ in range(count))
-                entry[d] = series
-                for i in range(count):
-                    for j in range(i + 1, count):
-                        expected += cfg.k_c * float(series[i] @ series[j])
-            entries.append(entry)
-        assert competition_penalty(entries, cfg) == pytest.approx(-expected)
+        for a in profiles:
+            for b in profiles:
+                if a.user_id < b.user_id and a.resource == b.resource:
+                    if machines[a.user_id] == machines[b.user_id]:
+                        expected += cfg.k_c * float(a.series @ b.series)
+        state = placed_state(machines, profiles, n_vms=n_machines)
+        assert total_reward(state, [], cfg) == pytest.approx(-expected)
 
 
 # ---------------------------------------------------------------------------
 # Utilization
 # ---------------------------------------------------------------------------
 
+def utilization(cpu, k_u=2.0, n_vms=1):
+    """The utilization term with one resident of this cpu demand on
+    machine 0."""
+    state = placed_state([0], [UsageProfile(0, "cpu", [cpu])], n_vms=n_vms)
+    return total_reward(state, [], only("utilization", RewardConfig(k_u=k_u, resources=("cpu",))))
+
+
 def test_fully_packed_machines_have_no_slack_penalty():
-    cfg = RewardConfig(k_u=2.0, resources=("cpu",))
-    snap = snapshot(used={"cpu": 1.0})
-    assert utilization_penalty([snap], cfg) == 0.0
+    assert utilization(1.0) == 0.0
 
 
 def test_half_idle_machine_charged_by_squared_slack():
-    cfg = RewardConfig(k_u=2.0, resources=("cpu",))
-    snap = snapshot(used={"cpu": 0.5})
-    assert utilization_penalty([snap], cfg) == pytest.approx(-0.25)
+    assert utilization(0.5) == pytest.approx(-0.25)
 
 
 def test_idle_machines_are_exempt():
-    cfg = RewardConfig(k_u=2.0, resources=("cpu",))
-    snap = snapshot(in_use=False, used={"cpu": 0.0})
-    assert utilization_penalty([snap], cfg) == 0.0
+    # Machine 1 holds no task: its zero demand is not slack.
+    assert utilization(1.0, n_vms=2) == 0.0
 
 
 def test_zero_exponent_disables_the_term():
-    cfg = RewardConfig(k_u=0.0, resources=("cpu",))
-    snap = snapshot(used={"cpu": 0.2})
-    assert utilization_penalty([snap], cfg) == 0.0
+    assert utilization(0.2, k_u=0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -152,42 +150,44 @@ def test_negative_queue_rejected():
 # Composite
 # ---------------------------------------------------------------------------
 
+def breakdown_state():
+    """Users 0 and 1 on machine 0 with cpu [0.25, 0.25] each: a pair sum of
+    0.125, a demand of 0.5 at slot 0 and one task waiting in the queue."""
+    return placed_state([0, 0], [UsageProfile(u, "cpu", [0.25, 0.25]) for u in (0, 1)])
+
+
 def test_breakdown_total_is_the_component_sum():
-    b = RewardBreakdown(competition=-1.0, utilization=-2.0, overuse=-3.0, wait=-4.0)
-    assert b.total == -10.0
-    assert RewardBreakdown(0.0, 0.0, 0.0, 0.0).total == 0.0
+    # Over random profiled episodes, the full reward equals its four terms,
+    # each read alone, added in order.
+    rng = np.random.default_rng(6)
+    steps = 0
+    for _ in range(30):
+        wl = profiled_workload(rng)
+        state = init_state(wl)
+        while not state.done:
+            action = (state.ready[0], wl.vms[int(rng.integers(len(wl.vms)))].id) if state.ready else None
+            fresh = step(state, action)
+            config = RewardConfig(k_c=float(rng.uniform(0, 3)), k_u=float(rng.choice([0.0, 2.0])))
+            terms = [total_reward(state, fresh, only(t, config)) for t in TERMS]
+            assert total_reward(state, fresh, config) == ((terms[0] + terms[1]) + terms[2]) + terms[3]
+            steps += 1
+    assert steps > 200
 
 
 def test_disabling_other_terms_leaves_wait_only():
-    inputs = RewardInputs(
-        clock=1.0,
-        queue_len=3,
-        machines=(snapshot(used={"cpu": 0.5}),),
-        new_overuse=((0, "cpu"),),
-    )
+    # Four users on one machine with cpu 0.125 each: 0.5 in use, three
+    # tasks queued, and a fresh overshoot that k_o = 0 does not charge.
+    state = placed_state([0] * 4, [UsageProfile(u, "cpu", [0.125]) for u in range(4)])
     cfg = RewardConfig(k_c=0.0, k_u=0.0, k_o=0.0, k_w=2.0)
-    assert total_reward(inputs, cfg) == -6.0
+    assert total_reward(state, [(0, "cpu")], cfg) == -6.0
 
 
 def test_breakdown_components_are_individually_retrievable():
-    inputs = RewardInputs(
-        clock=0.0,
-        queue_len=1,
-        machines=(
-            snapshot(
-                used={"cpu": 0.5},
-                profiles={"cpu": (np.array([1.0, 1.0]), np.array([1.0, 1.0]))},
-            ),
-        ),
-        new_overuse=((0, "cpu"),),
-    )
+    state = breakdown_state()
     cfg = RewardConfig(k_c=1.0, k_u=2.0, k_o=5.0, k_w=1.0, resources=("cpu",))
-    b = reward_breakdown(inputs, cfg)
-    assert b.competition == -2.0
-    assert b.utilization == pytest.approx(-0.25)
-    assert b.overuse == -5.0
-    assert b.wait == -1.0
-    assert total_reward(inputs, cfg) == pytest.approx(b.total)
+    terms = {t: total_reward(state, [(0, "cpu")], only(t, cfg)) for t in TERMS}
+    assert terms == {"competition": -0.125, "utilization": -0.25, "overuse": -5.0, "wait": -1.0}
+    assert total_reward(state, [(0, "cpu")], cfg) == -6.375
 
 
 def test_negative_weights_rejected():
@@ -209,17 +209,16 @@ def test_all_penalties_are_nonpositive_on_random_inputs():
             k_o=float(rng.uniform(0, 6)),
             k_w=float(rng.uniform(0, 2)),
         )
-        entry = {
-            d: tuple(rng.uniform(0, 1, 4) for _ in range(int(rng.integers(0, 3))))
-            for d in cfg.resources
-        }
-        snap = snapshot(
-            in_use=bool(rng.integers(0, 2)),
-            used={d: float(rng.uniform(0, 1)) for d in cfg.resources},
-        )
+        n_users = int(rng.integers(0, 5))
+        machines = [None if rng.random() < 0.2 else int(rng.integers(2)) for _ in range(n_users)]
+        profiles = [
+            UsageProfile(u, d, rng.uniform(0, 1, 4))
+            for u in range(n_users) for d in cfg.resources if rng.random() < 0.7
+        ]
+        state = placed_state(machines, profiles, n_vms=2)
         events = [(int(rng.integers(0, 3)), "cpu") for _ in range(int(rng.integers(0, 3)))]
-        assert competition_penalty([entry], cfg) <= 0.0
-        assert utilization_penalty([snap], cfg) <= 0.0
+        for term in TERMS:
+            assert total_reward(state, events, only(term, cfg)) <= 0.0
         assert overuse_penalty(events, cfg) <= 0.0
         assert wait_penalty(int(rng.integers(0, 20)), cfg) <= 0.0
 

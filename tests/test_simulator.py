@@ -180,16 +180,16 @@ def test_step_dispatch_and_noop():
     wl = flat_workload([1000.0, 1000.0])
     state = init_state(wl)
     assert state.ready == [0, 1]
-    state, _ = step(state, (0, 0))
+    step(state, (0, 0))
     # Dispatch does not advance the clock.
     assert state.clock == 0.0
     with pytest.raises(SimulationError):
         step(state, (0, 0))  # task 0 is no longer ready
     with pytest.raises(SimulationError):
         step(state, (1, 42))  # no such machine
-    state, _ = step(state, (1, 0))
+    step(state, (1, 0))
     while not state.done:
-        state, _ = step(state, None)
+        step(state, None)
     assert state.records[1].wait == 1.0
 
 
@@ -197,13 +197,13 @@ def test_stepping_a_finished_episode_changes_no_trace_field():
     profiles = [UsageProfile(0, "cpu", np.array([0.8] * 4))]
     wl = WorkloadSet.from_tasks([vm(0)], [task(0)], profiles)
     state = init_state(wl)
-    state, _ = step(state, (0, 0))
+    step(state, (0, 0))
     while not state.done:
-        state, _ = step(state, None)
+        step(state, None)
     before, clock = state.trace(), state.clock
     for _ in range(3):
-        state, inputs = step(state, None)
-        assert inputs.queue_len == 0 and inputs.new_overuse == ()
+        assert step(state, None) == []
+        assert state.waiting_count() == 0
     assert state.clock == clock
     assert state.trace() == before
     assert len(before.queue_series) == 1
@@ -212,7 +212,7 @@ def test_stepping_a_finished_episode_changes_no_trace_field():
 def test_noop_advances_one_slot_when_idle():
     wl = WorkloadSet.from_tasks([vm(0)], [task(0, arrival=2.5)])
     state = init_state(wl)
-    state, _ = step(state, None)
+    step(state, None)
     assert state.clock == 2.5
     assert state.ready == [0]
 
@@ -232,7 +232,7 @@ def test_noop_walks_slots_only_while_a_resident_can_fire(
     profiles = [UsageProfile(0, "cpu", np.array([0.8] * 4))] if profiled else []
     tasks = [task(0, length=length, user_id=0), task(1, arrival=arrival, user_id=0)]
     state = init_state(WorkloadSet.from_tasks([vm(0)], tasks, profiles))
-    state, _ = step(state, (0, 0))
+    step(state, (0, 0))
     calls = []
 
     def counting(state, slot):
@@ -242,7 +242,7 @@ def test_noop_walks_slots_only_while_a_resident_can_fire(
     sample_slot = simulator._sample_slot
     monkeypatch.setattr(simulator, "_sample_slot", counting)
     while not state.ready:
-        state, _ = step(state, None)
+        step(state, None)
     assert state.clock == arrival and state.ready == [1]
     assert len(calls) == expected_calls and calls[-1] == int(arrival)
     assert state.overuse_events == []

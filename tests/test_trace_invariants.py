@@ -28,21 +28,21 @@ def test_online_dispatch_keeps_trace_invariants():
             if state.ready and rng.random() < 0.5:
                 tid = state.ready[int(rng.integers(len(state.ready)))]
                 vm_id = wl.vms[int(rng.integers(len(wl.vms)))].id
-                state, _ = step(state, (tid, vm_id))
+                step(state, (tid, vm_id))
             else:
-                state, _ = step(state, None)
+                step(state, None)
         assert_trace_invariants(state.trace(), wl)
 
 
 def test_hand_dispatched_episode_serves_in_join_order():
     wl = flat_workload([1000.0, 1000.0, 1000.0])
     state = init_state(wl)
-    state, _ = step(state, (2, 0))
-    state, _ = step(state, None)  # task 2 completes at t=1
-    state, _ = step(state, (1, 0))
-    state, _ = step(state, (0, 0))
+    step(state, (2, 0))
+    step(state, None)  # task 2 completes at t=1
+    step(state, (1, 0))
+    step(state, (0, 0))
     while not state.done:
-        state, _ = step(state, None)
+        step(state, None)
     trace = state.trace()
     assert_trace_invariants(trace, wl)
     assert [trace.records[t].start for t in (2, 1, 0)] == [0.0, 1.0, 2.0]
