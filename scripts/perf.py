@@ -310,8 +310,10 @@ def train_s(pol, env, seed: int):
 
 def rebuild_s(sim, state, machine, resources) -> float:
     """Seconds of one build of the machine's resident set from its users:
-    the set, its totals at the clock's slot and its pair sums. The set that
-    was there before is put back, so the episode goes on unchanged."""
+    the set, its totals at the clock's slot and its pair sums. Where the
+    set computes its totals and pair sums as it is built, the build itself
+    holds them and the two reads are lookups. The set that was there
+    before is put back, so the episode goes on unchanged."""
     kept = machine.residents
     machine.residents, machine.users_changed = None, True
     if hasattr(state, "series_index"):

@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .codec import decode, encode
+from .codec import decode, encode, read_json
 from .errors import ConfigurationError, SimulationError
 from .metrics import QosWeights, load_rate, machine_usage_totals, raw_qos
 from .metrics import qos_scores  # noqa: F401 (perfbench's tracer wraps qos_scores here)
@@ -207,7 +207,10 @@ class TrainSetup:
         for name in ("lookahead", "ready_slots", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"train setup needs {name} >= 1")
-        self.build_vms()  # reject non-positive speeds when the config loads
+        # Reject bad speeds, task shapes and hyperparameters when the config loads.
+        self.build_vms()
+        self.workload_params()
+        self.train_config()
 
     def build_vms(self) -> tuple[VmSpec, ...]:
         return tuple(VmSpec(id=i, mips=mips) for i, mips in enumerate(self.machine_mips))
@@ -291,18 +294,7 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(
-            f"cannot read config file {path}: not UTF-8 (byte {exc.start})"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, "config"))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
@@ -533,7 +525,7 @@ def write_rows_csv(path: str | Path, rows: Sequence[Mapping[str, Any]], columns:
             cells = []
             for col in columns:
                 text = _format_value(row[col])
-                if "," in text or '"' in text:
+                if any(c in text for c in ',"\n\r'):  # a quoted field may span lines
                     text = '"' + text.replace('"', '""') + '"'
                 cells.append(text)
             fh.write(",".join(cells) + "\n")

@@ -5,12 +5,15 @@ required fields and each leaf's type from the class itself, so a file format
 is declared once, by the dataclass it fills. encode writes a dataclass back
 as plain JSON. Every decode error is a ConfigurationError that names the
 dotted path of the offending value, e.g. "workload file.vms[0].mips".
+read_json reads a config or workload file for decode; its errors name the
+file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import sys
 import types
@@ -78,6 +81,21 @@ def decode(cls, value, where: str):
     if cls is typing.Any:
         return value
     raise TypeError(f"no JSON decoding for {cls!r}")
+
+
+def read_json(path: str, kind: str):
+    """The parsed JSON of the file at path. A file that cannot be opened,
+    is not UTF-8 or is not JSON is a ConfigurationError naming the kind of
+    file and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {kind} file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read {kind} file {path}: not UTF-8 (byte {exc.start})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{kind} file {path} is not valid JSON: {exc}") from exc
 
 
 @functools.cache

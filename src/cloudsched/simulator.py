@@ -32,12 +32,15 @@ charges each step, are read from each machine's ResidentSet. Each machine
 counts its users' running and queued tasks as they join and complete, and
 its set is rebuilt only when its resident users change. A set gathers its
 users' series from the episode's SeriesIndex, which the state builds at the
-episode's first set and drops when its last task completes. The index holds one read-only (g, U, L) matrix for each
-group of resources whose profiles cover the same users and share a length;
-one take of the set's users' rows gives the group's (g, k, L) stack, whose
-sum over the users gives both the summed demand and the competition
-aggregates. numpy adds a stack's users in the order sum() adds them, so
-these sums keep the bits of one sum per resource (see ResidentSet).
+episode's first set and drops when its last task completes. The index
+holds one read-only (g, U, L) matrix for each group of resources whose
+profiles cover the same users and share a length; one take of the set's
+users' rows gives the group's (g, k, L) stack, whose sum over the users
+gives both the summed demand and the competition aggregates. A set
+computes both, and each resource's pair sum, when it is built, since the
+overuse sampler and the reward read them. numpy adds a stack's users in
+the order sum() adds them, so these sums keep the bits of one sum per
+resource (see ResidentSet).
 run_simulation builds neither sets nor an index. After a run,
 scan_overuse and machine_usage_series read the same per-slot resident
 demand, built from the trace's residency rows, which equals the stepper's
@@ -51,7 +54,6 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -174,69 +176,54 @@ class ResidentSet:
 
     A machine keeps its set until its resident users change.
 
-    A set is built from a SeriesIndex with one take per group: the rows
-    of the set's users, in user order, make a C-contiguous (g, k, L) stack,
-    and its sum over the users gives each resource's totals, the demand per
-    slot that used_at reads. Reducing a stack over its middle axis, numpy
-    adds the k rows one after another, slot by slot, which is how sum()
-    adds them from np.zeros; whether numpy starts from +0.0 or from the
-    first row makes no difference, as UsageProfile stores -0.0 as +0.0. So
-    the totals keep their bits. Along one run of contiguous values numpy
-    adds pairwise instead, so one-slot series are summed by sum() itself. A
-    resource with one series totals that series plus 0.0.
+    A set is reduced when it is built, with one take per SeriesIndex group:
+    the rows of the set's users, in user order, make a C-contiguous
+    (g, k, L) stack, and its sum over the users gives each resource's
+    totals, the demand per slot that used_at reads. Reducing a stack over
+    its middle axis, numpy adds the k rows one after another, slot by slot,
+    which is how sum() adds them from np.zeros; whether numpy starts from
+    +0.0 or from the first row makes no difference, as UsageProfile stores
+    -0.0 as +0.0. So the totals keep their bits. Along one run of
+    contiguous values numpy adds pairwise instead, so one-slot series are
+    summed by sum() itself. A resource with one series totals that series
+    plus 0.0.
 
-    The same sums over the users are the aggregates whose squares pair_sum
-    takes, and each resource's squares are summed over its own k x L block
-    of the stack, as over a stack of its series alone, so every pair sum
-    keeps its bits too. The pair sums are computed for a whole stack on
-    first request, so a set whose reward reads no resource never computes
-    them. The demand dict of the last slot read and the pair sums of each
-    tuple of resources are kept once computed; nothing is kept across sets.
+    The same sums over the users are the aggregates whose squares give
+    each resource's pair sum, and each resource's squares are summed over
+    its own k x L block of the stack, as over a stack of its series alone,
+    so every pair sum keeps its bits too. Nothing is deferred: the overuse
+    sampler reads every set's totals, and a reward with resources reads
+    every set's pair sums, so on the learned dispatcher's path each set
+    built is read for both. The demand dict of the last slot read and the
+    pair sums of each tuple of resources are kept once read; nothing is
+    kept across sets.
     """
 
     def __init__(self, index: SeriesIndex, users: tuple[int, ...]):
         self.users = users
-        self._resources = index.resources
-        self._pair_sums: dict[str, float] = {}
-        self._pair_sums_of: dict[tuple[str, ...], tuple[float, ...]] = {}
         self._used: tuple[int, dict[str, float]] | None = None
-        # (the group's resources, its stack, the stack's sums over the
-        # users, or None for one user) of each group with users in the set,
-        # and each of their resources mapped to (its row, the group).
-        self._groups: list[tuple[tuple[str, ...], np.ndarray, np.ndarray | None]] = []
-        self._stacks: dict[str, tuple[int, tuple[str, ...], np.ndarray, np.ndarray | None]] = {}
+        self._pair_sums_of: dict[tuple[str, ...], tuple[float, ...]] = {}
+        # The pair sum of each resource with two or more series in the set.
+        self._pair_sums: dict[str, float] = {}
+        totals: dict[str, np.ndarray] = {}
         for names, matrix, rows in index.groups:
             take = [rows[u] for u in users if u in rows]
-            if take:
-                stack = matrix.take(take, axis=1)
-                group = (names, stack, stack.sum(axis=1) if len(take) > 1 else None)
-                self._groups.append(group)
-                for i, d in enumerate(names):
-                    self._stacks[d] = (i, *group)
-
-    @classmethod
-    def of_users(cls, users: tuple[int, ...], index: SeriesIndex) -> "ResidentSet":
-        """The set of the given users' series, in user order, gathered from
-        the index; a set with no series is the shared _NO_RESIDENTS."""
-        residents = cls(index, users)
-        return residents if residents._stacks else _NO_RESIDENTS
-
-    def _count(self, resource: str) -> int:
-        """The number of the resource's series in the set."""
-        entry = self._stacks.get(resource)
-        return 0 if entry is None else entry[2].shape[1]
-
-    @cached_property
-    def _totals(self) -> dict[str, np.ndarray]:
-        totals = {}
-        for names, stack, sums in self._groups:
-            if sums is None:
+            if not take:
+                continue
+            stack = matrix.take(take, axis=1)
+            if len(take) == 1:
                 totals.update(zip(names, stack[:, 0] + 0.0))
-            elif stack.shape[2] == 1:
+                continue
+            sums = stack.sum(axis=1)
+            squares = (stack * stack).reshape(len(names), -1).sum(axis=1)
+            for d, agg, square in zip(names, sums, squares):
+                self._pair_sums[d] = (float(agg @ agg) - float(square)) / 2.0
+            if stack.shape[2] == 1:
                 totals.update((d, sum(rows, np.zeros(1))) for d, rows in zip(names, stack))
             else:
                 totals.update(zip(names, sums))
-        return {d: totals[d] if d in totals else np.zeros(1) for d in self._resources}
+        self.has_series = bool(totals)
+        self._totals = {d: totals[d] if d in totals else np.zeros(1) for d in index.resources}
 
     def used_at(self, slot: int) -> dict[str, float]:
         """Each resource's summed demand at a slot, in user order. The dict
@@ -246,27 +233,13 @@ class ResidentSet:
             self._used = (slot, {d: float(t[slot % len(t)]) for d, t in self._totals.items()})
         return self._used[1]
 
-    def pair_sum(self, resource: str) -> float:
-        """Sum over unordered pairs of the resource's series inner products,
-        via the square-of-sum identity. The pair sums of every resource in
-        its stack are computed with it."""
-        if resource not in self._pair_sums:
-            if self._count(resource) < 2:
-                self._pair_sums[resource] = 0.0
-            else:
-                _, names, stack, sums = self._stacks[resource]
-                squares = (stack * stack).reshape(len(names), -1).sum(axis=1)
-                for i, d in enumerate(names):
-                    agg = sums[i]
-                    self._pair_sums[d] = (float(agg @ agg) - float(squares[i])) / 2.0
-        return self._pair_sums[resource]
-
     def pair_sums(self, resources: tuple[str, ...]) -> tuple[float, ...]:
-        """pair_sum of each of the resources with two or more series, in the
-        order given."""
+        """The pair sum of each of the resources with two or more series, in
+        the order given: the sum over unordered pairs of the resource's
+        series of their inner products, via the square-of-sum identity."""
         sums = self._pair_sums_of.get(resources)
         if sums is None:
-            sums = tuple(self.pair_sum(d) for d in resources if self._count(d) >= 2)
+            sums = tuple(self._pair_sums[d] for d in resources if d in self._pair_sums)
             self._pair_sums_of[resources] = sums
         return sums
 
@@ -464,13 +437,14 @@ def _residents(state: SimState, machine: Machine) -> ResidentSet:
     changed: _join and _complete_task count each user's tasks on the machine
     and flag it when a count crosses 0 <-> 1. A user who left and came back
     between two reads keeps the set. A machine without resident users gets
-    _NO_RESIDENTS without reading the index."""
+    _NO_RESIDENTS without reading the index, and one whose resident users
+    have no series gets it in place of the set built for them, so that a
+    no-op's slot walk can pass over the machine."""
     if machine.users_changed:
         users = tuple(sorted(machine.user_tasks))
         if machine.residents is None or users != machine.residents.users:
-            machine.residents = (
-                ResidentSet.of_users(users, state.series_index()) if users else _NO_RESIDENTS
-            )
+            residents = ResidentSet(state.series_index(), users) if users else _NO_RESIDENTS
+            machine.residents = residents if residents.has_series else _NO_RESIDENTS
         machine.users_changed = False
     return machine.residents
 

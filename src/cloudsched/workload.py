@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import decode, encode
+from .codec import decode, encode, read_json
 from .errors import ConfigurationError, DagValidationError
 
 RESOURCES = ("cpu", "memory", "bandwidth")
@@ -396,12 +396,7 @@ class _WorkloadFile:
 
 def load_workload(path: str) -> WorkloadSet:
     """Read a workload file; see docs/formats.md for the schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"workload file {path} is not valid JSON: {exc}") from exc
-    doc = decode(_WorkloadFile, data, "workload file")
+    doc = decode(_WorkloadFile, read_json(path, "workload"), "workload file")
     dags = doc.dags if doc.tasks is None else (_Dag(doc.tasks),)
     dag = DagWorkflow(
         [t for d in dags for t in d.tasks], [e for d in dags for e in d.edges]

@@ -38,7 +38,7 @@ from cloudsched.bench import (
     workload_seed,
     write_rows_csv,
 )
-from cloudsched.cli import main
+from cloudsched.cli import _read_results, main
 from cloudsched.errors import ConfigurationError
 from cloudsched.metrics import QosWeights
 from cloudsched.policy import (
@@ -56,6 +56,7 @@ from cloudsched.schedulers import (
     SaParams,
     _Evaluator,
     aco_schedule,
+    eft_schedule,
     gaaco_schedule,
     sa_schedule,
 )
@@ -158,6 +159,13 @@ def test_unknown_keys_are_rejected_everywhere():
         ({"train": {"eval_episodes": 0}}, "experiment config.train: train setup needs eval_episodes"),
         ({"train": {"lookahead": 0}}, "experiment config.train: train setup needs lookahead >= 1"),
         ({"train": {"ready_slots": -1}}, "experiment config.train: train setup needs ready_slots"),
+        ({"train": {"alpha": -1}}, "experiment config.train: alpha must be positive"),
+        ({"train": {"gamma": 2.0}}, "experiment config.train: gamma must lie in (0, 1]"),
+        ({"train": {"batch_size": 0}}, "experiment config.train: batch_size must be >= 1"),
+        ({"train": {"hidden": 0}}, "experiment config.train: hidden width must be >= 1"),
+        ({"train": {"episodes": -1}}, "experiment config.train: episodes must be >= 0"),
+        ({"train": {"length_range": [5, 1]}}, "experiment config.train: length_range: min 5.0 exceeds"),
+        ({"train": {"mean_interarrival": -1}}, "experiment config.train: mean_interarrival must be"),
     ],
 )
 def test_malformed_config_fails_naming_its_field(data, path):
@@ -508,6 +516,28 @@ def test_csv_escapes_commas_and_quotes(tmp_path):
     path = tmp_path / "rows.csv"
     write_rows_csv(path, [{"s": 'failed: a,b "c"'}], ("s",))
     assert path.read_text().splitlines()[1] == '"failed: a,b ""c"""'
+
+
+def test_a_multi_line_failure_keeps_its_row_on_one_record(tmp_path, monkeypatch, capsys):
+    # A scheduler error whose message spans lines is quoted in results.csv,
+    # so the file reads back with one row per cell and summarizes.
+    def rejecting(workload):
+        if len(workload.tasks) == 3:
+            raise ValueError("plan rejected\nsecond line")
+        return eft_schedule(workload)
+
+    monkeypatch.setattr(cloudsched.bench, "eft_schedule", rejecting)
+    rows = run_experiment(tiny_config(tmp_path / "out"))
+    assert [r["status"] for r in rows if r["task_count"] == 3 and r["algorithm"] == "eft"] == [
+        "failed: plan rejected\nsecond line"
+    ] * 2
+    back = _read_results(str(tmp_path / "out" / "results.csv"))
+    assert [(r["algorithm"], r["task_count"], r["seed"], r["status"]) for r in back] == [
+        (r["algorithm"], r["task_count"], r["seed"], r["status"]) for r in rows
+    ]
+    assert main(["summarize", "--results", str(tmp_path / "out" / "results.csv"),
+                 "--out", str(tmp_path / "again")]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_plot_script_only_uses_stdlib_and_matplotlib(tiny_run):

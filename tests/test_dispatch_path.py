@@ -84,7 +84,7 @@ def old_totals(residents):
 
 
 def old_pair_sum(rows):
-    """ResidentSet.pair_sum as it was computed per resource, from a stack
+    """A resource's pair sum as it was computed per resource, from a stack
     of that resource's series alone, which share a length."""
     if len(rows) < 2:
         return 0.0
@@ -232,7 +232,7 @@ def random_episode(rng, wl):
 def assert_same_machines(state, old):
     """Each machine's resident set, as total_reward reads it at the clock's
     slot, against the snapshot rebuilt from the profiles: the same summed
-    demand, series counts and pair sums, compared by their bits."""
+    demand, totals and pair sums, compared by their bits."""
     slot = int(math.floor(state.clock))
     for machine, snap in zip(state.machines, old.machines, strict=True):
         assert (machine.spec.id, machine.in_use) == (snap.machine_id, snap.in_use)
@@ -240,8 +240,10 @@ def assert_same_machines(state, old):
         assert residents.used_at(slot) == snap.used
         for d in RESOURCES:
             rows = snap.resident_profiles[d]
-            assert residents._count(d) == len(rows)
-            assert residents.pair_sum(d).hex() == old_pair_sum(rows).hex()
+            assert residents._totals[d].tobytes() == old_totals({d: rows})[d].tobytes()
+            assert [v.hex() for v in residents.pair_sums((d,))] == (
+                [old_pair_sum(rows).hex()] if len(rows) >= 2 else []
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +584,8 @@ def test_shared_resident_sets_are_read_only():
     for _, matrix, _ in state.index.groups:
         with pytest.raises(ValueError):
             matrix[0, 0, 0] = 1.0
-    assert residents.pair_sum("cpu") == 0.2 * 0.2 + 0.4 * 0.4
+    assert residents._totals["cpu"].tobytes() == np.array([0.4, 0.8]).tobytes()
+    assert residents.pair_sums(("cpu",)) == (0.2 * 0.2 + 0.4 * 0.4,)
 
 
 def test_an_idle_machine_keeps_its_snapshot_across_slots():
@@ -603,8 +606,8 @@ def test_an_idle_machine_keeps_its_snapshot_across_slots():
 def assert_same_build(residents, series):
     """The one-pass build of residents against the per-resource formulas
     on series (resource -> rows), compared by their bytes so that signed
-    zeros count: totals, used_at at every slot, each pair sum and
-    pair_sums of several resource tuples."""
+    zeros count: totals, used_at at every slot, and pair_sums of each
+    resource alone and of several resource tuples."""
     expected = old_totals(series)
     assert list(residents._totals) == list(expected)
     for d, total in expected.items():
@@ -616,11 +619,11 @@ def assert_same_build(residents, series):
             d: float(t[slot % len(t)]).hex() for d, t in expected.items()
         }
     pairs = {d: old_pair_sum(rows) for d, rows in series.items()}
-    for order in (RESOURCES, RESOURCES[::-1], ("memory",), ()):
+    singles = tuple((d,) for d in RESOURCES)
+    for order in (RESOURCES, RESOURCES[::-1], ("memory",), (), *singles):
         assert [v.hex() for v in residents.pair_sums(order)] == [
             pairs[d].hex() for d in order if len(series[d]) >= 2
         ]
-    assert {d: residents.pair_sum(d).hex() for d in series} == {d: v.hex() for d, v in pairs.items()}
 
 
 def test_one_pass_resident_sets_equal_the_per_resource_formulas():
@@ -637,14 +640,15 @@ def test_one_pass_resident_sets_equal_the_per_resource_formulas():
     dropped = {(u, d) for u in range(90) for d in RESOURCES if rng.random() < 0.1}
     profiles = [p for p in profiles if (p.user_id, p.resource) not in dropped]
     tasks = [Task(id=u, user_id=u) for u in range(90)]
-    index = init_state(WorkloadSet([vm(0)], DagWorkflow(tasks, []), profiles)).series_index()
+    state = init_state(WorkloadSet([vm(0)], DagWorkflow(tasks, []), profiles))
     pmap = {(p.user_id, p.resource): p.series for p in profiles}
     for _ in range(300):
         users = tuple(sorted(rng.choice(90, int(rng.integers(0, 31)), replace=False).tolist()))
         series = {d: [pmap[(u, d)] for u in users if (u, d) in pmap] for d in RESOURCES}
-        residents = ResidentSet.of_users(users, index)
-        if not any(series.values()):
-            assert residents is simulator._NO_RESIDENTS
+        # A machine whose users are these, as _residents builds its set.
+        machine = simulator.Machine(spec=vm(0), user_tasks=dict.fromkeys(users, 1))
+        residents = simulator._residents(state, machine)
+        assert (residents is simulator._NO_RESIDENTS) == (not any(series.values()))
         assert_same_build(residents, series)
     # Random series with exact zeros, and -0.0 entries that a profile stores
     # as +0.0: 2-20 users, one length per resource, one slot included (where

@@ -248,6 +248,29 @@ def test_noop_walks_slots_only_while_a_resident_can_fire(
     assert state.overuse_events == []
 
 
+def test_noop_passes_over_a_machine_whose_residents_have_no_series(monkeypatch):
+    # User 0's task runs from t = 0 to t = 2e5 on the only machine; user 0
+    # has no profile, user 1 has one. The machine's set reads as
+    # _NO_RESIDENTS, so the no-op to task 1's arrival at t = 1e5 walks none
+    # of the slots on the way and samples only the arrival's.
+    profiles = [UsageProfile(1, "cpu", np.array([0.8] * 4))]
+    tasks = [task(0, length=2e8, user_id=0), task(1, arrival=1e5, user_id=1)]
+    state = init_state(WorkloadSet.from_tasks([vm(0)], tasks, profiles))
+    step(state, (0, 0))
+    assert simulator._residents(state, state.machines[0]) is simulator._NO_RESIDENTS
+    calls = []
+
+    def counting(state, slot):
+        calls.append(slot)
+        return sample_slot(state, slot)
+
+    sample_slot = simulator._sample_slot
+    monkeypatch.setattr(simulator, "_sample_slot", counting)
+    step(state, None)
+    assert state.clock == 1e5 and state.ready == [1]
+    assert calls == [100000]
+
+
 # ---------------------------------------------------------------------------
 # Overuse scanning
 # ---------------------------------------------------------------------------

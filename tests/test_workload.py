@@ -475,6 +475,18 @@ def test_malformed_workload_fails_naming_its_field(tmp_path, doc, path):
     assert path in str(exc.value)
 
 
+def test_unreadable_workload_file_fails_naming_it(tmp_path):
+    missing = tmp_path / "nope.json"
+    with pytest.raises(ConfigurationError) as exc:
+        load_workload(str(missing))
+    assert str(exc.value) == f"cannot read workload file {missing}: No such file or directory"
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"vms": [{"id": 0}], "tasks": [{"id": 0, "note": "caf\xe9"}]}')
+    with pytest.raises(ConfigurationError) as exc:
+        load_workload(str(latin1))
+    assert str(exc.value) == f"cannot read workload file {latin1}: not UTF-8 (byte 53)"
+
+
 def test_load_rejects_a_cyclic_dag(tmp_path):
     doc = {"vms": [_VM], "dags": [{"tasks": [_TASK, {"id": 1}], "edges": [[0, 1], [1, 0]]}]}
     file = tmp_path / "wl.json"
