@@ -44,6 +44,11 @@ Each figure is the median of --repeats runs (at least 5):
   bounds' one-machine plans included) in a call of its own, untimed. The
   counts show that a change to the evaluator or to a search's bookkeeping
   leaves the work done as it was.
+* `sa_dag_4x10_pops`: the ready-heap pops of the event walks in one call
+  of `sa_dag_4x10_s`, counted untimed in a call of its own as heappop
+  calls through the schedulers module's heapq (the bounds' and the EFT
+  plan's walks included). A walk pops each task once, so a full rescore of
+  every proposal pops the instance's 40 tasks per move.
 * `colony_ants_per_s_<k>`: ants built per second by _construct_colony on
   the n = 200 cell (cell seed 1), over 10 colonies of k ants after one
   unmeasured colony, with the pheromone fixed at 1: k = 31 with beta 2 (the
@@ -124,6 +129,7 @@ import statistics
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +245,28 @@ def walks(schedulers, name: str, wl, **kwargs) -> int:
     finally:
         for attr, walk in kept.items():
             setattr(ev_class, attr, walk)
+    return calls
+
+
+def pops(schedulers, name: str, wl, **kwargs) -> int:
+    """Ready-heap pops of the search-side event walks in one <name>_schedule
+    call on wl: heappop calls through the schedulers module's heapq, which
+    is put back afterwards."""
+    kept = schedulers.heapq
+    counting = types.SimpleNamespace(**vars(kept))
+    calls = 0
+
+    def counted(heap):
+        nonlocal calls
+        calls += 1
+        return kept.heappop(heap)
+
+    counting.heappop = counted
+    schedulers.heapq = counting
+    try:
+        getattr(schedulers, f"{name}_schedule")(wl, **kwargs)
+    finally:
+        schedulers.heapq = kept
     return calls
 
 
@@ -492,6 +520,7 @@ def figures(src: str) -> dict[str, float]:
         wl, kwargs = default_cell(bench, name, 200)
         results[f"{name}_n200_walks"] = walks(sched, name, wl, **kwargs)
     results["gaaco_dag_4x10_walks"] = walks(sched, "gaaco", dag, seed=1)
+    results["sa_dag_4x10_pops"] = pops(sched, "sa", dag, seed=1)
     return results
 
 

@@ -9,12 +9,13 @@ simulating: by an event walk or, without precedence edges, a per-machine
 recurrence. Both add flows and charges left to right in (arrival, id)
 order, as metrics does, so every score equals raw_qos(run_simulation(...))
 bit for bit, and so does annealing's re-walk of the two machine queues a
-move changes. With edges, annealing walks each proposal in place on its
-plan. The evaluator keeps no plans: each search keeps the scores it
-computed, and gaaco, whose candidates repeat across generations, scores
-each distinct plan once. Time and money are scaled by bounds read from the
-instance, so every search and seed on it minimizes one score, and the
-exhaustive oracle returns that score's exact minimizer.
+move changes. With edges, annealing keeps the event walk of its plan with a
+checkpoint every few pops, and walks each proposal on from the last one
+before the moved task. The evaluator keeps no plans: each search keeps the
+scores it computed, and gaaco, whose candidates repeat across generations,
+scores each distinct plan once. Time and money are scaled by bounds read
+from the instance, so every search and seed on it minimizes one score, and
+the exhaustive oracle returns that score's exact minimizer.
 """
 
 from __future__ import annotations
@@ -116,6 +117,10 @@ class SaParams:
     def __post_init__(self):
         if not (self.initial_temp > 0 and self.min_temp > 0):
             raise ConfigurationError("temperatures must be positive")
+        for name in ("initial_temp", "min_temp"):
+            # An infinite temperature stays infinite as it cools.
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.min_temp > self.initial_temp:
             raise ConfigurationError("min_temp cannot exceed initial_temp")
         if not 0.0 < self.cooling_rate < 1.0:
@@ -228,9 +233,8 @@ class _Tables:
         completion are known the moment it joins, and its successors can be
         released at once: their ready times are never earlier than that
         completion, as in the simulator, which handles completions before
-        readies at equal times. Each completion is kept by position; flows
-        and money are then added left to right in (arrival, id) order, as
-        metrics adds them, and reliability comes from exact counts.
+        readies at equal times. Each completion is kept by position for
+        _means' sums.
         """
         walk_rows = self._walk_rows
         pop, push = heapq.heappop, heapq.heappush
@@ -253,6 +257,13 @@ class _Tables:
                 remaining[s] = left
                 if not left:
                     push(heap, (ready[s], tid, s))
+        return RawQos(*self._means(vec, comps))
+
+    def _means(self, vec: Sequence[int], comps: list[float]) -> tuple[float, float, float]:
+        """The raw metrics of the plan vec whose completions by position are
+        comps, as a plain tuple: flows and money added left to right in
+        (arrival, id) order, as metrics adds them, and reliability from
+        exact counts."""
         total_time = money = 0.0
         dl_met = 0
         for pos, a, money_row, d in self._sum_rows:
@@ -264,7 +275,7 @@ class _Tables:
         n = len(vec)
         dl_total = self._dl_total
         rel = dl_met / dl_total if dl_total else 1.0
-        return RawQos(total_time / n, money / n, rel)
+        return total_time / n, money / n, rel
 
 
 class _Evaluator(_Tables):
@@ -607,28 +618,95 @@ class _QueueMoves:
         self._dl_met = met
 
 
-class _RescoredMoves:
-    """Annealing state on an instance with precedence edges, the plan kept
-    as a list. A proposal is scored in place: the move is written into the
-    plan, the evaluator scores the plan, and the old machine is put back."""
+_CHECKPOINT_POPS = 4  # pops between the saved states of _ResumedMoves' walk
+
+
+class _ResumedMoves:
+    """Annealing state on an instance with precedence edges, which keeps the
+    event walk of its current plan: each position's completion, the index of
+    the pop that served it, and before every fourth pop a checkpoint of the
+    walk's state (machine free times, predecessors left and the ready heap).
+
+    A proposal resumes the walk from the last checkpoint before the moved
+    task's pop and walks on to the end: the delta evaluation of local search,
+    by the checkpoints of optimistic simulation (Jefferson, ACM TOPLAS
+    1985). This is _Tables._raw_dag's walk, bit for bit. No pop before the
+    moved task's reads its machine, so the checkpoint is the state the moved
+    plan's own walk reaches there. Heap keys (ready, id, position) are
+    unique, so the order of the pops depends on what the heap holds, not on
+    how it is laid out. A successor's ready time is taken when it is
+    released, as the maximum of its arrival and its predecessors'
+    completions: the maximum _raw_dag accumulates, so no ready list is
+    saved. The sums are _raw_dag's (_Tables._means), over all tasks.
+
+    _raw_dag keeps its own loop: saving the checkpoints made a full walk of
+    perfbench's 40-task search-dag instance take 1.3-1.6 times as long,
+    which every fresh plan of aco and gaaco would pay."""
 
     def __init__(self, ev: _Evaluator):
-        self._score = ev.score
+        self._walk_rows, self._arrivals = ev._walk_rows, ev._arrivals
+        self._means, self._blend = ev._means, ev._blend
+        self._preds: list[list[int]] = [[] for _ in ev.task_ids]
+        for p, succs in enumerate(ev._succ_pos):
+            for s in succs:
+                self._preds[s].append(p)
         self.vec = list(ev.eft_vec)
-        self._pending = (0, self.vec[0])
+        # The plan's walk, from the state before the first pop; every
+        # position's completion and pop index are written on the way.
+        self._comps, self._at = [0.0] * len(self.vec), [0] * len(self.vec)
+        self._marks = [([0.0] * len(ev.vm_ids), ev._indeg, ev._roots)]
+        self._comps, self._at, self._marks = self._walk(0)
+        self._pending: tuple = ()
+
+    def _walk(self, mark: int) -> tuple:
+        """Walk self.vec on from checkpoint `mark` to the end. Returns the
+        completions and pop indices of every position and the checkpoints,
+        the first mark + 1 of them shared with the current plan's."""
+        walk_rows, preds, arrivals, vec = self._walk_rows, self._preds, self._arrivals, self.vec
+        pop, push = heapq.heappop, heapq.heappush
+        marks = self._marks[:mark + 1]
+        free, remaining, heap = marks[mark]
+        free, remaining, heap = free.copy(), remaining.copy(), heap.copy()
+        comps, at = self._comps.copy(), self._at.copy()
+        i = mark * _CHECKPOINT_POPS
+        while heap:
+            r, _, pos = pop(heap)
+            j = vec[pos]
+            f = free[j]
+            transfer, exec_row, succs = walk_rows[pos]
+            comp = ((r if r > f else f) + transfer[j]) + exec_row[j]
+            free[j] = comps[pos] = comp
+            at[pos] = i
+            for s, tid in succs:
+                left = remaining[s] - 1
+                remaining[s] = left
+                if not left:
+                    ready = arrivals[s]
+                    for p in preds[s]:
+                        if comps[p] > ready:
+                            ready = comps[p]
+                    push(heap, (ready, tid, s))
+            i += 1
+            if not i % _CHECKPOINT_POPS:
+                marks.append((free.copy(), remaining.copy(), heap.copy()))
+        return comps, at, marks
 
     def propose(self, pos: int, j1: int) -> float:
+        """Score of the current plan with pos moved to j1: the move is
+        written into the plan, walked from the checkpoint before pos's pop,
+        and the old machine is put back."""
         vec = self.vec
         j0 = vec[pos]
         vec[pos] = j1
-        score = self._score(vec)
+        walked = self._walk(self._at[pos] // _CHECKPOINT_POPS)
+        means = self._means(vec, walked[0])
         vec[pos] = j0
-        self._pending = (pos, j1)
-        return score
+        self._pending = (pos, j1, walked)
+        return self._blend(*means)
 
     def accept(self) -> None:
-        """Make the last proposal the current assignment."""
-        pos, j1 = self._pending
+        """Make the last proposal the current plan."""
+        pos, j1, (self._comps, self._at, self._marks) = self._pending
         self.vec[pos] = j1
 
 
@@ -648,12 +726,18 @@ def sa_schedule(
     shifts (rng.integers(1, m, steps)) and acceptance uniforms
     (rng.random(steps)), used in order by the moves.
     A move that does not go uphill leaves its uniform unread. With one
-    machine there is no move: the arrays are empty and draw nothing."""
+    machine there is no move: the arrays are empty and draw nothing.
+
+    A move is scored from the current plan's state, bit for bit as the
+    evaluator scores the moved plan: without edges by re-walking the two
+    machine queues it changes (_QueueMoves), with edges by resuming the
+    plan's event walk from a checkpoint before the moved task
+    (_ResumedMoves)."""
     rng = np.random.default_rng(seed)
     ev = _Evaluator(workload, weights)
     n, m = len(ev.task_ids), len(ev.vm_ids)
     # Anneal from the greedy earliest-finish placement, not from noise.
-    moves = _QueueMoves(ev) if ev._fast else _RescoredMoves(ev)
+    moves = _QueueMoves(ev) if ev._fast else _ResumedMoves(ev)
     current_score = ev.score(ev.eft_vec)
     best, best_score = ev.eft_vec, current_score
     temp = params.initial_temp

@@ -601,7 +601,22 @@ def test_searches_on_dags_choose_as_with_simulated_scoring(monkeypatch):
         simulated.append(vec)
         return simulated_raw(wl, ev.assignment_of(vec))
 
+    # Annealing scores its proposals by resuming its own walk, not through
+    # _raw_dag: each proposal is also checked against the simulated score of
+    # its moved plan, and counted, through an evaluator equal to the one
+    # sa_schedule builds with the default weights.
+    ev = _Evaluator(wl, QosWeights())
+    propose = schedulers._ResumedMoves.propose
+
+    def checked_propose(moves, pos, j1):
+        moved = moves.vec.copy()
+        moved[pos] = j1
+        score = propose(moves, pos, j1)
+        assert score == ev.score(moved)
+        return score
+
     monkeypatch.setattr(_Evaluator, "_raw_dag", simulate)
+    monkeypatch.setattr(schedulers._ResumedMoves, "propose", checked_propose)
     assert [run() for run in runs] == walked
     assert len(simulated) > 1000
 
@@ -610,28 +625,80 @@ def test_searches_on_dags_choose_as_with_simulated_scoring(monkeypatch):
 # SA
 # ---------------------------------------------------------------------------
 
+def resumed_walk_workload(seed):
+    """A DAG instance for the resumed walk on 1-4 heterogeneous machines
+    listed out of id order. Every third seed is a layered DAG, its arrivals
+    tied at t=0 and a deadline on every task; the others are random DAGs of
+    2-30 tasks with data to move and nonzero arrivals, floored to whole
+    seconds (so that they tie) on every other seed, and deadlines on none,
+    some or all of the tasks."""
+    rng = np.random.default_rng([seed, 30])
+    if seed % 3 == 0:
+        dag = layered_dag_workload(seed).dag
+        tasks = dag.tasks
+    else:
+        dag = random_dag_workload(rng, max_nodes=30)[0].dag
+        keep = rng.random() * 1.5  # each task's chance of a deadline; at 1 or more, all have one
+        tasks = []
+        for t in dag.tasks:
+            arrival = float(math.floor(t.arrival_time)) if seed % 3 == 2 else t.arrival_time
+            size = float(rng.choice([0.0, 100.0, 250.0]))
+            deadline = arrival + float(rng.choice([1.0, 4.0, 12.0])) if rng.random() < keep else None
+            tasks.append(dataclasses.replace(
+                t, arrival_time=arrival, input_size=size, output_size=size, deadline=deadline
+            ))
+    vms = [
+        VmSpec(
+            id=int(vid),
+            mips=float(rng.choice([500.0, 750.0, 1000.0, 2000.0])),
+            bandwidth=float(rng.choice([100.0, 300.0, 1000.0])),
+            instr_cost_rate=float(rng.choice([0.0, 0.005, 0.01])),
+            bw_cost_rate=float(rng.choice([0.0, 0.01])),
+        )
+        for vid in rng.permutation(1 + seed % 4) * 10
+    ]
+    return WorkloadSet(vms, DagWorkflow(tasks, dag.edges))
+
+
 def test_dag_proposals_are_walked_in_place():
-    # A proposal writes its move into the plan, walks it and puts the old
-    # machine back; only accept keeps the move. Each score equals the
-    # evaluator's score of the moved plan.
-    wl = layered_dag_workload(5)
-    ev = _Evaluator(wl, QosWeights())
-    moves = schedulers._RescoredMoves(ev)
-    n, m = len(ev.task_ids), len(ev.vm_ids)
-    rng = np.random.default_rng(5)
-    plan = list(ev.eft_vec)
-    assert moves.vec == plan
-    for pos, shift, take in zip(
-        rng.integers(0, n, 200).tolist(), rng.integers(1, m, 200).tolist(), (rng.random(200) < 0.3).tolist()
-    ):
-        moved = plan.copy()
-        moved[pos] = (plan[pos] + shift) % m
-        assert moves.propose(pos, moved[pos]) == ev.score(tuple(moved))
+    # A proposal writes its move into the plan, resumes the plan's walk from
+    # a checkpoint and puts the old machine back; only accept keeps the
+    # move, with its walk. Each score equals the evaluator's full score of
+    # the moved plan bit for bit, on 60 instances: every root and sink is
+    # moved, and every other instance accepts all of its 150 proposals in
+    # one chain. A shift of m proposes the machine the task is on.
+    kinds = set()
+    for seed in range(60):
+        wl = resumed_walk_workload(seed)
+        ev = _Evaluator(wl, QosWeights())
+        moves = schedulers._ResumedMoves(ev)
+        n, m = len(ev.task_ids), len(ev.vm_ids)
+        rng = np.random.default_rng(seed)
+        roots = [pos for pos in range(n) if not ev._indeg[pos]]
+        sinks = [pos for pos in range(n) if not ev._succ_pos[pos]]
+        positions = roots + sinks + rng.integers(0, n, 150 - len(roots) - len(sinks)).tolist()
+        takes = [True] * 150 if seed % 2 else (rng.random(150) < 0.3).tolist()
+        plan = list(ev.eft_vec)
         assert moves.vec == plan
-        if take:
-            moves.accept()
-            plan = moved
+        for pos, shift, take in zip(positions, rng.integers(1, m + 1, 150).tolist(), takes):
+            moved = plan.copy()
+            moved[pos] = (plan[pos] + shift) % m
+            assert moves.propose(pos, moved[pos]).hex() == ev.score(tuple(moved)).hex(), f"seed {seed}"
             assert moves.vec == plan
+            if take:
+                moves.accept()
+                plan = moved
+                assert moves.vec == plan
+        arrivals = [t.arrival_time for t in wl.tasks]
+        kinds.add((
+            m,
+            len(set(arrivals)) < len(arrivals),
+            min(arrivals) > 0,
+            sum(t.deadline is not None for t in wl.tasks) / len(arrivals),
+        ))
+    assert {k[0] for k in kinds} == {1, 2, 3, 4}
+    assert {k[1] for k in kinds} == {True, False} and any(k[2] for k in kinds)
+    assert {k[3] for k in kinds} > {0.0, 1.0}
 
 
 def test_downhill_moves_always_accepted():
@@ -653,6 +720,14 @@ def test_level_moves_are_accepted_without_reading_the_uniform():
     u = math.nextafter(1.0, 0.0)
     for temp in (0.0, 1e-300, 1e-6, 0.5, 100.0):
         assert sa_accept(0.0, temp, u) and sa_accept(-0.0, temp, u)
+
+
+@pytest.mark.parametrize("name", ["initial_temp", "min_temp"])
+def test_sa_params_reject_an_infinite_temperature(name):
+    # Only the params are built: a search from an infinite temperature would
+    # never cool below min_temp.
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite$"):
+        dataclasses.replace(SaParams(), **{name: math.inf})
 
 
 def test_sa_cooling_terminates_below_min_temp():
@@ -780,9 +855,11 @@ def annealing_workload(seed):
 
 
 def test_sa_equals_the_full_rescore_loop():
+    # 48 annealing workloads, then 16 of the resumed walk's DAG instances.
     params = SaParams(initial_temp=0.02, cooling_rate=0.9, steps_per_temp=40, min_temp=0.0005)
-    for seed in range(48):
-        wl = annealing_workload(seed)
+    workloads = [(seed, annealing_workload(seed)) for seed in range(48)]
+    workloads += [(seed, resumed_walk_workload(seed)) for seed in range(100, 116)]
+    for seed, wl in workloads:
         got = sa_schedule(wl, params=params, seed=seed, with_history=True)
         assert got == full_rescore_sa(wl, params, seed), f"seed {seed}"
 
